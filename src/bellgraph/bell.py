@@ -14,9 +14,10 @@ assignment value is
 
     (1/2^n) * sum_S k[S] sign(S) (-1)^(|S_X & x_neg| + |S_Y & y_neg|)
 
-The maximum over all 4^n assignments is computed either by direct
-per-assignment evaluation or by one more Walsh-Hadamard transform over the
-2n sign variables; the two engines agree entry for entry.
+The maximum over all 4^n assignments is one more Walsh-Hadamard transform
+over the 2n sign variables, run in blocks of x_neg values: flip the weights by
+their x parity, sum them onto their Y supports and transform over y_neg.
+Memory stays at about BLOCK_ELEMENTS entries whatever n is.
 
 All LHV values are integers over 2^n and are returned as exact `Dyadic`s.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -31,23 +33,25 @@ from .coverable import coverable_set
 from .dyadic import Dyadic
 from .graphs import Graph
 
-TRANSFORM_MAX_N = 12  # 4^12 table entries; beyond this use the direct engine
-
-
-class EngineCapError(MemoryError):
-    """Transform table would exceed the memory cap; fall back to engine='direct'."""
+BLOCK_ELEMENTS = 1 << 20  # int32 assignment values per engine block (4 MB)
 
 
 def fwht_inplace(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform over subset-parity characters."""
+    """Unnormalized Walsh-Hadamard transform over subset-parity characters.
+
+    Transforms along the first axis, so each column of a 2-D array is one
+    transform; the butterflies then run over whole contiguous rows, which is
+    several times faster than short strided runs along the last axis.
+    """
     size = a.shape[0]
+    cols = a.size // size if size else 0
     h = 1
     while h < size:
-        b = a.reshape(-1, 2, h)
+        b = a.reshape(-1, 2, h * cols)
         x = b[:, 0, :].copy()
         y = b[:, 1, :]
-        b[:, 0, :] = x + y
-        b[:, 1, :] = x - y
+        np.add(x, y, out=b[:, 0, :])
+        np.subtract(x, y, out=y)
         h *= 2
     return a
 
@@ -146,93 +150,60 @@ def lhv_value(g: Graph, bc: BellCoefficients, a: LhvAssignment) -> Dyadic:
     return Dyadic(int(terms.sum()), g.n)
 
 
-def _table_transform(w: np.ndarray, table: StabilizerTable) -> np.ndarray:
-    n = table.n
-    h = np.zeros(1 << (2 * n), dtype=np.int64)
-    # (sx, sy) determines S, so plain assignment scatters without collisions
-    h[(table.sx << n) | table.sy] = w
-    return fwht_inplace(h)
+def _value_blocks(g: Graph, t: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (x0, values) with values[y_neg, r] the numerator at x_neg = x0 + r.
 
-
-def _table_direct(w: np.ndarray, table: StabilizerTable) -> np.ndarray:
-    n = table.n
-    size = 1 << n
-    out = np.empty(1 << (2 * n), dtype=np.int64)
-    sx, sy = table.sx, table.sy
-    for x_neg in range(size):
-        wx = np.where(np.bitwise_count(sx & x_neg) & 1, -w, w)
-        base = x_neg << n
-        for y_neg in range(size):
-            sgn = np.bitwise_count(sy & y_neg) & 1
-            out[base | y_neg] = np.where(sgn, -wx, wx).sum()
-    return out
-
-
-def _bound_direct(w: np.ndarray, table: StabilizerTable) -> tuple[int, int]:
-    """Streaming per-assignment max; no 4^n table, so any n the type allows."""
-    n = table.n
-    size = 1 << n
-    sx, sy = table.sx, table.sy
-    best = None
-    best_idx = 0
-    for x_neg in range(size):
-        wx = np.where(np.bitwise_count(sx & x_neg) & 1, -w, w)
-        base = x_neg << n
-        for y_neg in range(size):
-            sgn = np.bitwise_count(sy & y_neg) & 1
-            val = int(np.where(sgn, -wx, wx).sum())
-            if best is None or val > best:
-                best = val
-                best_idx = base | y_neg
-    return best, best_idx
-
-
-def lhv_value_table(
-    g: Graph, t: int, engine: str = "auto", transform_max_n: int = TRANSFORM_MAX_N
-) -> np.ndarray:
-    """Numerators of all 4^n assignment values, indexed (x_neg << n) | y_neg."""
-    bc = bell_coefficients(g, t)
+    Blocks come in ascending x0 and hold 2^n * cols <= BLOCK_ELEMENTS int32
+    entries once n > 10; below that a single block covers everything.
+    """
+    n = g.n
     table = stabilizer_table(g)
-    w = bc.k * table.signs
-    if engine == "auto":
-        engine = "transform" if g.n <= transform_max_n else "direct"
-    if engine == "transform":
-        if g.n > transform_max_n:
-            raise EngineCapError(
-                f"transform table needs 4^{g.n} entries (cap n={transform_max_n}); "
-                "use engine='direct'"
-            )
-        return _table_transform(w, table)
-    if engine == "direct":
-        return _table_direct(w, table)
-    raise ValueError(f"unknown engine {engine!r}")
+    w = _weights(g, bell_coefficients(g, t))
+    # Parseval on k: sum|w| = sum|k| <= 2^n sqrt(|C|) <= 2^(1.5n), which bounds
+    # every partial sum below, so int32 holds them for every n <= 16
+    assert int(np.abs(w).sum()) < 1 << 31, "int32 accumulator would overflow"
+    # nonzero weights only, sorted by Y support: reduceat then sums each
+    # support's run, and the sums land on their rows of the block
+    keep = np.flatnonzero(w)
+    keep = keep[np.argsort(table.sy[keep], kind="stable")]
+    w = w[keep].astype(np.int32)
+    sx = table.sx[keep].astype(np.uint16)
+    sy = table.sy[keep]
+    starts = np.flatnonzero(np.diff(sy, prepend=-1))
+    cols = min(1 << n, max(1, BLOCK_ELEMENTS >> n))
+    # x0 is a multiple of cols, so the parity of sx & (x0 + r) splits in two
+    low = np.arange(cols, dtype=np.uint16)[:, None]
+    flip_low = np.where(np.bitwise_count(low & sx) & 1, np.int8(-1), np.int8(1))
+    for x0 in range(0, 1 << n, cols):
+        w_high = np.where(np.bitwise_count(sx & x0) & 1, -w, w)
+        block = np.zeros((1 << n, cols), dtype=np.int32)
+        block[sy[starts]] = np.add.reduceat(flip_low * w_high, starts, axis=1).T
+        yield x0, fwht_inplace(block)
 
 
-def _result_from_table(values: np.ndarray, n: int, full: bool = False) -> LhvResult:
-    best = int(values.max())
-    idx = int(values.argmax())  # first maximum = lexicographically least assignment
-    mask = (1 << n) - 1
-    if full:
-        argmax = LhvAssignment(idx >> 2 * n, (idx >> n) & mask, idx & mask)
-    else:
-        argmax = LhvAssignment(idx >> n, idx & mask)
+def lhv_value_table(g: Graph, t: int) -> np.ndarray:
+    """Numerators of all 4^n assignment values, indexed (x_neg << n) | y_neg."""
+    return np.concatenate([block.T for _, block in _value_blocks(g, t)]).ravel()
+
+
+def lhv_bound(g: Graph, t: int) -> LhvResult:
+    """Exact LHV bound: maximum assignment value, with its first attainer.
+
+    Ties go to the least (x_neg << n) | y_neg: blocks arrive in ascending
+    x_neg, inside a block the first column (x_neg) reaching the block maximum
+    wins and then its first row (y_neg), and a later block replaces the
+    running best only when strictly larger.
+    """
+    n = g.n
+    best = best_idx = None
+    for x0, block in _value_blocks(g, t):
+        col_max = block.max(axis=0)
+        r = int(col_max.argmax())
+        value = int(col_max[r])
+        if best is None or value > best:
+            best, best_idx = value, ((x0 + r) << n) | int(block[:, r].argmax())
     bound = Dyadic(best, n)
-    return LhvResult(bound, argmax, bound < 1)
-
-
-def lhv_bound(
-    g: Graph, t: int, engine: str = "auto", transform_max_n: int = TRANSFORM_MAX_N
-) -> LhvResult:
-    """Exact LHV bound: maximum assignment value, with its first attainer."""
-    if engine == "direct":
-        bc = bell_coefficients(g, t)
-        table = stabilizer_table(g)
-        best, idx = _bound_direct(bc.k * table.signs, table)
-        mask = (1 << g.n) - 1
-        bound = Dyadic(best, g.n)
-        return LhvResult(bound, LhvAssignment(idx >> g.n, idx & mask), bound < 1)
-    values = lhv_value_table(g, t, engine=engine, transform_max_n=transform_max_n)
-    return _result_from_table(values, g.n)
+    return LhvResult(bound, LhvAssignment(best_idx >> n, best_idx & ((1 << n) - 1)), bound < 1)
 
 
 def lhv_bound_full(g: Graph, t: int) -> LhvResult:
@@ -250,7 +221,10 @@ def lhv_bound_full(g: Graph, t: int) -> LhvResult:
     h = np.zeros(1 << (3 * n), dtype=np.int64)
     h[(table.sx << 2 * n) | (table.sy << n) | sz] = w
     values = fwht_inplace(h)
-    return _result_from_table(values, n, full=True)
+    idx = int(values.argmax())  # first maximum = lexicographically least assignment
+    mask = (1 << n) - 1
+    bound = Dyadic(int(values[idx]), n)
+    return LhvResult(bound, LhvAssignment(idx >> 2 * n, (idx >> n) & mask, idx & mask), bound < 1)
 
 
 def family_oracle_star_copies(m: int, t: int) -> Dyadic:

@@ -109,7 +109,7 @@ def cmd_lhv_bound(args) -> int:
     if args.engine == "full":
         res = lhv_bound_full(g, args.t)
     else:
-        res = lhv_bound(g, args.t, engine=args.engine)
+        res = lhv_bound(g, args.t)
     if args.json:
         print(json.dumps({
             "n": g.n,
@@ -261,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lhv-bound", help="exact LHV bound of the Bell operator")
     add_graph_t(p)
-    p.add_argument("--engine", choices=("auto", "direct", "transform", "full"),
-                   default="auto")
+    p.add_argument("--engine", choices=("auto", "full"), default="auto",
+                   help="full: unreduced 8^n scan over X, Y and Z signs (n <= 6)")
     p.set_defaults(func=cmd_lhv_bound)
 
     p = sub.add_parser("verify-prop1",

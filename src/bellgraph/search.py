@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bell import lhv_bound, lhv_value_table
+from .bell import bell_coefficients, lhv_bound, lhv_value
 from .canon import CanonicalForm, OrbitCapExceeded, canonicalize, lc_orbit
 from .dyadic import Dyadic
 from .graph6 import Graph6Error, iter_graph6_file, triangle_pairs
@@ -218,28 +218,35 @@ def lc_class_reps(n: int) -> list[Graph]:
 # ---------------------------------------------------------------------------
 # shared evaluation/reduction
 
-def _evaluate_rep(g: Graph, ts: tuple[int, ...], engine: str) -> dict[int, int]:
-    """Numerator of the LHV bound of g for each t (value = numerator / 2^n)."""
-    return {t: int(lhv_value_table(g, t, engine=engine).max()) for t in ts}
+def _evaluate_rep(g: Graph, ts: tuple[int, ...]) -> dict[int, Dyadic]:
+    """LHV bound of g for each t."""
+    return {t: lhv_bound(g, t).bound for t in ts}
 
 
-def _map_reps(reps: list[Graph], ts: tuple[int, ...], engine: str, threads: int):
+def _map_reps(reps: list[Graph], ts: tuple[int, ...], threads: int):
     if threads <= 1 or len(reps) < 2:
-        return [_evaluate_rep(g, ts, engine) for g in reps]
+        return [_evaluate_rep(g, ts) for g in reps]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda g: _evaluate_rep(g, ts, engine), reps, chunksize=16))
+        return list(pool.map(lambda g: _evaluate_rep(g, ts), reps, chunksize=16))
 
 
 def _reduce_reports(
     n: int,
     ts: tuple[int, ...],
     reps: list[Graph],
-    results: list[dict[int, int]],
+    results: list[dict[int, Dyadic]],
     graphs_examined: int,
     started: float,
     max_witnesses: int,
-    seed_minima: dict[int, int] | None = None,
+    seed_minima: dict[int, Dyadic] | None = None,
 ) -> dict[int, SearchReport]:
+    """Per-t reports; each emitted witness is checked twice before emission.
+
+    The witness is rebuilt from its canonical form, a different labelling,
+    so the engine recomputes table, coefficients and transform; and the
+    separate per-assignment formula `lhv_value` must give the bound at the
+    argmax the engine reports.
+    """
     reports = {}
     for t in ts:
         best = min((res[t] for res in results), default=None)
@@ -249,20 +256,22 @@ def _reduce_reports(
             raise ValueError("empty census")
         attain = [g for g, res in zip(reps, results) if res[t] == best]
         witnesses = sorted({canonicalize(g) for g in attain})
-        bound = Dyadic(best, n)
         total = len(witnesses)
         emitted = []
         for form in witnesses[:max_witnesses]:
-            check = lhv_bound(form.to_graph(), t, engine="direct")
-            if check.bound != bound:
+            g = form.to_graph()
+            check = lhv_bound(g, t)
+            value = lhv_value(g, bell_coefficients(g, t), check.argmax)
+            if not check.bound == value == best:
                 raise AssertionError(
-                    f"witness re-verification failed: {check.bound} != {bound}"
+                    f"witness re-verification failed: bound {check.bound}, "
+                    f"value at argmax {value}, search minimum {best}"
                 )
             emitted.append((form, form.to_graph6()))
         reports[t] = SearchReport(
             n=n,
             t=t,
-            best_bound=bound,
+            best_bound=best,
             witnesses=tuple(emitted),
             graphs_examined=graphs_examined,
             lc_classes_examined=len(reps),
@@ -289,7 +298,6 @@ def search_labeled_all(
     *,
     dedup: str = "lc",
     threads: int | None = None,
-    engine: str = "auto",
     max_witnesses: int = DEFAULT_MAX_WITNESSES,
 ):
     """Exhaustive search over all labeled graphs on n vertices.
@@ -303,7 +311,7 @@ def search_labeled_all(
     threads = default_threads() if threads is None else threads
     started = time.perf_counter()
     reps, total = _labeled_class_reps(n, dedup)
-    results = _map_reps(reps, ts, engine, threads)
+    results = _map_reps(reps, ts, threads)
     reports = _reduce_reports(n, ts, reps, results, total, started, max_witnesses)
     return reports[ts[0]] if isinstance(t, int) else reports
 
@@ -317,7 +325,6 @@ def search(
     *,
     dedup: str = "lc",
     threads: int | None = None,
-    engine: str = "auto",
     orbit_cap: int = DEFAULT_ORBIT_CAP,
     max_witnesses: int = DEFAULT_MAX_WITNESSES,
 ):
@@ -353,7 +360,7 @@ def search(
         reps.append(g)
     if n is None:
         raise ValueError("empty census")
-    results = _map_reps(reps, ts, engine, threads)
+    results = _map_reps(reps, ts, threads)
     reports = _reduce_reports(n, ts, reps, results, count, started, max_witnesses)
     return reports[ts[0]] if isinstance(t, int) else reports
 
@@ -415,7 +422,6 @@ def search_file(
     lenient: bool = False,
     dedup: str = "lc",
     threads: int | None = None,
-    engine: str = "auto",
     orbit_cap: int = DEFAULT_ORBIT_CAP,
     max_witnesses: int = DEFAULT_MAX_WITNESSES,
     chunk_size: int = 4096,
@@ -446,14 +452,14 @@ def search_file(
 
     seen: set[CanonicalForm] = set()
     reps: list[Graph] = []
-    results: list[dict[int, int]] = []
+    results: list[dict[int, Dyadic]] = []
     n = None
     count = 0
     bad = 0
     record_index = 0
     chunk: list[Graph] = []
     chunks_done = skip_chunks
-    minima: dict[int, int] = {}
+    minima: dict[int, Dyadic] = {}
 
     def flush_chunk():
         nonlocal chunks_done
@@ -475,7 +481,7 @@ def search_file(
             else:
                 seen.add(form)
             fresh.append(g)
-        for res in _map_reps(fresh, ts, engine, threads):
+        for res in _map_reps(fresh, ts, threads):
             results.append(res)
             for tt in ts:
                 if tt not in minima or res[tt] < minima[tt]:
@@ -488,7 +494,7 @@ def search_file(
                 sha,
                 chunk_size,
                 chunks_done,
-                {tt: Dyadic(minima[tt], n) for tt in ts if tt in minima},
+                minima,
             ).write(checkpoint_path)
 
     for lineno, item in iter_graph6_file(path, lenient=lenient):
@@ -510,15 +516,10 @@ def search_file(
     flush_chunk()
     if n is None:
         raise ValueError(f"{path}: no graphs processed")
-    seeds = None
-    if seed_minima:
-        seeds = {}
-        for tt, bound in seed_minima.items():
-            if bound.log2_den > n:
-                raise ValueError("checkpoint minimum finer than 2^-n")
-            seeds[tt] = bound.num << (n - bound.log2_den)
+    if seed_minima and any(bound.log2_den > n for bound in seed_minima.values()):
+        raise ValueError("checkpoint minimum finer than 2^-n")
     reports = _reduce_reports(
-        n, ts, reps, results, count, started, max_witnesses, seed_minima=seeds
+        n, ts, reps, results, count, started, max_witnesses, seed_minima=seed_minima
     )
     return reports[ts[0]] if isinstance(t, int) else reports
 

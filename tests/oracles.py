@@ -4,6 +4,9 @@ Everything here recomputes results from first principles without touching
 the package's fast paths: coverable sets by full pair enumeration, LHV
 values by evaluating letter strings term by term, Pauli matrices by
 explicit Kronecker products, transforms by the character-sum definition.
+The one exception is `transform_lhv_values`, which takes the package's
+coefficient and stabilizer tables (both checked against the brute-force
+versions here) and replaces only the LHV engine.
 """
 from __future__ import annotations
 
@@ -11,6 +14,7 @@ import itertools
 
 import numpy as np
 
+from bellgraph.bell import bell_coefficients, stabilizer_table
 from bellgraph.graphs import Graph, bits_of, iter_bits
 
 I2 = np.eye(2, dtype=complex)
@@ -122,6 +126,23 @@ def brute_wht(a: np.ndarray) -> np.ndarray:
             acc += -int(a[c]) if bin(c & s).count("1") % 2 else int(a[c])
         out[s] = acc
     return out
+
+
+def transform_lhv_values(g: Graph, t: int) -> np.ndarray:
+    """All 4^n assignment values from one transform over the 2n sign bits.
+
+    Scatters each stabilizer weight to (S_X << n) | S_Y of a 4^n table and
+    applies a stage-by-stage Walsh-Hadamard transform written here, so the
+    package's blocked engine and `fwht_inplace` are not involved.
+    """
+    n = g.n
+    table = stabilizer_table(g)
+    h = np.zeros(1 << (2 * n), dtype=np.int64)
+    h[(table.sx << n) | table.sy] = bell_coefficients(g, t).k * table.signs
+    for bit in range(2 * n):
+        pairs = h.reshape(-1, 2, 1 << bit)
+        h = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1).ravel()
+    return h
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:

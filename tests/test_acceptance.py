@@ -34,7 +34,7 @@ from bellgraph.quantum import (
     random_weight_t_channel,
 )
 from bellgraph.search import enumerate_labeled, lc_class_reps, search_labeled_all
-from oracles import random_graph
+from oracles import random_graph, transform_lhv_values
 
 CHANNEL_SEED_BASE = 20260808  # fixed so every sweep is reproducible
 
@@ -186,14 +186,12 @@ def test_criterion_8_property_suite(census5_path):
             perm = tuple(int(v) for v in rng.permutation(n))
             assert lhv_bound(g.relabel(perm), t).bound == lhv_bound(g, t).bound
 
-        # engine equivalence: direct vs transform value tables
+        # engine equivalence: blocked engine vs the single-transform oracle
         sizes = [3, 4, 5, 6, 7, 8]
         for i in range(50):
             g = random_graph(rng, sizes[i % len(sizes)])
             for t in (0, 1, 2):
-                direct = lhv_value_table(g, t, engine="direct")
-                transform = lhv_value_table(g, t, engine="transform")
-                assert np.array_equal(direct, transform)
+                assert np.array_equal(lhv_value_table(g, t), transform_lhv_values(g, t))
 
         # graph6 round-trip: every census record and random graphs
         with open(census5_path) as fh:

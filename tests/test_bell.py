@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from bellgraph import bell
 from bellgraph.bell import (
-    EngineCapError,
     LhvAssignment,
+    LhvResult,
     bell_coefficients,
     family_oracle_complete,
     family_oracle_star_copies,
@@ -21,7 +22,7 @@ from bellgraph.dyadic import Dyadic
 from bellgraph.families import complete, ring, star, star_copies
 from bellgraph.graphs import Graph, local_complement
 from bellgraph.pauli import stabilizer_element, to_text
-from oracles import brute_lhv_values, brute_wht, random_graph
+from oracles import brute_lhv_values, brute_wht, random_graph, transform_lhv_values
 
 
 def test_fwht_matches_definition():
@@ -112,19 +113,25 @@ def test_tables_match_brute_force():
         g = random_graph(rng, n)
         t = int(rng.integers(0, min(2, n) + 1))
         brute = np.array(brute_lhv_values(g, t, reduced=True), dtype=np.int64)
-        assert np.array_equal(lhv_value_table(g, t, engine="transform"), brute)
-        assert np.array_equal(lhv_value_table(g, t, engine="direct"), brute)
+        assert np.array_equal(lhv_value_table(g, t), brute)
+        assert np.array_equal(transform_lhv_values(g, t), brute)
+
+
+def _oracle_result(g, t):
+    values = transform_lhv_values(g, t)
+    idx = int(values.argmax())  # first maximum in (x_neg << n) | y_neg order
+    bound = Dyadic(int(values[idx]), g.n)
+    return LhvResult(bound, LhvAssignment(idx >> g.n, idx & ((1 << g.n) - 1)), bound < 1)
 
 
 def test_engines_agree():
+    # the blocked engine against the single 4^n transform oracle
     rng = np.random.default_rng(6)
     sizes = [3, 4, 5, 6, 7, 8]
     for i in range(24):
         g = random_graph(rng, sizes[i % len(sizes)])
         for t in (0, 1, 2):
-            a = lhv_value_table(g, t, engine="direct")
-            b = lhv_value_table(g, t, engine="transform")
-            assert np.array_equal(a, b)
+            assert np.array_equal(lhv_value_table(g, t), transform_lhv_values(g, t))
 
 
 def test_engines_agree_on_argmax():
@@ -133,9 +140,20 @@ def test_engines_agree_on_argmax():
         g = random_graph(rng, int(rng.integers(1, 7)))
         t = int(rng.integers(0, 3)) if g.n >= 2 else 0
         t = min(t, g.n)
-        ra = lhv_bound(g, t, engine="direct")
-        rb = lhv_bound(g, t, engine="transform")
-        assert ra == rb
+        assert lhv_bound(g, t) == _oracle_result(g, t)
+
+
+def test_blocks_keep_values_and_first_argmax(monkeypatch):
+    # tiny blocks split every table into many x_neg blocks, so the running
+    # max and its tie-break cross block boundaries
+    monkeypatch.setattr(bell, "BLOCK_ELEMENTS", 1 << 6)
+    rng = np.random.default_rng(11)
+    graphs = [random_graph(rng, n) for n in (4, 5, 6, 7, 8) for _ in range(3)]
+    graphs += [Graph(6, (0,) * 6), complete(6), star_copies(2)]
+    for g in graphs:
+        for t in range(0, min(2, g.n) + 1):
+            assert np.array_equal(lhv_value_table(g, t), transform_lhv_values(g, t))
+            assert lhv_bound(g, t) == _oracle_result(g, t)
 
 
 def test_known_bounds():
@@ -183,13 +201,30 @@ def test_full_oracle_size_cap():
         lhv_bound_full(complete(7), 1)
 
 
-def test_engine_cap_error_mentions_direct():
-    with pytest.raises(EngineCapError) as err:
-        lhv_value_table(ring(5), 0, engine="transform", transform_max_n=4)
-    assert "direct" in str(err.value)
-    # auto falls back instead of raising
-    res = lhv_bound(ring(5), 0, transform_max_n=4)
-    assert res.bound == Dyadic(5, 3)
+def test_bound_above_old_cap():
+    # a 4^n table at n = 13 would be 512 MB; blocks keep it at a few MB
+    assert lhv_bound(complete(13), 1).bound == family_oracle_complete(13, 1)
+    g = random_graph(np.random.default_rng(12), 13)
+    res = lhv_bound(g, 1)
+    assert lhv_value(g, bell_coefficients(g, 1), res.argmax) == res.bound
+
+
+@pytest.mark.slow
+def test_star_copies_15_vertices():
+    res = lhv_bound(star_copies(5), 1)
+    assert res.bound == Dyadic(81, 7) == family_oracle_star_copies(5, 1)
+
+
+def test_int32_width_bound():
+    # Parseval: sum|w| = sum|k| <= 2^n sqrt(|C|) <= 2^(1.5n), the bound the
+    # engine's int32 accumulator relies on; checked exactly at n = 16
+    rng = np.random.default_rng(13)
+    graphs = [random_graph(rng, 16) for _ in range(3)] + [complete(16)]
+    for g in graphs:
+        for t in range(4):
+            bc = bell_coefficients(g, t)
+            l1 = int(np.abs(bc.k).sum())
+            assert l1 * l1 <= (1 << 2 * g.n) * bc.coverable_count <= 1 << 3 * g.n
 
 
 def test_lc_invariance_of_bounds():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bellgraph.cli import main
 
 
@@ -35,7 +37,18 @@ def test_lhv_bound_full_engine(capsys):
     code, out = run(capsys, "lhv-bound", "--graph", "Bo", "--t", "0",
                     "--engine", "full", "--json")
     assert code == 0
-    assert json.loads(out)["bound"] == {"num": 3, "log2_den": 2}
+    obj = json.loads(out)
+    assert obj["bound"] == {"num": 3, "log2_den": 2}
+    assert obj["engine"] == "full"
+
+
+def test_lhv_bound_engine_choices(capsys):
+    code, out = run(capsys, "lhv-bound", "--graph", "Bo", "--t", "0", "--json")
+    assert json.loads(out)["engine"] == "auto"
+    for gone in ("direct", "transform"):
+        with pytest.raises(SystemExit):
+            main(["lhv-bound", "--graph", "Bo", "--t", "0", "--engine", gone])
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_lhv_bound_graph6_literal(capsys):

@@ -1,3 +1,4 @@
+import importlib
 import os
 
 import pytest
@@ -191,6 +192,18 @@ def test_report_json_schema():
     assert obj["n"] == 4 and obj["t"] == 1
     assert isinstance(obj["witnesses"], list)
     assert obj["graphs_examined"] == 64
+
+
+def test_witness_check_catches_wrong_value(monkeypatch, census5_path):
+    # the package re-exports the function `search`, which shadows the module
+    search_module = importlib.import_module("bellgraph.search")
+    real = search_module.lhv_value
+    monkeypatch.setattr(
+        search_module, "lhv_value", lambda g, bc, a: real(g, bc, a) + Dyadic(1, g.n)
+    )
+    with pytest.raises(AssertionError) as err:
+        search_file(census5_path, 0, threads=1)
+    assert "re-verification" in str(err.value)
 
 
 def test_witness_graph6_parses_back():
