@@ -30,7 +30,6 @@ from .quantum import (
     random_weight_t_channel,
 )
 from .search import (
-    default_threads,
     minimal_violating_n,
     reproduce_table1,
     search_file,
@@ -156,14 +155,12 @@ def cmd_verify_prop1(args) -> int:
 
 
 def cmd_search(args) -> int:
-    threads = args.threads if args.threads else default_threads()
     if args.census:
         report = search_file(
             args.census,
             args.t,
             lenient=args.lenient,
             dedup=args.dedup,
-            threads=threads,
             max_witnesses=args.max_witnesses,
             checkpoint_path=args.checkpoint,
         )
@@ -172,7 +169,6 @@ def cmd_search(args) -> int:
             args.all_labeled,
             args.t,
             dedup=args.dedup,
-            threads=threads,
             max_witnesses=args.max_witnesses,
         )
     if args.json:
@@ -182,7 +178,8 @@ def cmd_search(args) -> int:
           f"= {float(report.best_bound):.6f}"
           f"{' (valid inequality)' if report.valid else ''}")
     print(f"examined {report.graphs_examined} graphs in "
-          f"{report.lc_classes_examined} classes, {report.wall_time:.2f}s")
+          f"{report.lc_classes_examined} classes, "
+          f"{report.records_skipped} malformed records skipped, {report.wall_time:.2f}s")
     print(f"witness classes: {report.witness_classes_total}"
           + (f" (showing {len(report.witnesses)})"
              if len(report.witnesses) < report.witness_classes_total else ""))
@@ -192,11 +189,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_reproduce_table1(args) -> int:
-    cells = reproduce_table1(
-        max_n=args.max_n,
-        census_dir=args.census_dir,
-        threads=args.threads if args.threads else None,
-    )
+    cells = reproduce_table1(max_n=args.max_n, census_dir=args.census_dir)
     if args.json:
         print(json.dumps({
             "cells": [c.to_json() for c in cells],
@@ -280,12 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="enumerate all labeled graphs on N <= 7 vertices")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--dedup", choices=("lc", "iso", "none"), default="lc")
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker count (default: BELLGRAPH_THREADS or cpu count)")
     p.add_argument("--lenient", action="store_true",
                    help="skip malformed census lines instead of aborting")
     p.add_argument("--max-witnesses", type=int, default=32)
-    p.add_argument("--checkpoint", help="checkpoint file for resumable runs")
+    p.add_argument("--checkpoint",
+                   help="checkpoint file; rerunning with it resumes exactly")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 
@@ -294,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=7)
     p.add_argument("--census-dir", default=None,
                    help="directory with n<k>.g6 files for n beyond 7")
-    p.add_argument("--threads", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_reproduce_table1)
 

@@ -11,8 +11,9 @@ Two census shapes are supported:
 
 Both paths evaluate class representatives only; bounds are constant on
 classes, which the test suite checks independently. Reports are
-deterministic for a fixed census regardless of worker count: classes are
-discovered by a single scanner in stream order and reduced in that order.
+deterministic for a fixed census: classes are discovered by a single
+scanner in stream order and reduced in that order. A checkpoint stores that
+scanner's whole state, so an interrupted and resumed run reports the same.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ import hashlib
 import itertools
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
@@ -31,20 +31,13 @@ import numpy as np
 from .bell import bell_coefficients, lhv_bound, lhv_value
 from .canon import CanonicalForm, OrbitCapExceeded, canonicalize, lc_orbit
 from .dyadic import Dyadic
-from .graph6 import Graph6Error, iter_graph6_file, triangle_pairs
+from .graph6 import Graph6Error, emit_graph6, iter_graph6_file, parse_graph6, triangle_pairs
 from .graphs import Graph
 from .families import parse_family
 
 ENUMERATION_MAX_N = 7
 DEFAULT_ORBIT_CAP = 100_000
 DEFAULT_MAX_WITNESSES = 32
-
-
-def default_threads() -> int:
-    env = os.environ.get("BELLGRAPH_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(os.cpu_count() or 1, 8)
 
 
 @dataclass(frozen=True)
@@ -57,6 +50,7 @@ class SearchReport:
     lc_classes_examined: int
     wall_time: float
     witness_classes_total: int  # classes attaining the bound, before truncation
+    records_skipped: int = 0  # malformed census lines passed over in lenient mode
 
     @property
     def valid(self) -> bool:
@@ -72,6 +66,7 @@ class SearchReport:
             "witness_classes_total": self.witness_classes_total,
             "graphs_examined": self.graphs_examined,
             "lc_classes_examined": self.lc_classes_examined,
+            "records_skipped": self.records_skipped,
             "wall_time_s": self.wall_time,
         }
 
@@ -85,6 +80,7 @@ class SearchReport:
             self.graphs_examined,
             self.lc_classes_examined,
             self.witness_classes_total,
+            self.records_skipped,
         )
 
 
@@ -216,69 +212,95 @@ def lc_class_reps(n: int) -> list[Graph]:
 
 
 # ---------------------------------------------------------------------------
-# shared evaluation/reduction
+# the search pipeline: records -> n check and count -> dedup -> evaluate -> reduce
 
-def _evaluate_rep(g: Graph, ts: tuple[int, ...]) -> dict[int, Dyadic]:
-    """LHV bound of g for each t."""
-    return {t: lhv_bound(g, t).bound for t in ts}
+@dataclass
+class _Pipeline:
+    """State of one search, fed one record at a time.
 
-
-def _map_reps(reps: list[Graph], ts: tuple[int, ...], threads: int):
-    if threads <= 1 or len(reps) < 2:
-        return [_evaluate_rep(g, ts) for g in reps]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda g: _evaluate_rep(g, ts), reps, chunksize=16))
-
-
-def _reduce_reports(
-    n: int,
-    ts: tuple[int, ...],
-    reps: list[Graph],
-    results: list[dict[int, Dyadic]],
-    graphs_examined: int,
-    started: float,
-    max_witnesses: int,
-    seed_minima: dict[int, Dyadic] | None = None,
-) -> dict[int, SearchReport]:
-    """Per-t reports; each emitted witness is checked twice before emission.
-
-    The witness is rebuilt from its canonical form, a different labelling,
-    so the engine recomputes table, coefficients and transform; and the
-    separate per-assignment formula `lhv_value` must give the bound at the
-    argmax the engine reports.
+    A new representative is evaluated as soon as it is met, so the state
+    after any prefix of the stream holds everything the final reports
+    depend on; `Checkpoint` saves and restores exactly this.
     """
-    reports = {}
-    for t in ts:
-        best = min((res[t] for res in results), default=None)
-        if seed_minima and t in seed_minima:
-            best = seed_minima[t] if best is None else min(best, seed_minima[t])
-        if best is None:
+
+    ts: tuple[int, ...]
+    dedup: str
+    orbit_cap: int = DEFAULT_ORBIT_CAP
+    n: int | None = None
+    records: int = 0
+    reps: list[Graph] = field(default_factory=list)
+    results: list[dict[int, Dyadic]] = field(default_factory=list)  # bound per t, per rep
+    seen: set[CanonicalForm] = field(default_factory=set)
+
+    def __post_init__(self):
+        if self.dedup not in ("lc", "iso", "none"):
+            raise ValueError(f"unknown dedup mode {self.dedup!r}")
+
+    def feed(self, g: Graph) -> None:
+        """Count one record and evaluate it if its class is new."""
+        if self.n is None:
+            self.n = g.n
+        elif g.n != self.n:
+            raise ValueError(f"census mixes vertex counts {self.n} and {g.n}")
+        self.records += 1
+        if self.dedup != "none":
+            form = canonicalize(g)
+            if form in self.seen:
+                return
+            if self.dedup == "lc":
+                try:
+                    self.seen |= lc_orbit(g, max_size=self.orbit_cap)
+                except OrbitCapExceeded:
+                    self.seen.add(form)  # evaluate orbit members individually instead
+            else:
+                self.seen.add(form)
+        self.evaluate(g)
+
+    def evaluate(self, g: Graph) -> None:
+        """Keep g as a class representative, with its LHV bound for each t."""
+        self.reps.append(g)
+        self.results.append({t: lhv_bound(g, t).bound for t in self.ts})
+
+    def reports(
+        self, started: float, max_witnesses: int, records_skipped: int = 0
+    ) -> dict[int, SearchReport]:
+        """Per-t reports; each emitted witness is checked twice before emission.
+
+        The witness is rebuilt from its canonical form, a different labelling,
+        so the engine recomputes table, coefficients and transform; and the
+        separate per-assignment formula `lhv_value` must give the bound at the
+        argmax the engine reports.
+        """
+        if self.n is None:
             raise ValueError("empty census")
-        attain = [g for g, res in zip(reps, results) if res[t] == best]
-        witnesses = sorted({canonicalize(g) for g in attain})
-        total = len(witnesses)
-        emitted = []
-        for form in witnesses[:max_witnesses]:
-            g = form.to_graph()
-            check = lhv_bound(g, t)
-            value = lhv_value(g, bell_coefficients(g, t), check.argmax)
-            if not check.bound == value == best:
-                raise AssertionError(
-                    f"witness re-verification failed: bound {check.bound}, "
-                    f"value at argmax {value}, search minimum {best}"
-                )
-            emitted.append((form, form.to_graph6()))
-        reports[t] = SearchReport(
-            n=n,
-            t=t,
-            best_bound=best,
-            witnesses=tuple(emitted),
-            graphs_examined=graphs_examined,
-            lc_classes_examined=len(reps),
-            wall_time=time.perf_counter() - started,
-            witness_classes_total=total,
-        )
-    return reports
+        reports = {}
+        for t in self.ts:
+            best = min(res[t] for res in self.results)
+            attain = [g for g, res in zip(self.reps, self.results) if res[t] == best]
+            witnesses = sorted({canonicalize(g) for g in attain})
+            emitted = []
+            for form in witnesses[:max_witnesses]:
+                g = form.to_graph()
+                check = lhv_bound(g, t)
+                value = lhv_value(g, bell_coefficients(g, t), check.argmax)
+                if not check.bound == value == best:
+                    raise AssertionError(
+                        f"witness re-verification failed: bound {check.bound}, "
+                        f"value at argmax {value}, search minimum {best}"
+                    )
+                emitted.append((form, form.to_graph6()))
+            reports[t] = SearchReport(
+                n=self.n,
+                t=t,
+                best_bound=best,
+                witnesses=tuple(emitted),
+                graphs_examined=self.records,
+                lc_classes_examined=len(self.reps),
+                wall_time=time.perf_counter() - started,
+                witness_classes_total=len(witnesses),
+                records_skipped=records_skipped,
+            )
+        return reports
 
 
 def _as_ts(t) -> tuple[int, ...]:
@@ -297,7 +319,6 @@ def search_labeled_all(
     t,
     *,
     dedup: str = "lc",
-    threads: int | None = None,
     max_witnesses: int = DEFAULT_MAX_WITNESSES,
 ):
     """Exhaustive search over all labeled graphs on n vertices.
@@ -305,14 +326,13 @@ def search_labeled_all(
     dedup: "lc" marks whole isomorphism+LC classes per representative,
     "iso" isomorphism classes only, "none" evaluates every labeled graph.
     """
-    if dedup not in ("lc", "iso", "none"):
-        raise ValueError(f"unknown dedup mode {dedup!r}")
     ts = _as_ts(t)
-    threads = default_threads() if threads is None else threads
     started = time.perf_counter()
-    reps, total = _labeled_class_reps(n, dedup)
-    results = _map_reps(reps, ts, threads)
-    reports = _reduce_reports(n, ts, reps, results, total, started, max_witnesses)
+    pipe = _Pipeline(ts, dedup, n=n)
+    reps, pipe.records = _labeled_class_reps(n, dedup)
+    for g in reps:
+        pipe.evaluate(g)
+    reports = pipe.reports(started, max_witnesses)
     return reports[ts[0]] if isinstance(t, int) else reports
 
 
@@ -324,44 +344,16 @@ def search(
     t,
     *,
     dedup: str = "lc",
-    threads: int | None = None,
     orbit_cap: int = DEFAULT_ORBIT_CAP,
     max_witnesses: int = DEFAULT_MAX_WITNESSES,
 ):
     """Search a stream of graphs; dedup via canonical LC-orbit seen-sets."""
-    if dedup not in ("lc", "iso", "none"):
-        raise ValueError(f"unknown dedup mode {dedup!r}")
     ts = _as_ts(t)
-    threads = default_threads() if threads is None else threads
     started = time.perf_counter()
-    seen: set[CanonicalForm] = set()
-    reps: list[Graph] = []
-    n = None
-    count = 0
+    pipe = _Pipeline(ts, dedup, orbit_cap)
     for g in census:
-        if n is None:
-            n = g.n
-        elif g.n != n:
-            raise ValueError(f"census mixes vertex counts {n} and {g.n}")
-        count += 1
-        if dedup == "none":
-            reps.append(g)
-            continue
-        form = canonicalize(g)
-        if form in seen:
-            continue
-        if dedup == "lc":
-            try:
-                seen |= lc_orbit(g, max_size=orbit_cap)
-            except OrbitCapExceeded:
-                seen.add(form)  # evaluate orbit members individually instead
-        else:
-            seen.add(form)
-        reps.append(g)
-    if n is None:
-        raise ValueError("empty census")
-    results = _map_reps(reps, ts, threads)
-    reports = _reduce_reports(n, ts, reps, results, count, started, max_witnesses)
+        pipe.feed(g)
+    reports = pipe.reports(started, max_witnesses)
     return reports[ts[0]] if isinstance(t, int) else reports
 
 
@@ -376,43 +368,86 @@ def _file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+CHECKPOINT_HEADER = "bellgraph-checkpoint v2"
+
+
 @dataclass
 class Checkpoint:
-    census_sha256: str
-    chunk_size: int
-    chunks_done: int
-    minima: dict[int, Dyadic] = field(default_factory=dict)
+    """A census search's whole pipeline state in one plain-text file.
 
-    def write(self, path: str):
-        lines = [
-            "bellgraph-checkpoint v1",
-            f"census_sha256={self.census_sha256}",
-            f"chunk_size={self.chunk_size}",
-            f"chunks_done={self.chunks_done}",
-        ]
-        for t in sorted(self.minima):
-            lines.append(f"min_t{t}={self.minima[t]}")
-        tmp = path + ".tmp"
+    After the header come `key=value` lines for the census hash, ts, dedup,
+    orbit cap, n and the number of good records consumed; then one
+    `rep=<graph6> <bound per t>` line per representative in stream order;
+    then one `seen=<hex code>` line per canonical form in the seen-set,
+    sorted by code.
+    """
+
+    path: str
+    census_sha256: str
+
+    def _settings(self, state: _Pipeline) -> dict[str, str]:
+        """What a resumed run must share with the run that wrote the file."""
+        return {
+            "census_sha256": self.census_sha256,
+            "ts": ",".join(map(str, state.ts)),
+            "dedup": state.dedup,
+            "orbit_cap": str(state.orbit_cap),
+        }
+
+    def write(self, state: _Pipeline) -> None:
+        lines = [CHECKPOINT_HEADER]
+        lines += [f"{key}={val}" for key, val in self._settings(state).items()]
+        lines += [f"n={state.n}", f"records={state.records}"]
+        for g, res in zip(state.reps, state.results):
+            lines.append(f"rep={emit_graph6(g)} " + " ".join(str(res[t]) for t in state.ts))
+        lines += [f"seen={form.code:x}" for form in sorted(state.seen)]
+        tmp = self.path + ".tmp"
         with open(tmp, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
+        os.replace(tmp, self.path)
 
-    @classmethod
-    def read(cls, path: str) -> "Checkpoint":
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if not lines or lines[0] != "bellgraph-checkpoint v1":
-            raise ValueError(f"{path}: not a checkpoint file")
-        kv = dict(ln.split("=", 1) for ln in lines[1:] if "=" in ln)
-        for key in ("census_sha256", "chunk_size", "chunks_done"):
-            if key not in kv:
-                raise ValueError(f"{path}: checkpoint is missing {key}")
-        minima = {
-            int(key[len("min_t"):]): Dyadic.parse(val)
-            for key, val in kv.items()
-            if key.startswith("min_t")
-        }
-        return cls(kv["census_sha256"], int(kv["chunk_size"]), int(kv["chunks_done"]), minima)
+    def restore(self, fresh: _Pipeline) -> _Pipeline:
+        """The saved state; rejected unless written with fresh's settings."""
+        with open(self.path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+        header = lines[0] if lines else ""
+        if header != CHECKPOINT_HEADER:
+            if header.startswith("bellgraph-checkpoint"):
+                raise ValueError(
+                    f"{self.path}: {header} checkpoints cannot resume exactly; "
+                    "delete the file and rerun"
+                )
+            raise ValueError(f"{self.path}: not a checkpoint file")
+        kv: dict[str, str] = {}
+        reps: list[str] = []
+        seen: list[str] = []
+        for line in lines[1:]:
+            key, _, val = line.partition("=")
+            if key == "rep":
+                reps.append(val)
+            elif key == "seen":
+                seen.append(val)
+            else:
+                kv[key] = val
+        for key, want in self._settings(fresh).items():
+            if kv.get(key) != want:
+                raise ValueError(
+                    f"{self.path}: checkpoint has {key}={kv.get(key)} but this run "
+                    f"has {key}={want}; delete the file to start over"
+                )
+        try:
+            state = _Pipeline(fresh.ts, fresh.dedup, fresh.orbit_cap,
+                              n=int(kv["n"]), records=int(kv["records"]))
+            for line in reps:
+                g6, *bounds = line.split(" ")
+                if len(bounds) != len(state.ts):
+                    raise ValueError(f"rep {g6} has {len(bounds)} bounds")
+                state.reps.append(parse_graph6(g6))
+                state.results.append(dict(zip(state.ts, map(Dyadic.parse, bounds))))
+            state.seen = {CanonicalForm(state.n, int(code, 16)) for code in seen}
+        except (KeyError, ValueError) as err:
+            raise ValueError(f"{self.path}: corrupt checkpoint: {err}") from None
+        return state
 
 
 def search_file(
@@ -421,106 +456,47 @@ def search_file(
     *,
     lenient: bool = False,
     dedup: str = "lc",
-    threads: int | None = None,
     orbit_cap: int = DEFAULT_ORBIT_CAP,
     max_witnesses: int = DEFAULT_MAX_WITNESSES,
     chunk_size: int = 4096,
     checkpoint_path: str | None = None,
 ):
-    """Search a graph6 census file, optionally checkpointing per chunk.
+    """Search a graph6 census file, optionally checkpointing as it goes.
 
     Malformed records abort with their line number unless lenient, in which
-    case they are counted and skipped. With a checkpoint path, completed
-    chunks are recorded and a matching checkpoint resumes after them (the
-    running minimum carries over; witnesses then only cover chunks processed
-    after the resume point).
+    case they are skipped and counted in `records_skipped`. With a
+    checkpoint path the pipeline state is saved every chunk_size good
+    records and at the end. A saved state resumes after the records it
+    covers and yields the report of an uninterrupted run; one written for
+    another census, ts, dedup or orbit cap is rejected.
     """
     ts = _as_ts(t)
-    threads = default_threads() if threads is None else threads
     started = time.perf_counter()
-    sha = _file_sha256(path)
-    skip_chunks = 0
-    seed_minima: dict[int, Dyadic] | None = None
-    if checkpoint_path and os.path.exists(checkpoint_path):
-        ck = Checkpoint.read(checkpoint_path)
-        if ck.census_sha256 != sha:
-            raise ValueError(f"{checkpoint_path}: census file content changed")
-        if ck.chunk_size != chunk_size:
-            raise ValueError(f"{checkpoint_path}: chunk size {ck.chunk_size} != {chunk_size}")
-        skip_chunks = ck.chunks_done
-        seed_minima = ck.minima or None
-
-    seen: set[CanonicalForm] = set()
-    reps: list[Graph] = []
-    results: list[dict[int, Dyadic]] = []
-    n = None
-    count = 0
-    bad = 0
-    record_index = 0
-    chunk: list[Graph] = []
-    chunks_done = skip_chunks
-    minima: dict[int, Dyadic] = {}
-
-    def flush_chunk():
-        nonlocal chunks_done
-        if not chunk:
-            return
-        fresh: list[Graph] = []
-        for g in chunk:
-            if dedup == "none":
-                fresh.append(g)
-                continue
-            form = canonicalize(g)
-            if form in seen:
-                continue
-            if dedup == "lc":
-                try:
-                    seen.update(lc_orbit(g, max_size=orbit_cap))
-                except OrbitCapExceeded:
-                    seen.add(form)
-            else:
-                seen.add(form)
-            fresh.append(g)
-        for res in _map_reps(fresh, ts, threads):
-            results.append(res)
-            for tt in ts:
-                if tt not in minima or res[tt] < minima[tt]:
-                    minima[tt] = res[tt]
-        reps.extend(fresh)
-        chunk.clear()
-        chunks_done += 1
-        if checkpoint_path:
-            Checkpoint(
-                sha,
-                chunk_size,
-                chunks_done,
-                minima,
-            ).write(checkpoint_path)
-
+    pipe = _Pipeline(ts, dedup, orbit_cap)
+    checkpoint = None
+    if checkpoint_path:
+        checkpoint = Checkpoint(checkpoint_path, _file_sha256(path))
+        if os.path.exists(checkpoint_path):
+            pipe = checkpoint.restore(pipe)
+    resume_at = saved = pipe.records
+    good = skipped = 0
     for lineno, item in iter_graph6_file(path, lenient=lenient):
         if isinstance(item, Graph6Error):
-            bad += 1
+            skipped += 1
             continue
-        record_index += 1
-        if record_index <= skip_chunks * chunk_size:
+        good += 1
+        if good <= resume_at:
             continue
-        g = item
-        if n is None:
-            n = g.n
-        elif g.n != n:
-            raise ValueError(f"line {lineno}: census mixes vertex counts {n} and {g.n}")
-        count += 1
-        chunk.append(g)
-        if len(chunk) >= chunk_size:
-            flush_chunk()
-    flush_chunk()
-    if n is None:
-        raise ValueError(f"{path}: no graphs processed")
-    if seed_minima and any(bound.log2_den > n for bound in seed_minima.values()):
-        raise ValueError("checkpoint minimum finer than 2^-n")
-    reports = _reduce_reports(
-        n, ts, reps, results, count, started, max_witnesses, seed_minima=seed_minima
-    )
+        try:
+            pipe.feed(item)
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}") from None
+        if checkpoint and pipe.records % chunk_size == 0:
+            checkpoint.write(pipe)
+            saved = pipe.records
+    if checkpoint and pipe.records != saved:
+        checkpoint.write(pipe)
+    reports = pipe.reports(started, max_witnesses, records_skipped=skipped)
     return reports[ts[0]] if isinstance(t, int) else reports
 
 
@@ -583,7 +559,6 @@ def reproduce_table1(
     ts: Sequence[int] = (0, 1, 2),
     max_exhaustive_n: int | None = None,
     census_dir: str | None = None,
-    threads: int | None = None,
 ) -> list[TableCell]:
     """Recompute the optimal-bound grid for 3 <= n <= max_n.
 
@@ -598,14 +573,14 @@ def reproduce_table1(
     cells: list[TableCell] = []
     for n in range(3, max_n + 1):
         if n <= max_exhaustive_n:
-            reports = search_labeled_all(n, ts, threads=threads)
+            reports = search_labeled_all(n, ts)
             for t in ts:
                 cells.append(TableCell(t, n, reports[t].best_bound, "exhaustive",
                                        None, TABLE1.get((t, n))))
             continue
         census = os.path.join(census_dir, f"n{n}.g6") if census_dir else None
         if census and os.path.exists(census):
-            reports = search_file(census, ts, threads=threads)
+            reports = search_file(census, ts)
             for t in ts:
                 cells.append(TableCell(t, n, reports[t].best_bound, "exhaustive",
                                        None, TABLE1.get((t, n))))

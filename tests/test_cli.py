@@ -104,23 +104,22 @@ def test_verify_prop1_json(capsys):
 
 
 def test_search_all_labeled_json(capsys):
-    code, out = run(capsys, "search", "--all-labeled", "4", "--t", "0",
-                    "--threads", "1", "--json")
+    code, out = run(capsys, "search", "--all-labeled", "4", "--t", "0", "--json")
     obj = json.loads(out)
     assert obj["best_bound"] == {"num": 3, "log2_den": 2}
     assert obj["graphs_examined"] == 64
 
 
 def test_search_census_file(capsys, census5_path):
-    code, out = run(capsys, "search", "--census", census5_path, "--t", "0",
-                    "--threads", "1")
+    code, out = run(capsys, "search", "--census", census5_path, "--t", "0")
     assert code == 0
     assert "5/8" in out
+    assert "0 malformed records skipped" in out
 
 
 def test_search_dedup_flag(capsys):
     code, out = run(capsys, "search", "--all-labeled", "4", "--t", "0",
-                    "--dedup", "none", "--threads", "1", "--json")
+                    "--dedup", "none", "--json")
     obj = json.loads(out)
     assert obj["lc_classes_examined"] == 64  # every labeled graph evaluated
     assert obj["best_bound"] == {"num": 3, "log2_den": 2}
@@ -134,7 +133,7 @@ def test_search_rejects_bad_file(capsys, tmp_path):
 
 
 def test_reproduce_table1_small(capsys):
-    code, out = run(capsys, "reproduce-table1", "--max-n", "4", "--threads", "1")
+    code, out = run(capsys, "reproduce-table1", "--max-n", "4")
     assert code == 0
     assert "3/4" in out
     assert "t=0" in out

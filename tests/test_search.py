@@ -49,39 +49,20 @@ def test_named_families():
 
 def test_small_band_matches_known_grid():
     for n in (3, 4, 5):
-        reports = search_labeled_all(n, (0, 1, 2), threads=1)
+        reports = search_labeled_all(n, (0, 1, 2))
         for t in (0, 1, 2):
             assert reports[t].best_bound == TABLE1[(t, n)]
             assert reports[t].graphs_examined == 1 << (n * (n - 1) // 2)
 
 
-def test_search_thread_count_invariance():
-    one = search_labeled_all(5, (0, 1), threads=1)
-    four = search_labeled_all(5, (0, 1), threads=4)
-    for t in (0, 1):
-        assert one[t].comparable() == four[t].comparable()
-    stream_one = search(enumerate_labeled(4), 0, threads=1)
-    stream_four = search(enumerate_labeled(4), 0, threads=4)
-    assert stream_one.comparable() == stream_four.comparable()
-
-
-def test_thread_env_override(monkeypatch):
-    from bellgraph.search import default_threads
-
-    monkeypatch.setenv("BELLGRAPH_THREADS", "3")
-    assert default_threads() == 3
-    monkeypatch.delenv("BELLGRAPH_THREADS")
-    assert default_threads() >= 1
-
-
 def test_search_accepts_single_t():
-    report = search_labeled_all(4, 0, threads=1)
+    report = search_labeled_all(4, 0)
     assert report.best_bound == Dyadic(3, 2)
 
 
 def test_stream_search_matches_labeled_fast_path():
-    fast = search_labeled_all(5, (0, 1, 2), threads=1)
-    slow = search(enumerate_labeled(5), (0, 1, 2), threads=1)
+    fast = search_labeled_all(5, (0, 1, 2))
+    slow = search(enumerate_labeled(5), (0, 1, 2))
     for t in (0, 1, 2):
         assert fast[t].best_bound == slow[t].best_bound
         assert fast[t].witnesses == slow[t].witnesses
@@ -90,22 +71,22 @@ def test_stream_search_matches_labeled_fast_path():
 
 def test_stream_order_does_not_change_bound():
     graphs = list(enumerate_labeled(4))
-    fwd = search(graphs, 0, threads=1)
-    rev = search(list(reversed(graphs)), 0, threads=1)
+    fwd = search(graphs, 0)
+    rev = search(list(reversed(graphs)), 0)
     assert fwd.best_bound == rev.best_bound
     assert fwd.lc_classes_examined == rev.lc_classes_examined
     assert [f for f, _ in fwd.witnesses] == sorted(f for f, _ in fwd.witnesses)
 
 
 def test_ring5_class_attains_t0_optimum():
-    report = search_labeled_all(5, 0, threads=1)
+    report = search_labeled_all(5, 0)
     assert report.best_bound == Dyadic(5, 3)
     witness_forms = {f for f, _ in report.witnesses}
     assert lc_orbit(ring(5)) & witness_forms
 
 
 def test_two_triangles_attain_n6_t1_optimum():
-    report = search_labeled_all(6, 1, threads=2)
+    report = search_labeled_all(6, 1)
     assert report.best_bound == Dyadic(15, 4)
     witness_forms = {f for f, _ in report.witnesses}
     assert lc_orbit(complete_join(3, 3)) & witness_forms
@@ -114,7 +95,7 @@ def test_two_triangles_attain_n6_t1_optimum():
 
 def test_dedup_modes_agree_on_n5():
     by_mode = {
-        mode: search_labeled_all(5, (0, 1, 2), dedup=mode, threads=2)
+        mode: search_labeled_all(5, (0, 1, 2), dedup=mode)
         for mode in ("lc", "iso", "none")
     }
     for t in (0, 1, 2):
@@ -135,8 +116,10 @@ def test_empty_census_rejected():
         search([], 0)
 
 
-def test_search_file_reference_census(census5_path):
-    report = search_file(census5_path, 0, threads=1)
+def test_search_file_reference_census(monkeypatch, census5_path):
+    # the census is hashed only to match a checkpoint
+    monkeypatch.setattr(importlib.import_module("bellgraph.search"), "_file_sha256", None)
+    report = search_file(census5_path, 0)
     assert report.best_bound == Dyadic(5, 3)
     assert report.graphs_examined == 34
     assert report.lc_classes_examined == 11
@@ -152,33 +135,115 @@ def test_search_file_lenient(tmp_path, census5_path):
     report = search_file(str(path), 0, lenient=True)
     assert report.best_bound == Dyadic(5, 3)
     assert report.graphs_examined == 34
+    assert report.records_skipped == 1
+    assert report.to_json()["records_skipped"] == 1
 
 
 def test_search_file_checkpointing(tmp_path, census5_path):
     ck = tmp_path / "resume.ck"
     full = search_file(census5_path, (0, 1), chunk_size=8, checkpoint_path=str(ck))
-    assert os.path.exists(ck)
-    state = Checkpoint.read(str(ck))
-    assert state.chunks_done == 5  # 34 records in chunks of 8
-    assert state.minima[0] == Dyadic(5, 3)
+    text = ck.read_text().splitlines()
+    assert text[0] == "bellgraph-checkpoint v2"
+    assert "records=34" in text and "ts=0,1" in text
+    assert sum(line.startswith("rep=") for line in text) == 11
+    # all 34 graphs on 5 vertices lie in the seen-set of the LC orbits
+    assert sum(line.startswith("seen=") for line in text) == 34
+    # rerunning with the completed checkpoint returns the same reports
+    again = search_file(census5_path, (0, 1), chunk_size=8, checkpoint_path=str(ck))
+    for t in (0, 1):
+        assert again[t].comparable() == full[t].comparable()
 
-    # simulate a run that died after two chunks: rewind the checkpoint
-    Checkpoint(state.census_sha256, 8, 2, {0: Dyadic(5, 3), 1: Dyadic(1)}).write(str(ck))
-    resumed = search_file(census5_path, (0, 1), chunk_size=8, checkpoint_path=str(ck))
-    assert resumed[0].best_bound == full[0].best_bound
-    assert resumed[1].best_bound == full[1].best_bound
-    assert resumed[0].graphs_examined == 34 - 16
+
+class Interrupted(Exception):
+    pass
+
+
+def interrupted_run(monkeypatch, k, *args, **kwargs):
+    """Run search_file until its k-th checkpoint write has finished."""
+    real = Checkpoint.write
+    calls = []
+
+    def write(self, state):
+        real(self, state)
+        calls.append(state.records)
+        if len(calls) == k:
+            raise Interrupted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Checkpoint, "write", write)
+        try:
+            search_file(*args, **kwargs)
+        except Interrupted:
+            return calls
+    return None  # fewer than k writes: the run completed
+
+
+@pytest.mark.parametrize("dedup", ["lc", "iso", "none"])
+@pytest.mark.parametrize("chunk_size", [10, 7])
+def test_resume_matches_uninterrupted_run(monkeypatch, tmp_path, census5_path,
+                                          chunk_size, dedup):
+    ts = (0, 1, 2)
+    full = search_file(census5_path, ts, dedup=dedup)
+    k = 1
+    while True:
+        ck = str(tmp_path / f"k{k}.ck")
+        calls = interrupted_run(monkeypatch, k, census5_path, ts, dedup=dedup,
+                                chunk_size=chunk_size, checkpoint_path=ck)
+        if calls is None:
+            break
+        assert calls[-1] == min(k * chunk_size, 34)
+        for _ in range(2):  # resume, then rerun with the completed checkpoint
+            resumed = search_file(census5_path, ts, dedup=dedup,
+                                  chunk_size=chunk_size, checkpoint_path=ck)
+            for t in ts:
+                assert resumed[t].comparable() == full[t].comparable()
+        k += 1
+    assert k - 1 == -(-34 // chunk_size)  # every write was interrupted once
+
+
+def test_resume_after_three_chunks(monkeypatch, tmp_path, census5_path):
+    ck = str(tmp_path / "three.ck")
+    assert interrupted_run(monkeypatch, 3, census5_path, 0, chunk_size=10,
+                           checkpoint_path=ck) == [10, 20, 30]
+    report = search_file(census5_path, 0, chunk_size=10, checkpoint_path=ck)
+    assert report.graphs_examined == 34
+    assert report.lc_classes_examined == 11
+    assert report.witness_classes_total == len(report.witnesses) == 4
+
+
+@pytest.mark.parametrize("written, resumed", [
+    ({"t": (1,)}, {"t": (0, 1)}),
+    ({"t": 0, "dedup": "lc"}, {"t": 0, "dedup": "iso"}),
+    ({"t": 0, "orbit_cap": 50}, {"t": 0}),
+])
+def test_checkpoint_rejects_other_settings(tmp_path, census5_path, written, resumed):
+    ck = str(tmp_path / "other.ck")
+    search_file(census5_path, chunk_size=10, checkpoint_path=ck, **written)
+    with pytest.raises(ValueError) as err:
+        search_file(census5_path, chunk_size=10, checkpoint_path=ck, **resumed)
+    assert "delete the file" in str(err.value)
 
 
 def test_checkpoint_rejects_changed_census(tmp_path, census5_path):
-    ck = tmp_path / "stale.ck"
-    Checkpoint("0" * 64, 8, 1, {}).write(str(ck))
-    with pytest.raises(ValueError):
-        search_file(census5_path, 0, chunk_size=8, checkpoint_path=str(ck))
+    ck = str(tmp_path / "stale.ck")
+    search_file(census5_path, 0, checkpoint_path=ck)
+    shorter = tmp_path / "shorter.g6"
+    shorter.write_text("".join(open(census5_path).readlines()[:-1]))
+    with pytest.raises(ValueError) as err:
+        search_file(str(shorter), 0, checkpoint_path=ck)
+    assert "census_sha256" in str(err.value)
+
+
+def test_checkpoint_rejects_v1(tmp_path, census5_path):
+    ck = tmp_path / "old.ck"
+    ck.write_text("bellgraph-checkpoint v1\ncensus_sha256=0\nchunk_size=8\nchunks_done=1\n")
+    with pytest.raises(ValueError) as err:
+        search_file(census5_path, 0, checkpoint_path=str(ck))
+    assert "delete the file" in str(err.value)
 
 
 def test_witness_cap():
-    report = search_labeled_all(5, 2, threads=1, max_witnesses=3)
+    report = search_labeled_all(5, 2, max_witnesses=3)
     assert report.best_bound == Dyadic(1)
     assert len(report.witnesses) == 3
     # 9 of the 11 classes attain 1; the other two sit above 1
@@ -186,7 +251,7 @@ def test_witness_cap():
 
 
 def test_report_json_schema():
-    report = search_labeled_all(4, 1, threads=1)
+    report = search_labeled_all(4, 1)
     obj = report.to_json()
     assert obj["best_bound"] == {"num": 1, "log2_den": 0}
     assert obj["n"] == 4 and obj["t"] == 1
@@ -202,18 +267,18 @@ def test_witness_check_catches_wrong_value(monkeypatch, census5_path):
         search_module, "lhv_value", lambda g, bc, a: real(g, bc, a) + Dyadic(1, g.n)
     )
     with pytest.raises(AssertionError) as err:
-        search_file(census5_path, 0, threads=1)
+        search_file(census5_path, 0)
     assert "re-verification" in str(err.value)
 
 
 def test_witness_graph6_parses_back():
-    report = search_labeled_all(5, 0, threads=1)
+    report = search_labeled_all(5, 0)
     for form, g6 in report.witnesses:
         assert emit_graph6(form.to_graph()) == g6
 
 
 def test_reproduce_table1_exhaustive_band():
-    cells = reproduce_table1(max_n=5, threads=1)
+    cells = reproduce_table1(max_n=5)
     assert all(c.mode == "exhaustive" for c in cells)
     assert all(c.matches for c in cells)
 
@@ -233,7 +298,7 @@ def test_reproduce_table1_census_dir(tmp_path):
 
 
 def test_reproduce_table1_spot_checks():
-    cells = reproduce_table1(max_n=10, max_exhaustive_n=4, threads=1)
+    cells = reproduce_table1(max_n=10, max_exhaustive_n=4)
     by_key = {(c.t, c.n): c for c in cells}
     assert by_key[(1, 8)].mode == "family-bound"
     assert by_key[(1, 8)].value == Dyadic(29, 5)
