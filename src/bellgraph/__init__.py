@@ -14,7 +14,7 @@ from .bell import (
     lhv_value,
     lhv_value_table,
 )
-from .canon import CanonicalForm, OrbitCapExceeded, canonicalize, lc_orbit
+from .canon import CanonicalForm, OrbitCapExceeded, canonicalize, canonicalize_many, lc_orbit
 from .coverable import CoverableSet, coverable_set
 from .dyadic import Dyadic
 from .families import complete, complete_join, named_graph, parse_family, ring, star, star_copies

@@ -24,12 +24,12 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .bell import bell_coefficients, lhv_bound, lhv_value
-from .canon import CanonicalForm, OrbitCapExceeded, canonicalize, lc_orbit
+from .canon import CanonicalForm, OrbitCapExceeded, canonicalize_many, lc_orbit
 from .dyadic import Dyadic
 from .graph6 import Graph6Error, emit_graph6, iter_graph6_file, parse_graph6, triangle_pairs
 from .graphs import Graph
@@ -38,6 +38,7 @@ from .families import parse_family
 ENUMERATION_MAX_N = 7
 DEFAULT_ORBIT_CAP = 100_000
 DEFAULT_MAX_WITNESSES = 32
+DEFAULT_CHUNK_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -216,11 +217,12 @@ def lc_class_reps(n: int) -> list[Graph]:
 
 @dataclass
 class _Pipeline:
-    """State of one search, fed one record at a time.
+    """State of one search, fed one chunk of records at a time.
 
-    A new representative is evaluated as soon as it is met, so the state
-    after any prefix of the stream holds everything the final reports
-    depend on; `Checkpoint` saves and restores exactly this.
+    A chunk is canonicalized in one batch, its new representatives are
+    picked out in stream order and evaluated, so the state after any chunk
+    holds everything the final reports depend on; `Checkpoint` saves and
+    restores exactly this.
     """
 
     ts: tuple[int, ...]
@@ -236,25 +238,54 @@ class _Pipeline:
         if self.dedup not in ("lc", "iso", "none"):
             raise ValueError(f"unknown dedup mode {self.dedup!r}")
 
-    def feed(self, g: Graph) -> None:
-        """Count one record and evaluate it if its class is new."""
-        if self.n is None:
-            self.n = g.n
-        elif g.n != self.n:
-            raise ValueError(f"census mixes vertex counts {self.n} and {g.n}")
-        self.records += 1
-        if self.dedup != "none":
-            form = canonicalize(g)
-            if form in self.seen:
-                return
-            if self.dedup == "lc":
-                try:
-                    self.seen |= lc_orbit(g, max_size=self.orbit_cap)
-                except OrbitCapExceeded:
-                    self.seen.add(form)  # evaluate orbit members individually instead
-            else:
-                self.seen.add(form)
-        self.evaluate(g)
+    def feed(
+        self,
+        records: Iterable[tuple[str, Graph]],
+        chunk_size: int,
+        on_chunk: Callable[["_Pipeline"], None] | None = None,
+    ) -> None:
+        """Take (position, graph) records in chunks; on_chunk runs after each.
+
+        Chunks end where the records consumed, counting those of a restored
+        state, reach a multiple of chunk_size, and at the end of the records.
+        A graph whose vertex count differs from the census's fails with its
+        position.
+        """
+        chunk: list[Graph] = []
+        for where, g in records:
+            if self.n is None:
+                self.n = g.n
+            elif g.n != self.n:
+                raise ValueError(f"{where}: census mixes vertex counts {self.n} and {g.n}")
+            chunk.append(g)
+            if (self.records + len(chunk)) % chunk_size == 0:
+                self._take(chunk, on_chunk)
+                chunk = []
+        if chunk:
+            self._take(chunk, on_chunk)
+
+    def _take(self, chunk: list[Graph], on_chunk: Callable[["_Pipeline"], None] | None) -> None:
+        """Count the records, evaluate each whose class is new, run on_chunk."""
+        self.records += len(chunk)
+        if self.dedup == "none":
+            new = chunk
+        else:
+            new = []
+            for g, form in zip(chunk, canonicalize_many(chunk)):
+                if form in self.seen:
+                    continue
+                if self.dedup == "lc":
+                    try:
+                        self.seen |= lc_orbit(g, max_size=self.orbit_cap)
+                    except OrbitCapExceeded:
+                        self.seen.add(form)  # evaluate orbit members individually instead
+                else:
+                    self.seen.add(form)
+                new.append(g)
+        for g in new:
+            self.evaluate(g)
+        if on_chunk:
+            on_chunk(self)
 
     def evaluate(self, g: Graph) -> None:
         """Keep g as a class representative, with its LHV bound for each t."""
@@ -277,7 +308,7 @@ class _Pipeline:
         for t in self.ts:
             best = min(res[t] for res in self.results)
             attain = [g for g, res in zip(self.reps, self.results) if res[t] == best]
-            witnesses = sorted({canonicalize(g) for g in attain})
+            witnesses = sorted(set(canonicalize_many(attain)))
             emitted = []
             for form in witnesses[:max_witnesses]:
                 g = form.to_graph()
@@ -351,8 +382,7 @@ def search(
     ts = _as_ts(t)
     started = time.perf_counter()
     pipe = _Pipeline(ts, dedup, orbit_cap)
-    for g in census:
-        pipe.feed(g)
+    pipe.feed(((f"record {i}", g) for i, g in enumerate(census, start=1)), DEFAULT_CHUNK_SIZE)
     reports = pipe.reports(started, max_witnesses)
     return reports[ts[0]] if isinstance(t, int) else reports
 
@@ -458,15 +488,16 @@ def search_file(
     dedup: str = "lc",
     orbit_cap: int = DEFAULT_ORBIT_CAP,
     max_witnesses: int = DEFAULT_MAX_WITNESSES,
-    chunk_size: int = 4096,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
     checkpoint_path: str | None = None,
 ):
     """Search a graph6 census file, optionally checkpointing as it goes.
 
     Malformed records abort with their line number unless lenient, in which
-    case they are skipped and counted in `records_skipped`. With a
-    checkpoint path the pipeline state is saved every chunk_size good
-    records and at the end. A saved state resumes after the records it
+    case they are skipped and counted in `records_skipped`. Good records
+    are canonicalized chunk_size at a time, and with a checkpoint path the
+    pipeline state is saved after every chunk and at the end. A saved state
+    resumes after the records it
     covers and yields the report of an uninterrupted run; one written for
     another census, ts, dedup or orbit cap is rejected.
     """
@@ -478,24 +509,21 @@ def search_file(
         checkpoint = Checkpoint(checkpoint_path, _file_sha256(path))
         if os.path.exists(checkpoint_path):
             pipe = checkpoint.restore(pipe)
-    resume_at = saved = pipe.records
-    good = skipped = 0
-    for lineno, item in iter_graph6_file(path, lenient=lenient):
-        if isinstance(item, Graph6Error):
-            skipped += 1
-            continue
-        good += 1
-        if good <= resume_at:
-            continue
-        try:
-            pipe.feed(item)
-        except ValueError as err:
-            raise ValueError(f"line {lineno}: {err}") from None
-        if checkpoint and pipe.records % chunk_size == 0:
-            checkpoint.write(pipe)
-            saved = pipe.records
-    if checkpoint and pipe.records != saved:
-        checkpoint.write(pipe)
+    resume_at = pipe.records
+    skipped = 0
+
+    def records():
+        nonlocal skipped
+        good = 0
+        for lineno, item in iter_graph6_file(path, lenient=lenient):
+            if isinstance(item, Graph6Error):
+                skipped += 1
+                continue
+            good += 1
+            if good > resume_at:
+                yield f"line {lineno}", item
+
+    pipe.feed(records(), chunk_size, checkpoint.write if checkpoint else None)
     reports = pipe.reports(started, max_witnesses, records_skipped=skipped)
     return reports[ts[0]] if isinstance(t, int) else reports
 

@@ -3,7 +3,8 @@
 Everything here recomputes results from first principles without touching
 the package's fast paths: coverable sets by full pair enumeration, LHV
 values by evaluating letter strings term by term, Pauli matrices by
-explicit Kronecker products, transforms by the character-sum definition.
+explicit Kronecker products, transforms by the character-sum definition,
+canonical codes by a per-graph recursive search and by all n! relabelings.
 The one exception is `transform_lhv_values`, which takes the package's
 coefficient and stabilizer tables (both checked against the brute-force
 versions here) and replaces only the LHV engine.
@@ -15,7 +16,7 @@ import itertools
 import numpy as np
 
 from bellgraph.bell import bell_coefficients, stabilizer_table
-from bellgraph.graphs import Graph, bits_of, iter_bits
+from bellgraph.graphs import Graph, bits_of, iter_bits, local_complement
 
 I2 = np.eye(2, dtype=complex)
 PX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -143,6 +144,92 @@ def transform_lhv_values(g: Graph, t: int) -> np.ndarray:
         pairs = h.reshape(-1, 2, 1 << bit)
         h = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1).ravel()
     return h
+
+
+def reference_canonical_code(g: Graph) -> int:
+    """Canonical code by a depth-first search over admitted placements.
+
+    The per-graph recursive form of `bellgraph.canon`'s rule: place vertices
+    one at a time, branching on the unplaced vertices of greatest row against
+    the prefix and then greatest degree, one of each twin pair, pruning any
+    prefix below the best code found; keep the greatest complete code.
+    """
+    n = g.n
+    adj = g.adj
+    if n == 1:
+        return 0
+    nbits = n * (n - 1) // 2
+    deg = [adj[v].bit_count() for v in range(n)]
+    best_code = -1
+
+    def twins(u: int, v: int) -> bool:
+        return adj[u] & ~(1 << v) == adj[v] & ~(1 << u)
+
+    # placed vertices, their count k, and the code over the first tri(k) bits
+    def place(placed: list[int], placed_mask: int, code: int):
+        nonlocal best_code
+        k = len(placed)
+        if k == n:
+            best_code = max(best_code, code)
+            return
+        rows = []
+        for v in range(n):
+            if not placed_mask >> v & 1:
+                row = 0
+                for p in placed:
+                    row = row << 1 | (adj[v] >> p & 1)
+                rows.append((v, row))
+        best_row = max(row for _, row in rows)
+        cands = [v for v, row in rows if row == best_row]
+        top = max(deg[v] for v in cands)
+        reps = []
+        for v in cands:
+            if deg[v] == top and not any(twins(u, v) for u in reps):
+                reps.append(v)
+        code = code << k | best_row
+        bits_done = (k + 1) * k // 2
+        if best_code >= 0 and code < best_code >> (nbits - bits_done):
+            return  # every completion is dominated by the best code found
+        for v in reps:
+            placed.append(v)
+            place(placed, placed_mask | 1 << v, code)
+            placed.pop()
+
+    place([], 0, 0)
+    return best_code
+
+
+def reference_lc_orbit(g: Graph) -> set[int]:
+    """Reference codes of every graph reachable from g by local complementation.
+
+    Breadth-first over classes, one labeled member kept per reference code,
+    complementing at every vertex.
+    """
+    seen = {reference_canonical_code(g): g}
+    frontier = [g]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for a in range(h.n):
+                image = local_complement(h, a)
+                code = reference_canonical_code(image)
+                if code not in seen:
+                    seen[code] = image
+                    nxt.append(image)
+        frontier = nxt
+    return set(seen)
+
+
+def brute_max_code(g: Graph) -> int:
+    """Greatest graph6-order edge code over all n! relabelings."""
+    n = g.n
+    bits = np.array([[g.adj[v] >> w & 1 for w in range(n)] for v in range(n)], dtype=np.int64)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n)
+    codes = np.zeros(len(perms), dtype=np.int64)
+    for j in range(1, n):
+        for i in range(j):
+            codes = codes << 1 | bits[perms[:, i], perms[:, j]]
+    return int(codes.max())
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -1,11 +1,25 @@
 import numpy as np
 import pytest
 
-from bellgraph.canon import CanonicalForm, OrbitCapExceeded, canonicalize, lc_orbit
+from bellgraph.canon import (
+    CanonicalForm,
+    OrbitCapExceeded,
+    canonical_codes,
+    canonicalize,
+    canonicalize_many,
+    lc_orbit,
+)
 from bellgraph.families import complete, complete_join, ring, star, star_copies
-from bellgraph.graphs import Graph, local_complement
-from bellgraph.search import enumerate_labeled
-from oracles import are_isomorphic, random_graph
+from bellgraph.graph6 import iter_graph6_file
+from bellgraph.graphs import Graph, disjoint_union, local_complement
+from bellgraph.search import enumerate_labeled, lc_class_reps
+from oracles import (
+    are_isomorphic,
+    brute_max_code,
+    random_graph,
+    reference_canonical_code,
+    reference_lc_orbit,
+)
 
 
 def test_relabeled_stars_share_code():
@@ -25,26 +39,24 @@ def test_invariant_under_relabeling():
     for _ in range(100):
         n = int(rng.integers(2, 9))
         g = random_graph(rng, n)
-        form = canonicalize(g)
-        for _ in range(20):
-            perm = tuple(int(x) for x in rng.permutation(n))
-            assert canonicalize(g.relabel(perm)) == form
+        relabeled = [g.relabel(rng.permutation(n)) for _ in range(20)]
+        assert canonicalize_many(relabeled) == [canonicalize(g)] * 20
 
 
 def test_code_counts_classes_exactly():
     # distinct codes over all labeled graphs = known class counts
     for n, expected in [(3, 4), (4, 11), (5, 34)]:
-        codes = {canonicalize(g) for g in enumerate_labeled(n)}
+        codes = set(canonicalize_many(list(enumerate_labeled(n))))
         assert len(codes) == expected
 
 
 def test_equal_code_implies_isomorphic():
     rng = np.random.default_rng(9)
     graphs = [random_graph(rng, 5) for _ in range(40)]
-    for g1 in graphs[:10]:
-        for g2 in graphs[10:20]:
-            same_code = canonicalize(g1) == canonicalize(g2)
-            assert same_code == are_isomorphic(g1, g2)
+    forms = canonicalize_many(graphs)
+    for g1, f1 in zip(graphs[:10], forms[:10]):
+        for g2, f2 in zip(graphs[10:20], forms[10:20]):
+            assert (f1 == f2) == are_isomorphic(g1, g2)
 
 
 def test_to_graph_roundtrip():
@@ -71,8 +83,9 @@ def test_lc_orbit_of_star_is_two_classes():
 
 
 def test_lc_orbit_edgeless_is_singleton():
-    g = Graph(5, (0,) * 5)
-    assert lc_orbit(g) == {canonicalize(g)}
+    # every vertex has degree <= 1, so the first frontier has no images
+    for g in (Graph(1, (0,)), Graph(5, (0,) * 5), Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])):
+        assert lc_orbit(g) == {canonicalize(g)}
 
 
 def test_lc_orbit_of_two_stars_combines_componentwise():
@@ -108,7 +121,7 @@ def test_canonical_forms_order_deterministically():
 def test_n6_codes_agree_with_permutation_orbit_dedup():
     # canonicalize and the search's permutation-orbit bitmap are independent
     # dedup routes; both must see exactly the known 156 classes
-    codes = {canonicalize(g) for g in enumerate_labeled(6)}
+    codes = set(canonicalize_many(list(enumerate_labeled(6))))
     assert len(codes) == 156
 
 
@@ -128,3 +141,80 @@ def test_vertex_transitive_twin_free_graph():
     for _ in range(10):
         perm = tuple(int(p) for p in rng.permutation(10))
         assert canonicalize(g.relabel(perm)) == form
+
+
+def _cube(d: int) -> Graph:
+    return Graph.from_edges(1 << d, [(v, v | 1 << b) for v in range(1 << d)
+                                     for b in range(d) if not v >> b & 1])
+
+
+def _ring_copies(m: int, k: int) -> Graph:
+    g = ring(k)
+    for _ in range(m - 1):
+        g = disjoint_union(g, ring(k))
+    return g
+
+
+def _codes(graphs) -> list[int]:
+    return [form.code for form in canonicalize_many(graphs)]
+
+
+def test_codes_equal_reference_on_small_censuses(census, census5_path):
+    census5 = [g for _, g in iter_graph6_file(census5_path)]
+    for graphs in (census[6], census5):
+        assert _codes(graphs) == [reference_canonical_code(g) for g in graphs]
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_codes_equal_reference_on_random_graphs(n):
+    rng = np.random.default_rng(700 + n)
+    graphs = [random_graph(rng, n) for _ in range(12)]
+    for p in (0.15, 0.85):
+        graphs += [Graph.from_edges(n, [(a, b) for b in range(n) for a in range(b)
+                                        if rng.random() < p]) for _ in range(4)]
+    adj = np.array([g.adj for g in graphs], dtype=np.int64)
+    assert canonical_codes(n, adj) == [reference_canonical_code(g) for g in graphs]
+
+
+@pytest.mark.parametrize("g", [
+    complete(12), Graph(10, (0,) * 10), star(10), complete_join(3, 5),
+    _petersen(), _cube(4), _ring_copies(3, 5),
+], ids=["K12", "edgeless10", "star10", "K3+K5", "petersen", "Q4", "3xC5"])
+def test_codes_equal_reference_on_symmetric_shapes(g):
+    want = reference_canonical_code(g)
+    rng = np.random.default_rng(g.n)
+    relabeled = [g.relabel(rng.permutation(g.n)) for _ in range(4)]
+    assert _codes([g] + relabeled) == [want] * 5
+
+
+def test_code_is_brute_force_maximum_up_to_n5(census):
+    for n in range(1, 6):
+        assert _codes(census[n]) == [brute_max_code(g) for g in census[n]]
+
+
+def test_degree_rule_excludes_maximum_on_8_n6_classes(census):
+    codes = _codes(census[6])
+    maxima = [brute_max_code(g) for g in census[6]]
+    assert all(code <= top for code, top in zip(codes, maxima))
+    assert sum(code != top for code, top in zip(codes, maxima)) == 8
+
+
+def test_lc_orbits_equal_reference_orbits():
+    # one representative per LC class at n = 6 reaches all 156 classes
+    covered = set()
+    for g in lc_class_reps(6):
+        orbit = lc_orbit(g)
+        assert {form.code for form in orbit} == reference_lc_orbit(g)
+        covered |= orbit
+    assert len(covered) == 156
+
+
+def test_canonicalize_many_rejects_mixed_vertex_counts():
+    with pytest.raises(ValueError) as err:
+        canonicalize_many([star(3), star(4), complete(3)])
+    assert "one vertex count" in str(err.value)
+
+
+def test_empty_batches():
+    assert canonicalize_many([]) == []
+    assert canonical_codes(5, np.zeros((0, 5), dtype=np.int64)) == []

@@ -1,4 +1,4 @@
-"""Full n=8 census cross-validation (the heavyweight test, ~1 minute).
+"""Full n=8 census cross-validation (the heavyweight test, about 10 s).
 
 Builds the complete 8-vertex isomorphism census in-process by augmenting
 every 7-vertex class with every possible new-vertex neighborhood (every
@@ -8,12 +8,11 @@ size, the known LC-class count, and the optimal bounds of the n=8 column.
 """
 import time
 
+import numpy as np
 import pytest
 
-from bellgraph.canon import canonicalize
+from bellgraph.canon import CanonicalForm, canonical_codes
 from bellgraph.dyadic import Dyadic
-from bellgraph.graph6 import emit_graph6
-from bellgraph.graphs import Graph
 from bellgraph.search import _labeled_class_reps, search_file
 
 
@@ -21,18 +20,15 @@ from bellgraph.search import _labeled_class_reps, search_file
 def census8_path(tmp_path_factory):
     reps7, _ = _labeled_class_reps(7, "iso")
     assert len(reps7) == 1044
-    seen = set()
-    records = []
-    for g in reps7:
-        for nb in range(1 << 7):
-            rows = [row | ((nb >> v & 1) << 7) for v, row in enumerate(g.adj)] + [nb]
-            form = canonicalize(Graph(8, tuple(rows)))
-            if form not in seen:
-                seen.add(form)
-                records.append(form)
-    assert len(records) == 12346  # known class count on 8 vertices
+    # every 7-vertex rep joined by a new vertex 7 with every neighborhood nb
+    adj7 = np.array([g.adj for g in reps7], dtype=np.int64)[:, None, :]
+    nb = np.arange(1 << 7, dtype=np.int64)[None, :, None]
+    rows = np.concatenate([adj7 | (nb >> np.arange(7) & 1) << 7,
+                           np.broadcast_to(nb, (len(reps7), 1 << 7, 1))], axis=2)
+    codes = set(canonical_codes(8, rows.reshape(-1, 8)))
+    assert len(codes) == 12346  # known class count on 8 vertices
     path = tmp_path_factory.mktemp("census") / "n8.g6"
-    path.write_text("".join(emit_graph6(f.to_graph()) + "\n" for f in sorted(records)))
+    path.write_text("".join(CanonicalForm(8, c).to_graph6() + "\n" for c in sorted(codes)))
     return str(path)
 
 

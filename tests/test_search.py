@@ -3,9 +3,9 @@ import os
 
 import pytest
 
-from bellgraph.canon import canonicalize, lc_orbit
+from bellgraph.canon import canonicalize_many, lc_orbit
 from bellgraph.dyadic import Dyadic
-from bellgraph.families import complete_join, parse_family, ring, star, star_copies
+from bellgraph.families import complete, complete_join, parse_family, ring, star, star_copies
 from bellgraph.graph6 import Graph6Error, emit_graph6
 from bellgraph.graphs import Graph
 from bellgraph.search import (
@@ -25,8 +25,8 @@ def test_enumerate_labeled_counts():
     assert sum(1 for _ in enumerate_labeled(1)) == 1
     assert sum(1 for _ in enumerate_labeled(3)) == 8
     assert sum(1 for _ in enumerate_labeled(4)) == 64
-    assert len({canonicalize(g) for g in enumerate_labeled(3)}) == 4
-    assert len({canonicalize(g) for g in enumerate_labeled(4)}) == 11
+    assert len(set(canonicalize_many(list(enumerate_labeled(3))))) == 4
+    assert len(set(canonicalize_many(list(enumerate_labeled(4))))) == 11
 
 
 def test_enumerate_labeled_cap():
@@ -106,9 +106,19 @@ def test_dedup_modes_agree_on_n5():
     assert by_mode["lc"][0].lc_classes_examined == 11
 
 
-def test_mixed_sizes_rejected():
-    with pytest.raises(ValueError):
-        search([star(3), star(4)], 0)
+def test_mixed_sizes_rejected(tmp_path):
+    for dedup in ("lc", "iso", "none"):
+        with pytest.raises(ValueError) as err:
+            search([star(3), star(4)], 0, dedup=dedup)
+        assert str(err.value) == "record 2: census mixes vertex counts 3 and 4"
+    with pytest.raises(ValueError) as err:  # past the first chunk
+        search([complete(3)] * 4100 + [star(4)], 0)
+    assert str(err.value).startswith("record 4101: ")
+    path = tmp_path / "mixed.g6"
+    path.write_text("Bw\nBo\n\nBw\n" + emit_graph6(star(4)) + "\n")
+    with pytest.raises(ValueError) as err:
+        search_file(str(path), 0, chunk_size=2)
+    assert str(err.value) == "line 5: census mixes vertex counts 3 and 4"
 
 
 def test_empty_census_rejected():
@@ -314,4 +324,4 @@ def test_reproduce_table1_spot_checks():
 
 def test_iso_class_reps_match_census(census):
     for n, reps in census.items():
-        assert len({canonicalize(g) for g in reps}) == len(reps)
+        assert len(set(canonicalize_many(reps))) == len(reps)
