@@ -34,6 +34,7 @@ from .quantum import (
 )
 from .search import (
     SearchReport,
+    class_reps,
     enumerate_labeled,
     iso_class_reps,
     lc_class_reps,

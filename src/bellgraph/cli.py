@@ -179,7 +179,8 @@ def cmd_search(args) -> int:
           f"{' (valid inequality)' if report.valid else ''}")
     print(f"examined {report.graphs_examined} graphs in "
           f"{report.lc_classes_examined} classes, "
-          f"{report.records_skipped} malformed records skipped, {report.wall_time:.2f}s")
+          f"{report.records_skipped} malformed records skipped, "
+          f"{report.orbit_cap_fallbacks} orbit-cap fallbacks, {report.wall_time:.2f}s")
     print(f"witness classes: {report.witness_classes_total}"
           + (f" (showing {len(report.witnesses)})"
              if len(report.witnesses) < report.witness_classes_total else ""))
@@ -270,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--census", help="graph6 census file, one record per line")
     src.add_argument("--all-labeled", type=int, metavar="N",
-                     help="enumerate all labeled graphs on N <= 7 vertices")
+                     help="every graph on N vertices, one per class "
+                          "(N = 9 takes about a minute; --dedup none: N <= 7)")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--dedup", choices=("lc", "iso", "none"), default="lc")
     p.add_argument("--lenient", action="store_true",
@@ -285,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="recompute the optimal-bound grid D_t(n)")
     p.add_argument("--max-n", type=int, default=7)
     p.add_argument("--census-dir", default=None,
-                   help="directory with n<k>.g6 files for n beyond 7")
+                   help="directory with n<k>.g6 files for n beyond 9")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_reproduce_table1)
 

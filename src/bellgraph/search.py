@@ -1,32 +1,26 @@
 """Census search for the graphs whose Bell operators violate hardest.
 
-Two census shapes are supported:
+One pipeline deduplicates a stream of graphs and evaluates one
+representative per class. Under "lc" dedup the representative is the least
+canonical form of the class's local-complementation orbit, under "iso" the
+canonical form, and under "none" every graph is evaluated as given. A
+representative depends only on its class, so reports do not depend on the
+order of the records. Bounds are constant on classes, which the test suite
+checks independently.
 
-  * the full labeled universe on n <= 7 vertices (built in), scanned over
-    edge-bit codes with a bitmap: each newly met graph's whole class
-    (relabelings plus, under "lc" dedup, local complementations) is marked
-    seen in one sweep, so the bound is evaluated once per class;
-  * arbitrary graph streams, e.g. graph6 census files, deduplicated through
-    canonical forms of local-complementation orbits in a seen-set.
-
-Both paths evaluate class representatives only; bounds are constant on
-classes, which the test suite checks independently. Reports are
-deterministic for a fixed census: classes are discovered by a single
-scanner in stream order and reduced in that order. A checkpoint stores that
-scanner's whole state, so an interrupted and resumed run reports the same.
+The pipeline takes its records from any iterable of graphs (`search`), from
+a graph6 census file (`search_file`, with checkpoints that store the whole
+pipeline state, so an interrupted and resumed run reports the same), or
+from `class_reps`, which builds every class on n vertices by one-vertex
+extension of the classes on n - 1 (`search_labeled_all`).
 """
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
-from math import factorial
 from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .bell import bell_coefficients, lhv_bound, lhv_value
 from .canon import CanonicalForm, OrbitCapExceeded, canonicalize_many, lc_orbit
@@ -36,6 +30,7 @@ from .graphs import Graph
 from .families import parse_family
 
 ENUMERATION_MAX_N = 7
+EXHAUSTIVE_MAX_N = 9  # class_reps(9, "lc") takes under a minute on 2 cores
 DEFAULT_ORBIT_CAP = 100_000
 DEFAULT_MAX_WITNESSES = 32
 DEFAULT_CHUNK_SIZE = 4096
@@ -52,6 +47,7 @@ class SearchReport:
     wall_time: float
     witness_classes_total: int  # classes attaining the bound, before truncation
     records_skipped: int = 0  # malformed census lines passed over in lenient mode
+    orbit_cap_fallbacks: int = 0  # LC orbits past the cap, each split into its members
 
     @property
     def valid(self) -> bool:
@@ -68,6 +64,7 @@ class SearchReport:
             "graphs_examined": self.graphs_examined,
             "lc_classes_examined": self.lc_classes_examined,
             "records_skipped": self.records_skipped,
+            "orbit_cap_fallbacks": self.orbit_cap_fallbacks,
             "wall_time_s": self.wall_time,
         }
 
@@ -82,52 +79,8 @@ class SearchReport:
             self.lc_classes_examined,
             self.witness_classes_total,
             self.records_skipped,
+            self.orbit_cap_fallbacks,
         )
-
-
-# ---------------------------------------------------------------------------
-# labeled universe plumbing
-
-def _rows_from_code(n: int, code: int, pairs: list[tuple[int, int]]) -> list[int]:
-    rows = [0] * n
-    for idx, (a, b) in enumerate(pairs):
-        if code >> idx & 1:
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-    return rows
-
-
-def _code_from_rows(rows: list[int], pairs: list[tuple[int, int]]) -> int:
-    code = 0
-    for idx, (a, b) in enumerate(pairs):
-        if rows[a] >> b & 1:
-            code |= 1 << idx
-    return code
-
-
-def _lc_rows(rows: list[int], a: int) -> list[int]:
-    na = rows[a]
-    out = list(rows)
-    m = na
-    while m:
-        low = m & -m
-        b = low.bit_length() - 1
-        out[b] ^= na & ~low
-        m ^= low
-    return out
-
-
-@lru_cache(maxsize=8)
-def _perm_gather(n: int) -> np.ndarray:
-    """gather[r, j] = source pair index of pair j under the r-th permutation."""
-    pairs = triangle_pairs(n)
-    index = {p: i for i, p in enumerate(pairs)}
-    gather = np.empty((factorial(n), len(pairs)), dtype=np.int64)
-    for r, perm in enumerate(itertools.permutations(range(n))):
-        for j, (a, b) in enumerate(pairs):
-            pa, pb = perm[a], perm[b]
-            gather[r, j] = index[(pa, pb) if pa < pb else (pb, pa)]
-    return gather
 
 
 def enumerate_labeled(n: int) -> Iterator[Graph]:
@@ -139,77 +92,7 @@ def enumerate_labeled(n: int) -> Iterator[Graph]:
         )
     pairs = triangle_pairs(n)
     for code in range(1 << len(pairs)):
-        yield Graph(n, tuple(_rows_from_code(n, code, pairs)))
-
-
-def _labeled_class_rep_codes(n: int, dedup: str) -> tuple[list[int], int]:
-    """Scan all labeled edge codes, marking whole classes per representative.
-
-    Returns (representative codes, universe size). Each representative is the
-    least edge code of its class. dedup "iso" marks relabelings, "lc"
-    additionally closes under local complementation before marking, "none"
-    returns every code.
-    """
-    pairs = triangle_pairs(n)
-    m = len(pairs)
-    total = 1 << m
-    if dedup == "none":
-        return list(range(total)), total
-    weights = (np.int64(1) << np.arange(m, dtype=np.int64)) if m else np.zeros(0, np.int64)
-    shifts = np.arange(m, dtype=np.int64)
-    gather = _perm_gather(n)
-    seen = np.zeros(total, dtype=bool)
-    rep_codes: list[int] = []
-
-    def mark_orbit(c: int):
-        bits = (np.int64(c) >> shifts) & 1
-        seen[bits[gather] @ weights] = True
-
-    block = 1 << 16
-    pos = 0
-    while pos < total:
-        hi = min(pos + block, total)
-        for off in np.flatnonzero(~seen[pos:hi]):
-            code = pos + int(off)
-            if seen[code]:
-                continue  # marked by a class handled earlier in this block
-            stack = [code]
-            local = {code}
-            while stack:
-                c = stack.pop()
-                if seen[c]:
-                    # an already-marked member's successors are relabelings
-                    # of successors of an expanded member; skipping is safe
-                    continue
-                mark_orbit(c)
-                if dedup == "lc":
-                    rows = _rows_from_code(n, c, pairs)
-                    for a in range(n):
-                        c2 = _code_from_rows(_lc_rows(rows, a), pairs)
-                        if c2 not in local:
-                            local.add(c2)
-                            stack.append(c2)
-            rep_codes.append(code)
-        pos = hi
-    return rep_codes, total
-
-
-def _labeled_class_reps(n: int, dedup: str) -> tuple[list[Graph], int]:
-    if n > ENUMERATION_MAX_N:
-        raise ValueError(f"class enumeration capped at n={ENUMERATION_MAX_N}")
-    pairs = triangle_pairs(n)
-    codes, total = _labeled_class_rep_codes(n, dedup)
-    return [Graph(n, tuple(_rows_from_code(n, c, pairs))) for c in codes], total
-
-
-def iso_class_reps(n: int) -> list[Graph]:
-    """One representative per isomorphism class, ascending by least edge code."""
-    return _labeled_class_reps(n, "iso")[0]
-
-
-def lc_class_reps(n: int) -> list[Graph]:
-    """One representative per joint isomorphism + LC class."""
-    return _labeled_class_reps(n, "lc")[0]
+        yield Graph.from_edges(n, [p for i, p in enumerate(pairs) if code >> i & 1])
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +102,10 @@ def lc_class_reps(n: int) -> list[Graph]:
 class _Pipeline:
     """State of one search, fed one chunk of records at a time.
 
-    A chunk is canonicalized in one batch, its new representatives are
-    picked out in stream order and evaluated, so the state after any chunk
-    holds everything the final reports depend on; `Checkpoint` saves and
-    restores exactly this.
+    A chunk is canonicalized in one batch, its new classes are picked out
+    in stream order and their representatives evaluated, so the state after
+    any chunk holds everything the final reports depend on; `Checkpoint`
+    saves and restores exactly this.
     """
 
     ts: tuple[int, ...]
@@ -230,6 +113,7 @@ class _Pipeline:
     orbit_cap: int = DEFAULT_ORBIT_CAP
     n: int | None = None
     records: int = 0
+    orbit_cap_fallbacks: int = 0
     reps: list[Graph] = field(default_factory=list)
     results: list[dict[int, Dyadic]] = field(default_factory=list)  # bound per t, per rep
     seen: set[CanonicalForm] = field(default_factory=set)
@@ -265,7 +149,13 @@ class _Pipeline:
             self._take(chunk, on_chunk)
 
     def _take(self, chunk: list[Graph], on_chunk: Callable[["_Pipeline"], None] | None) -> None:
-        """Count the records, evaluate each whose class is new, run on_chunk."""
+        """Count the records, evaluate each new class's representative, run on_chunk.
+
+        The representative is the least canonical form of the class, rebuilt
+        as a graph: the LC orbit's minimum under "lc", the canonical form
+        under "iso". An orbit past the cap is counted and split: its members
+        are then met, and evaluated, one isomorphism class at a time.
+        """
         self.records += len(chunk)
         if self.dedup == "none":
             new = chunk
@@ -274,14 +164,14 @@ class _Pipeline:
             for g, form in zip(chunk, canonicalize_many(chunk)):
                 if form in self.seen:
                     continue
+                orbit = frozenset((form,))
                 if self.dedup == "lc":
                     try:
-                        self.seen |= lc_orbit(g, max_size=self.orbit_cap)
+                        orbit = lc_orbit(g, max_size=self.orbit_cap)
                     except OrbitCapExceeded:
-                        self.seen.add(form)  # evaluate orbit members individually instead
-                else:
-                    self.seen.add(form)
-                new.append(g)
+                        self.orbit_cap_fallbacks += 1
+                self.seen |= orbit
+                new.append(min(orbit).to_graph())
         for g in new:
             self.evaluate(g)
         if on_chunk:
@@ -297,10 +187,11 @@ class _Pipeline:
     ) -> dict[int, SearchReport]:
         """Per-t reports; each emitted witness is checked twice before emission.
 
-        The witness is rebuilt from its canonical form, a different labelling,
-        so the engine recomputes table, coefficients and transform; and the
-        separate per-assignment formula `lhv_value` must give the bound at the
-        argmax the engine reports.
+        The witness is rebuilt from its canonical form with its vertex order
+        reversed, not the labelling a representative is evaluated in, so the
+        engine recomputes table, coefficients and transform; and the separate
+        per-assignment formula `lhv_value` must give the bound at the argmax
+        the engine reports.
         """
         if self.n is None:
             raise ValueError("empty census")
@@ -311,7 +202,7 @@ class _Pipeline:
             witnesses = sorted(set(canonicalize_many(attain)))
             emitted = []
             for form in witnesses[:max_witnesses]:
-                g = form.to_graph()
+                g = form.to_graph().relabel(range(self.n - 1, -1, -1))
                 check = lhv_bound(g, t)
                 value = lhv_value(g, bell_coefficients(g, t), check.argmax)
                 if not check.bound == value == best:
@@ -330,6 +221,7 @@ class _Pipeline:
                 wall_time=time.perf_counter() - started,
                 witness_classes_total=len(witnesses),
                 records_skipped=records_skipped,
+                orbit_cap_fallbacks=self.orbit_cap_fallbacks,
             )
         return reports
 
@@ -343,7 +235,58 @@ def _as_ts(t) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# search over the full labeled universe
+# every class on n vertices, by one-vertex extension
+
+def _extensions(reps: list[Graph]) -> Iterator[tuple[str, Graph]]:
+    """Each graph joined by a new last vertex with every possible neighborhood."""
+    for g in reps:
+        k = g.n
+        for nb in range(1 << k):
+            rows = [row | (nb >> v & 1) << k for v, row in enumerate(g.adj)]
+            yield "extension", Graph(k + 1, (*rows, nb))
+
+
+def class_reps(n: int, dedup: str = "lc") -> list[Graph]:
+    """One representative per class of graphs on n vertices, sorted by code.
+
+    dedup "lc" takes joint isomorphism + local-complementation classes, each
+    represented by its orbit's least canonical form; "iso" takes isomorphism
+    classes, each represented by its canonical form; both come canonically
+    labeled. "none" gives every labeled graph, as `enumerate_labeled`.
+
+    Deleting a vertex v commutes with relabeling and with local
+    complementation at any a != v, so every class on k vertices contains a
+    one-vertex extension of a representative on k - 1 vertices (Danielsen &
+    Parker, JCTA 2006). Starting from the graph on one vertex, level k feeds
+    the 2^(k-1) extensions of every level k - 1 representative through the
+    search pipeline's dedup.
+    """
+    if dedup == "none":
+        return list(enumerate_labeled(n))
+    if n < 1:
+        raise ValueError(f"no classes of graphs on {n} vertices")
+    reps = [Graph(1, (0,))]
+    for k in range(2, n + 1):
+        pipe = _Pipeline((), dedup)
+        pipe.feed(_extensions(reps), DEFAULT_CHUNK_SIZE)
+        if pipe.orbit_cap_fallbacks:
+            raise OrbitCapExceeded(
+                f"{pipe.orbit_cap_fallbacks} LC orbits on {k} vertices exceed "
+                f"{pipe.orbit_cap} isomorphism classes"
+            )
+        reps = [g for _, g in sorted(zip(canonicalize_many(pipe.reps), pipe.reps))]
+    return reps
+
+
+def iso_class_reps(n: int) -> list[Graph]:
+    """One canonically labeled graph per isomorphism class, sorted by code."""
+    return class_reps(n, "iso")
+
+
+def lc_class_reps(n: int) -> list[Graph]:
+    """The least canonical form of each joint isomorphism + LC class, sorted."""
+    return class_reps(n, "lc")
+
 
 def search_labeled_all(
     n: int,
@@ -354,14 +297,15 @@ def search_labeled_all(
 ):
     """Exhaustive search over all labeled graphs on n vertices.
 
-    dedup: "lc" marks whole isomorphism+LC classes per representative,
-    "iso" isomorphism classes only, "none" evaluates every labeled graph.
+    Evaluates `class_reps(n, dedup)`: one representative per isomorphism+LC
+    class under "lc", per isomorphism class under "iso", and every labeled
+    graph under "none" (n <= 7). graphs_examined counts the 2^(n(n-1)/2)
+    labeled graphs the classes cover.
     """
     ts = _as_ts(t)
     started = time.perf_counter()
-    pipe = _Pipeline(ts, dedup, n=n)
-    reps, pipe.records = _labeled_class_reps(n, dedup)
-    for g in reps:
+    pipe = _Pipeline(ts, dedup, n=n, records=1 << (n * (n - 1) // 2))
+    for g in class_reps(n, dedup):
         pipe.evaluate(g)
     reports = pipe.reports(started, max_witnesses)
     return reports[ts[0]] if isinstance(t, int) else reports
@@ -398,7 +342,7 @@ def _file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-CHECKPOINT_HEADER = "bellgraph-checkpoint v2"
+CHECKPOINT_HEADER = "bellgraph-checkpoint v3"
 
 
 @dataclass
@@ -406,8 +350,9 @@ class Checkpoint:
     """A census search's whole pipeline state in one plain-text file.
 
     After the header come `key=value` lines for the census hash, ts, dedup,
-    orbit cap, n and the number of good records consumed; then one
-    `rep=<graph6> <bound per t>` line per representative in stream order;
+    orbit cap, n, the number of good records consumed and the orbit-cap
+    fallbacks so far; then one `rep=<graph6> <bound per t>` line per
+    representative in stream order;
     then one `seen=<hex code>` line per canonical form in the seen-set,
     sorted by code.
     """
@@ -427,7 +372,8 @@ class Checkpoint:
     def write(self, state: _Pipeline) -> None:
         lines = [CHECKPOINT_HEADER]
         lines += [f"{key}={val}" for key, val in self._settings(state).items()]
-        lines += [f"n={state.n}", f"records={state.records}"]
+        lines += [f"n={state.n}", f"records={state.records}",
+                  f"orbit_cap_fallbacks={state.orbit_cap_fallbacks}"]
         for g, res in zip(state.reps, state.results):
             lines.append(f"rep={emit_graph6(g)} " + " ".join(str(res[t]) for t in state.ts))
         lines += [f"seen={form.code:x}" for form in sorted(state.seen)]
@@ -467,7 +413,8 @@ class Checkpoint:
                 )
         try:
             state = _Pipeline(fresh.ts, fresh.dedup, fresh.orbit_cap,
-                              n=int(kv["n"]), records=int(kv["records"]))
+                              n=int(kv["n"]), records=int(kv["records"]),
+                              orbit_cap_fallbacks=int(kv["orbit_cap_fallbacks"]))
             for line in reps:
                 g6, *bounds = line.split(" ")
                 if len(bounds) != len(state.ts):
@@ -497,9 +444,9 @@ def search_file(
     case they are skipped and counted in `records_skipped`. Good records
     are canonicalized chunk_size at a time, and with a checkpoint path the
     pipeline state is saved after every chunk and at the end. A saved state
-    resumes after the records it
-    covers and yields the report of an uninterrupted run; one written for
-    another census, ts, dedup or orbit cap is rejected.
+    resumes after the records it covers and yields the report of an
+    uninterrupted run; one written for another census, ts, dedup or orbit
+    cap is rejected.
     """
     ts = _as_ts(t)
     started = time.perf_counter()
@@ -590,13 +537,14 @@ def reproduce_table1(
 ) -> list[TableCell]:
     """Recompute the optimal-bound grid for 3 <= n <= max_n.
 
-    Cells inside the built-in enumeration band are exhaustive; beyond it a
-    census file `n<k>.g6` in census_dir is searched when present, otherwise
-    the known optimal family is evaluated as an upper-bound spot check, and
-    cells with neither are reported missing.
+    Cells with n <= max_exhaustive_n (by default up to EXHAUSTIVE_MAX_N) are
+    searched exhaustively over `class_reps`; beyond it a census file
+    `n<k>.g6` in census_dir is searched when present, otherwise the known
+    optimal family is evaluated as an upper-bound spot check, and cells with
+    neither are reported missing.
     """
     if max_exhaustive_n is None:
-        max_exhaustive_n = min(max_n, ENUMERATION_MAX_N)
+        max_exhaustive_n = min(max_n, EXHAUSTIVE_MAX_N)
     ts = tuple(ts)
     cells: list[TableCell] = []
     for n in range(3, max_n + 1):

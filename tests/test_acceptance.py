@@ -20,6 +20,7 @@ from bellgraph.bell import (
     lhv_value_table,
     tensor_tables,
 )
+from bellgraph.canon import lc_orbit
 from bellgraph.coverable import coverable_set
 from bellgraph.dyadic import Dyadic
 from bellgraph.families import complete, complete_join, star, star_copies
@@ -33,7 +34,13 @@ from bellgraph.quantum import (
     density_matrix,
     random_weight_t_channel,
 )
-from bellgraph.search import enumerate_labeled, lc_class_reps, search_labeled_all
+from bellgraph.search import (
+    TABLE1,
+    enumerate_labeled,
+    lc_class_reps,
+    reproduce_table1,
+    search_labeled_all,
+)
 from oracles import random_graph, transform_lhv_values
 
 CHANNEL_SEED_BASE = 20260808  # fixed so every sweep is reproducible
@@ -211,10 +218,18 @@ def test_criterion_8_property_suite(census5_path):
             assert with_dedup == without
 
 
-@pytest.mark.skip(
-    reason="stretch goal: n=9,10 full-census searches need externally generated "
-    "graph6 censuses and multi-hour runs; use "
-    "`bellgraph search --census n9.g6 --t 0 --checkpoint n9.ck`"
-)
-def test_criterion_9_stretch_full_census_n9_n10():
-    pass
+@pytest.mark.slow
+def test_criterion_9_exhaustive_n9():
+    with criterion(9, "all 675 LC classes on 9 vertices reproduce the n=9 column"):
+        reports = search_labeled_all(9, (0, 1, 2), max_witnesses=1000)
+        assert reports[0].lc_classes_examined == 675
+        assert reports[0].orbit_cap_fallbacks == 0
+        expected = {0: Dyadic(13, 6), 1: Dyadic(27, 5), 2: Dyadic(63, 6)}
+        for t in (0, 1, 2):
+            assert reports[t].best_bound == expected[t] == TABLE1[(t, 9)]
+        k333 = min(lc_orbit(complete_join(3, 3, 3)))
+        for t in (1, 2):
+            assert k333 in {form for form, _ in reports[t].witnesses}
+        cells = reproduce_table1(max_n=9)
+        assert {(c.t, c.n) for c in cells} == {(t, n) for t in (0, 1, 2) for n in range(3, 10)}
+        assert all(c.mode == "exhaustive" and c.matches for c in cells)

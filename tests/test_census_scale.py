@@ -13,12 +13,12 @@ import pytest
 
 from bellgraph.canon import CanonicalForm, canonical_codes
 from bellgraph.dyadic import Dyadic
-from bellgraph.search import _labeled_class_reps, search_file
+from bellgraph.search import iso_class_reps, search_file
 
 
 @pytest.fixture(scope="module")
 def census8_path(tmp_path_factory):
-    reps7, _ = _labeled_class_reps(7, "iso")
+    reps7 = iso_class_reps(7)
     assert len(reps7) == 1044
     # every 7-vertex rep joined by a new vertex 7 with every neighborhood nb
     adj7 = np.array([g.adj for g in reps7], dtype=np.int64)[:, None, :]

@@ -115,6 +115,7 @@ def test_search_census_file(capsys, census5_path):
     assert code == 0
     assert "5/8" in out
     assert "0 malformed records skipped" in out
+    assert "0 orbit-cap fallbacks" in out
 
 
 def test_search_dedup_flag(capsys):

@@ -1,5 +1,6 @@
+import dataclasses
 import importlib
-import os
+import random
 
 import pytest
 
@@ -11,8 +12,10 @@ from bellgraph.graphs import Graph
 from bellgraph.search import (
     TABLE1,
     Checkpoint,
+    class_reps,
     enumerate_labeled,
     iso_class_reps,
+    lc_class_reps,
     minimal_violating_n,
     reproduce_table1,
     search,
@@ -153,8 +156,8 @@ def test_search_file_checkpointing(tmp_path, census5_path):
     ck = tmp_path / "resume.ck"
     full = search_file(census5_path, (0, 1), chunk_size=8, checkpoint_path=str(ck))
     text = ck.read_text().splitlines()
-    assert text[0] == "bellgraph-checkpoint v2"
-    assert "records=34" in text and "ts=0,1" in text
+    assert text[0] == "bellgraph-checkpoint v3"
+    assert "records=34" in text and "ts=0,1" in text and "orbit_cap_fallbacks=0" in text
     assert sum(line.startswith("rep=") for line in text) == 11
     # all 34 graphs on 5 vertices lie in the seen-set of the LC orbits
     assert sum(line.startswith("seen=") for line in text) == 34
@@ -244,9 +247,14 @@ def test_checkpoint_rejects_changed_census(tmp_path, census5_path):
     assert "census_sha256" in str(err.value)
 
 
-def test_checkpoint_rejects_v1(tmp_path, census5_path):
+@pytest.mark.parametrize("old", [
+    "bellgraph-checkpoint v1\ncensus_sha256=0\nchunk_size=8\nchunks_done=1\n",
+    "bellgraph-checkpoint v2\ncensus_sha256=0\nts=0\ndedup=lc\norbit_cap=100000\n"
+    "n=5\nrecords=0\n",
+], ids=["v1", "v2"])
+def test_checkpoint_rejects_old_versions(tmp_path, census5_path, old):
     ck = tmp_path / "old.ck"
-    ck.write_text("bellgraph-checkpoint v1\ncensus_sha256=0\nchunk_size=8\nchunks_done=1\n")
+    ck.write_text(old)
     with pytest.raises(ValueError) as err:
         search_file(census5_path, 0, checkpoint_path=str(ck))
     assert "delete the file" in str(err.value)
@@ -267,6 +275,7 @@ def test_report_json_schema():
     assert obj["n"] == 4 and obj["t"] == 1
     assert isinstance(obj["witnesses"], list)
     assert obj["graphs_examined"] == 64
+    assert obj["records_skipped"] == 0 and obj["orbit_cap_fallbacks"] == 0
 
 
 def test_witness_check_catches_wrong_value(monkeypatch, census5_path):
@@ -325,3 +334,82 @@ def test_reproduce_table1_spot_checks():
 def test_iso_class_reps_match_census(census):
     for n, reps in census.items():
         assert len(set(canonicalize_many(reps))) == len(reps)
+
+
+def test_orbit_cap_fallbacks_are_counted(monkeypatch, tmp_path, census5_path):
+    capped = search_file(census5_path, 0, orbit_cap=1)
+    # every record whose orbit has a second isomorphism class hits the cap,
+    # and its class is split into its members
+    assert capped.orbit_cap_fallbacks > 0
+    assert capped.lc_classes_examined == 34
+    assert capped.to_json()["orbit_cap_fallbacks"] == capped.orbit_cap_fallbacks
+    assert search_file(census5_path, 0).orbit_cap_fallbacks == 0
+    # the count survives an interrupt and resume
+    ck = str(tmp_path / "capped.ck")
+    assert interrupted_run(monkeypatch, 2, census5_path, 0, orbit_cap=1, chunk_size=10,
+                           checkpoint_path=ck) == [10, 20]
+    resumed = search_file(census5_path, 0, orbit_cap=1, chunk_size=10, checkpoint_path=ck)
+    assert resumed.comparable() == capped.comparable()
+
+
+def test_reports_do_not_depend_on_record_order(tmp_path, census5_path):
+    ts = (0, 1, 2)
+    lines = open(census5_path).read().split()
+    full = search_file(census5_path, ts)
+    labeled5 = search_labeled_all(5, ts)
+    for seed in (1, 2, 3):
+        random.Random(seed).shuffle(lines)
+        path = tmp_path / f"shuffled{seed}.g6"
+        path.write_text("\n".join(lines) + "\n")
+        shuffled = search_file(str(path), ts)
+        for t in ts:
+            assert shuffled[t].comparable() == full[t].comparable()
+    for t in ts:
+        # the census holds one graph per isomorphism class, not every labeled one
+        as_labeled = dataclasses.replace(full[t], graphs_examined=1 << 10)
+        assert as_labeled.comparable() == labeled5[t].comparable()
+    universe = list(enumerate_labeled(6))
+    ascending = search(universe, ts)
+    random.Random(4).shuffle(universe)
+    shuffled = search(universe, ts)
+    labeled6 = search_labeled_all(6, ts)
+    for t in ts:
+        assert shuffled[t].comparable() == ascending[t].comparable() == labeled6[t].comparable()
+
+
+def euler_transform(connected: list[int]) -> list[int]:
+    """Counts of multisets of connected classes, from counts for n = 1, 2, ..."""
+    c = [0] + [sum(d * connected[d - 1] for d in range(1, k + 1) if k % d == 0)
+               for k in range(1, len(connected) + 1)]
+    b = [1]
+    for n in range(1, len(connected) + 1):
+        b.append(sum(c[k] * b[n - k] for k in range(1, n + 1)) // n)
+    return b[1:]
+
+
+# connected classes on n = 1, 2, ... vertices: OEIS A090899 (up to LC and
+# isomorphism) and A001349 (up to isomorphism)
+CONNECTED_LC = [1, 1, 1, 2, 4, 11, 26, 101, 440]
+CONNECTED_ISO = [1, 1, 2, 6, 21, 112, 853, 11117]
+
+
+def test_euler_transform_of_published_counts():
+    assert euler_transform(CONNECTED_LC) == [1, 2, 3, 6, 11, 26, 59, 182, 675]
+    assert euler_transform(CONNECTED_ISO) == [1, 2, 4, 11, 34, 156, 1044, 12346]
+
+
+def test_class_counts_match_published_counts():
+    for n, want in enumerate(euler_transform(CONNECTED_LC)[:8], start=1):
+        reps = lc_class_reps(n)
+        assert len(reps) == want, f"n={n}"
+        forms = canonicalize_many(reps)
+        assert forms == sorted(forms)
+        if n <= 7:  # each representative is its orbit's least canonical form
+            assert all(form == min(lc_orbit(g)) for g, form in zip(reps, forms))
+    for n, want in enumerate(euler_transform(CONNECTED_ISO)[:7], start=1):
+        reps = iso_class_reps(n)
+        assert len(reps) == want, f"n={n}"
+        assert [g.adj for g in reps] == [f.to_graph().adj for f in canonicalize_many(reps)]
+    assert class_reps(3, "none") == list(enumerate_labeled(3))
+    with pytest.raises(ValueError):
+        class_reps(4, "bogus")
