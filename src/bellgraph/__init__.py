@@ -10,14 +10,13 @@ from .bell import (
     family_oracle_complete,
     family_oracle_star_copies,
     lhv_bound,
-    lhv_bound_full,
     lhv_value,
     lhv_value_table,
 )
 from .canon import CanonicalForm, OrbitCapExceeded, canonicalize, canonicalize_many, lc_orbit
 from .coverable import CoverableSet, coverable_set
 from .dyadic import Dyadic
-from .families import complete, complete_join, named_graph, parse_family, ring, star, star_copies
+from .families import complete, complete_join, parse_family, ring, star, star_copies
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .graphs import Graph, bits_of, disjoint_union, iter_bits, local_complement, neighborhood_of_set
 from .pauli import PauliString, multiply, stabilizer_element, vertex_stabilizer

@@ -7,10 +7,10 @@ For a graph g and error weight t the Bell operator expands as
 so k is the (unnormalized) Walsh-Hadamard transform of the coverable-set
 indicator. A local-hidden-variable assignment gives each site's X and Y
 observables independent signs (Z observables are fixed to +1; flipping signs
-around any vertex shows the maximum is unchanged, and `lhv_bound_full`
-re-checks that reduction by brute force). Writing each stabilizer element as
-sign(S) times its letter string with X letters on S_X, Y letters on S_Y, the
-assignment value is
+around any vertex shows the maximum is unchanged, and the unreduced 8^n scan
+in `tests/oracles.py` re-checks that reduction by brute force). Writing each
+stabilizer element as sign(S) times its letter string with X letters on S_X,
+Y letters on S_Y, the assignment value is
 
     (1/2^n) * sum_S k[S] sign(S) (-1)^(|S_X & x_neg| + |S_Y & y_neg|)
 
@@ -69,30 +69,25 @@ class StabilizerTable:
 
 @lru_cache(maxsize=512)
 def stabilizer_table(g: Graph) -> StabilizerTable:
-    """Signs and letter supports of every stabilizer element, by recurrence.
+    """Signs and letter supports of every stabilizer element, by doubling.
 
     Splitting off the highest vertex v of S gives G_S = G_{S-v} * G_v, which
     adds 2 to the phase exactly when v lies in the set-neighborhood of S-v.
-    Cross-checked in the tests against per-element products in `pauli`.
+    So the subsets with highest vertex v are the ones below 2^v with v added,
+    and each vertex doubles the arrays. Cross-checked in the tests against
+    per-element products in `pauli`.
     """
-    n = g.n
-    size = 1 << n
-    nbhd = np.zeros(size, dtype=np.int64)
-    half_phase = np.zeros(size, dtype=np.int64)  # phase/2 mod 2
-    nb = nbhd  # local alias
-    adj = g.adj
-    for s in range(1, size):
-        v = s.bit_length() - 1
-        rest = s ^ (1 << v)
-        nb_rest = int(nb[rest])
-        half_phase[s] = half_phase[rest] ^ (nb_rest >> v & 1)
-        nb[s] = nb_rest ^ adj[v]
-    subsets = np.arange(size, dtype=np.int64)
+    nbhd = np.zeros(1, dtype=np.int64)
+    half_phase = np.zeros(1, dtype=np.int64)  # phase/2 mod 2
+    for v, row in enumerate(g.adj):
+        half_phase = np.concatenate((half_phase, half_phase ^ (nbhd >> v & 1)))
+        nbhd = np.concatenate((nbhd, nbhd ^ row))
+    subsets = np.arange(1 << g.n, dtype=np.int64)
     sy = subsets & nbhd
     # sign = i^phase * (-1)^(y_count/2); y counts are even (handshake)
     y_half = np.bitwise_count(sy).astype(np.int64) >> 1
     signs = np.where((half_phase ^ y_half) & 1, -1, 1).astype(np.int64)
-    return StabilizerTable(n, nbhd, signs, subsets & ~nbhd, sy)
+    return StabilizerTable(g.n, nbhd, signs, subsets & ~nbhd, sy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,14 +112,10 @@ def bell_coefficients(g: Graph, t: int) -> BellCoefficients:
 
 @dataclass(frozen=True)
 class LhvAssignment:
-    """Sites whose X (resp. Y) observable is assigned -1; Z is +1 throughout.
-
-    z_neg is only ever nonzero in results of the unreduced brute-force bound.
-    """
+    """Sites whose X (resp. Y) observable is assigned -1; Z is +1 throughout."""
 
     x_neg: int
     y_neg: int
-    z_neg: int = 0
 
 
 @dataclass(frozen=True)
@@ -143,9 +134,6 @@ def lhv_value(g: Graph, bc: BellCoefficients, a: LhvAssignment) -> Dyadic:
     """Value of the Bell operator under one sign assignment, exactly."""
     table = stabilizer_table(g)
     parity = np.bitwise_count(table.sx & a.x_neg) + np.bitwise_count(table.sy & a.y_neg)
-    if a.z_neg:
-        sz = table.nbhd & ~np.arange(1 << g.n, dtype=np.int64)
-        parity = parity + np.bitwise_count(sz & a.z_neg)
     terms = _weights(g, bc) * np.where(parity & 1, -1, 1)
     return Dyadic(int(terms.sum()), g.n)
 
@@ -206,27 +194,6 @@ def lhv_bound(g: Graph, t: int) -> LhvResult:
     return LhvResult(bound, LhvAssignment(best_idx >> n, best_idx & ((1 << n) - 1)), bound < 1)
 
 
-def lhv_bound_full(g: Graph, t: int) -> LhvResult:
-    """Unreduced oracle over independent X, Y and Z signs (8^n assignments).
-
-    Exists to validate the Z=+1 reduction; n is capped at 6.
-    """
-    if g.n > 6:
-        raise ValueError(f"full assignment scan is 8^n; n={g.n} exceeds 6")
-    n = g.n
-    bc = bell_coefficients(g, t)
-    table = stabilizer_table(g)
-    w = bc.k * table.signs
-    sz = table.nbhd & ~np.arange(1 << n, dtype=np.int64)
-    h = np.zeros(1 << (3 * n), dtype=np.int64)
-    h[(table.sx << 2 * n) | (table.sy << n) | sz] = w
-    values = fwht_inplace(h)
-    idx = int(values.argmax())  # first maximum = lexicographically least assignment
-    mask = (1 << n) - 1
-    bound = Dyadic(int(values[idx]), n)
-    return LhvResult(bound, LhvAssignment(idx >> 2 * n, (idx >> n) & mask, idx & mask), bound < 1)
-
-
 def family_oracle_star_copies(m: int, t: int) -> Dyadic:
     """Closed-form LHV bounds for disjoint unions of m three-vertex stars.
 
@@ -250,20 +217,3 @@ def family_oracle_complete(n: int, t: int) -> Dyadic:
     if n < 2:
         raise ValueError("need at least 2 vertices")
     return Dyadic(1)
-
-
-def identity_table(n: int) -> np.ndarray:
-    """Coefficient table of the identity operator on n qubits."""
-    k = np.zeros(1 << n, dtype=np.int64)
-    k[0] = 1 << n
-    return k
-
-
-def tensor_tables(low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """Coefficient table of A (x) B on the disjoint union of their graphs.
-
-    `low` lives on the low vertex block, `high` on the block above it;
-    stabilizer elements of a disjoint union factor, so tables combine by
-    outer product.
-    """
-    return np.kron(high, low)

@@ -31,10 +31,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .graph6 import emit_graph6, rows_of_code
 from .graphs import Graph
 
 # graphs canonicalized together; bounds the state arrays, and so peak memory
 SLICE = 256
+# isomorphism classes an LC orbit may reach before `lc_orbit` gives up
+DEFAULT_ORBIT_CAP = 100_000
 
 
 class OrbitCapExceeded(RuntimeError):
@@ -50,20 +53,9 @@ class CanonicalForm:
 
     def to_graph(self) -> Graph:
         """Rebuild the canonically labeled graph from the code."""
-        rows = [0] * self.n
-        nbits = self.n * (self.n - 1) // 2
-        idx = nbits - 1
-        for j in range(1, self.n):
-            for i in range(j):
-                if self.code >> idx & 1:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                idx -= 1
-        return Graph(self.n, tuple(rows))
+        return Graph(self.n, rows_of_code(self.n, self.code))
 
     def to_graph6(self) -> str:
-        from .graph6 import emit_graph6
-
         return emit_graph6(self.to_graph())
 
 
@@ -185,7 +177,7 @@ def _lc_images(n: int, adj: np.ndarray) -> np.ndarray:
     return adj[f] ^ bits[f, a] * (na[:, None] & ~(np.int64(1) << np.arange(n, dtype=np.int64)))
 
 
-def lc_orbit(g: Graph, max_size: int = 10**6) -> frozenset[CanonicalForm]:
+def lc_orbit(g: Graph, max_size: int = DEFAULT_ORBIT_CAP) -> frozenset[CanonicalForm]:
     """Closure of g under local complementation, as canonical forms.
 
     Breadth-first over isomorphism classes: complementing one representative

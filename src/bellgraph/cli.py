@@ -11,12 +11,7 @@ import json
 import sys
 
 from . import __version__
-from .bell import (
-    bell_coefficients,
-    lhv_bound,
-    lhv_bound_full,
-    stabilizer_table,
-)
+from .bell import bell_coefficients, lhv_bound, stabilizer_table
 from .coverable import coverable_set
 from .families import parse_family, parse_graph_arg
 from .graph6 import emit_graph6
@@ -39,16 +34,6 @@ from .search import (
 
 def _bitstring(mask: int, n: int) -> str:
     return "".join("1" if mask >> v & 1 else "0" for v in range(n))
-
-
-def _assignment_json(a, n: int) -> dict:
-    out = {
-        "x_neg": sorted(iter_bits(a.x_neg)),
-        "y_neg": sorted(iter_bits(a.y_neg)),
-    }
-    if a.z_neg:
-        out["z_neg"] = sorted(iter_bits(a.z_neg))
-    return out
 
 
 def cmd_coverable(args) -> int:
@@ -105,26 +90,24 @@ def cmd_bell_op(args) -> int:
 
 def cmd_lhv_bound(args) -> int:
     g = parse_graph_arg(args.graph)
-    if args.engine == "full":
-        res = lhv_bound_full(g, args.t)
-    else:
-        res = lhv_bound(g, args.t)
+    res = lhv_bound(g, args.t)
     if args.json:
         print(json.dumps({
             "n": g.n,
             "t": args.t,
-            "engine": args.engine,
             "bound": res.bound.to_json(),
             "decimal": float(res.bound),
             "valid": res.valid,
-            "argmax": _assignment_json(res.argmax, g.n),
+            "argmax": {
+                "x_neg": list(iter_bits(res.argmax.x_neg)),
+                "y_neg": list(iter_bits(res.argmax.y_neg)),
+            },
         }))
         return 0
     verdict = "valid (violated)" if res.valid else "no violation"
     print(f"LHV bound: {res.bound} = {float(res.bound):.6f}  [{verdict}]")
     print(f"attained at x_neg={_bitstring(res.argmax.x_neg, g.n)} "
-          f"y_neg={_bitstring(res.argmax.y_neg, g.n)}"
-          + (f" z_neg={_bitstring(res.argmax.z_neg, g.n)}" if res.argmax.z_neg else ""))
+          f"y_neg={_bitstring(res.argmax.y_neg, g.n)}")
     return 0
 
 
@@ -255,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lhv-bound", help="exact LHV bound of the Bell operator")
     add_graph_t(p)
-    p.add_argument("--engine", choices=("auto", "full"), default="auto",
-                   help="full: unreduced 8^n scan over X, Y and Z signs (n <= 6)")
     p.set_defaults(func=cmd_lhv_bound)
 
     p = sub.add_parser("verify-prop1",

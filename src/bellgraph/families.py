@@ -83,8 +83,6 @@ def parse_family(spec: str) -> Graph:
     return builder(args[0])
 
 
-named_graph = parse_family
-
 
 def parse_graph_arg(text: str) -> Graph:
     """CLI graph argument: 'family:<spec>' or a graph6 literal."""

@@ -22,9 +22,39 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
-def triangle_pairs(n: int) -> list[tuple[int, int]]:
-    """Upper-triangle pairs (i, j), i < j, in graph6 bit order."""
-    return [(i, j) for j in range(1, n) for i in range(j)]
+def code_of_rows(n: int, rows) -> int:
+    """Edge-bit code of a graph: its upper triangle in graph6 pair order.
+
+    Pair (0,1) is the highest bit, then (0,2), (1,2), (0,3), ... so column j
+    holds the pairs (i, j), i < j, with (i, j) at bit j-1-i of the column.
+    A graph6 record body is this code, and a canonical code is the code of
+    the canonically labeled graph.
+    """
+    code = 0
+    for j in range(1, n):
+        low = rows[j] & ((1 << j) - 1)
+        col = 0
+        while low:
+            bit = low & -low
+            col |= 1 << j - bit.bit_length()
+            low ^= bit
+        code = code << j | col
+    return code
+
+
+def rows_of_code(n: int, code: int) -> tuple[int, ...]:
+    """Adjacency rows of the graph on n vertices with the given edge-bit code."""
+    rows = [0] * n
+    shift = n * (n - 1) // 2
+    for j in range(1, n):
+        shift -= j
+        col = code >> shift & ((1 << j) - 1)
+        while col:
+            b = col.bit_length() - 1
+            rows[j] |= 1 << j - 1 - b
+            rows[j - 1 - b] |= 1 << j
+            col ^= 1 << b
+    return tuple(rows)
 
 
 def parse_graph6(line: str) -> Graph:
@@ -49,35 +79,24 @@ def parse_graph6(line: str) -> Graph:
             f"record for n={n} needs {nbytes} data bytes, found {len(line) - 1}",
             min(len(line), 1 + nbytes),
         )
-    rows = [0] * n
-    pairs = triangle_pairs(n)
-    for idx, (i, j) in enumerate(pairs):
-        byte = ord(line[1 + idx // 6]) - 63
-        if byte >> (5 - idx % 6) & 1:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
+    padded = 0
+    for ch in line[1:]:
+        padded = padded << 6 | (ord(ch) - 63)
     # padding bits beyond the triangle must be zero
-    tail = ord(line[-1]) - 63 if nbytes else 0
     pad = 6 * nbytes - nbits
-    if pad and tail & ((1 << pad) - 1):
+    if padded & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits", len(line) - 1)
-    return Graph(n, tuple(rows))
+    return Graph(n, rows_of_code(n, padded >> pad))
 
 
 def emit_graph6(g: Graph) -> str:
     """Encode a Graph as one graph6 record."""
-    out = [chr(g.n + 63)]
-    acc = 0
-    filled = 0
-    for i, j in triangle_pairs(g.n):
-        acc = acc << 1 | (g.adj[i] >> j & 1)
-        filled += 1
-        if filled == 6:
-            out.append(chr(acc + 63))
-            acc, filled = 0, 0
-    if filled:
-        out.append(chr((acc << (6 - filled)) + 63))
-    return "".join(out)
+    nbits = g.n * (g.n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    padded = code_of_rows(g.n, g.adj) << (6 * nbytes - nbits)
+    return chr(g.n + 63) + "".join(
+        chr((padded >> 6 * k & 63) + 63) for k in range(nbytes - 1, -1, -1)
+    )
 
 
 def iter_graph6_file(path: str, lenient: bool = False) -> Iterator[tuple[int, Graph | Graph6Error]]:

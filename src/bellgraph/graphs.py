@@ -72,9 +72,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return bool(self.adj[a] >> b & 1)
-
     def degree(self, a: int) -> int:
         return self.adj[a].bit_count()
 

@@ -50,9 +50,6 @@ class PauliString:
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0 and self.phase == 0
 
-    def y_support(self) -> int:
-        return self.x & self.z
-
     def sign(self) -> int:
         """+1 or -1 such that the operator is sign * its letter string.
 

@@ -23,15 +23,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bell import bell_coefficients, lhv_bound, lhv_value
-from .canon import CanonicalForm, OrbitCapExceeded, canonicalize_many, lc_orbit
+from .canon import DEFAULT_ORBIT_CAP, CanonicalForm, OrbitCapExceeded, canonicalize_many, lc_orbit
 from .dyadic import Dyadic
-from .graph6 import Graph6Error, emit_graph6, iter_graph6_file, parse_graph6, triangle_pairs
+from .graph6 import Graph6Error, emit_graph6, iter_graph6_file, parse_graph6, rows_of_code
 from .graphs import Graph
 from .families import parse_family
 
 ENUMERATION_MAX_N = 7
 EXHAUSTIVE_MAX_N = 9  # class_reps(9, "lc") takes under a minute on 2 cores
-DEFAULT_ORBIT_CAP = 100_000
 DEFAULT_MAX_WITNESSES = 32
 DEFAULT_CHUNK_SIZE = 4096
 
@@ -90,9 +89,8 @@ def enumerate_labeled(n: int) -> Iterator[Graph]:
             f"labeled enumeration capped at n={ENUMERATION_MAX_N} "
             f"(2^{n * (n - 1) // 2} graphs); supply a graph6 census file instead"
         )
-    pairs = triangle_pairs(n)
-    for code in range(1 << len(pairs)):
-        yield Graph.from_edges(n, [p for i, p in enumerate(pairs) if code >> i & 1])
+    for code in range(1 << n * (n - 1) // 2):
+        yield Graph(n, rows_of_code(n, code))
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ the package's fast paths: coverable sets by full pair enumeration, LHV
 values by evaluating letter strings term by term, Pauli matrices by
 explicit Kronecker products, transforms by the character-sum definition,
 canonical codes by a per-graph recursive search and by all n! relabelings.
-The one exception is `transform_lhv_values`, which takes the package's
-coefficient and stabilizer tables (both checked against the brute-force
-versions here) and replaces only the LHV engine.
+The exceptions are `transform_lhv_values` and `lhv_bound_full`, which take
+the package's coefficient and stabilizer tables (both checked against the
+brute-force versions here) and replace only the LHV engine. The package
+never imports this module.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import itertools
 import numpy as np
 
 from bellgraph.bell import bell_coefficients, stabilizer_table
+from bellgraph.dyadic import Dyadic
 from bellgraph.graphs import Graph, bits_of, iter_bits, local_complement
 
 I2 = np.eye(2, dtype=complex)
@@ -129,21 +131,60 @@ def brute_wht(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def stage_wht(h: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform of a 2^k table, one butterfly stage per bit."""
+    for bit in range(len(h).bit_length() - 1):
+        pairs = h.reshape(-1, 2, 1 << bit)
+        h = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1).ravel()
+    return h
+
+
 def transform_lhv_values(g: Graph, t: int) -> np.ndarray:
     """All 4^n assignment values from one transform over the 2n sign bits.
 
     Scatters each stabilizer weight to (S_X << n) | S_Y of a 4^n table and
-    applies a stage-by-stage Walsh-Hadamard transform written here, so the
-    package's blocked engine and `fwht_inplace` are not involved.
+    applies `stage_wht`, so the package's blocked engine and `fwht_inplace`
+    are not involved.
     """
     n = g.n
     table = stabilizer_table(g)
     h = np.zeros(1 << (2 * n), dtype=np.int64)
     h[(table.sx << n) | table.sy] = bell_coefficients(g, t).k * table.signs
-    for bit in range(2 * n):
-        pairs = h.reshape(-1, 2, 1 << bit)
-        h = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1).ravel()
-    return h
+    return stage_wht(h)
+
+
+def lhv_bound_full(g: Graph, t: int) -> Dyadic:
+    """LHV bound over independent X, Y and Z signs: the unreduced 8^n scan.
+
+    Scatters each stabilizer weight to (S_X << 2n) | (S_Y << n) | S_Z, with
+    S_Z the Z-letter support (the neighborhood minus S), and transforms over
+    all 3n sign bits. It checks the package's Z=+1 reduction; n <= 6.
+    """
+    if g.n > 6:
+        raise ValueError(f"full assignment scan is 8^n; n={g.n} exceeds 6")
+    n = g.n
+    table = stabilizer_table(g)
+    sz = table.nbhd & ~np.arange(1 << n, dtype=np.int64)
+    h = np.zeros(1 << (3 * n), dtype=np.int64)
+    h[(table.sx << 2 * n) | (table.sy << n) | sz] = bell_coefficients(g, t).k * table.signs
+    return Dyadic(int(stage_wht(h).max()), n)
+
+
+def identity_table(n: int) -> np.ndarray:
+    """Coefficient table of the identity operator on n qubits."""
+    k = np.zeros(1 << n, dtype=np.int64)
+    k[0] = 1 << n
+    return k
+
+
+def tensor_tables(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """Coefficient table of A (x) B on the disjoint union of their graphs.
+
+    `low` lives on the low vertex block, `high` on the block above it;
+    stabilizer elements of a disjoint union factor, so tables combine by
+    outer product.
+    """
+    return np.kron(high, low)
 
 
 def reference_canonical_code(g: Graph) -> int:

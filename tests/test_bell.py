@@ -1,6 +1,10 @@
+import ast
+import os
+
 import numpy as np
 import pytest
 
+import bellgraph
 from bellgraph import bell
 from bellgraph.bell import (
     LhvAssignment,
@@ -9,20 +13,25 @@ from bellgraph.bell import (
     family_oracle_complete,
     family_oracle_star_copies,
     fwht_inplace,
-    identity_table,
     lhv_bound,
-    lhv_bound_full,
     lhv_value,
     lhv_value_table,
     stabilizer_table,
-    tensor_tables,
 )
 from bellgraph.coverable import coverable_set
 from bellgraph.dyadic import Dyadic
 from bellgraph.families import complete, ring, star, star_copies
 from bellgraph.graphs import Graph, local_complement
 from bellgraph.pauli import stabilizer_element, to_text
-from oracles import brute_lhv_values, brute_wht, random_graph, transform_lhv_values
+from oracles import (
+    brute_lhv_values,
+    brute_wht,
+    identity_table,
+    lhv_bound_full,
+    random_graph,
+    tensor_tables,
+    transform_lhv_values,
+)
 
 
 def test_fwht_matches_definition():
@@ -70,13 +79,16 @@ def test_stabilizer_table_matches_pauli_module(census):
                 assert table.sx[s] == (p.x & ~p.z)
                 assert table.sy[s] == (p.x & p.z)
     rng = np.random.default_rng(4)
-    for n in (7, 8):
+    for n in (7, 8, 12, 16):
         g = random_graph(rng, n)
         table = stabilizer_table(g)
         for _ in range(100):
             s = int(rng.integers(1 << n))
             p = stabilizer_element(g, s)
             assert table.signs[s] == p.sign()
+            assert table.nbhd[s] == p.z
+            assert table.sx[s] == (p.x & ~p.z)
+            assert table.sy[s] == (p.x & p.z)
 
 
 def test_star_expansion_reproduces_golden_terms():
@@ -179,11 +191,34 @@ def test_argmax_deterministic_tie_break():
     assert res.bound == Dyadic(1)
 
 
+def test_library_has_one_engine():
+    # the 8^n scan is a test oracle: not exported, and the package never
+    # imports from the tests
+    assert not hasattr(bellgraph, "lhv_bound_full")
+    assert not hasattr(bell, "lhv_bound_full")
+    src = os.path.dirname(bellgraph.__file__)
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                assert top not in ("tests", "oracles", "conftest"), f"{name} imports {module}"
+
+
 def test_full_oracle_matches_reduced(census):
     for n in (1, 2, 3, 4):
         for g in census[n]:
             for t in range(0, min(2, n) + 1):
-                assert lhv_bound_full(g, t).bound == lhv_bound(g, t).bound
+                assert lhv_bound_full(g, t) == lhv_bound(g, t).bound
 
 
 def test_full_oracle_matches_brute():
@@ -193,7 +228,7 @@ def test_full_oracle_matches_brute():
         g = random_graph(rng, n)
         t = int(rng.integers(0, min(2, n) + 1))
         brute = max(brute_lhv_values(g, t, reduced=False))
-        assert lhv_bound_full(g, t).bound == Dyadic(brute, n)
+        assert lhv_bound_full(g, t) == Dyadic(brute, n)
 
 
 def test_full_oracle_size_cap():
@@ -322,9 +357,9 @@ def test_full_width_coefficients():
 
 def test_lhv_value_with_explicit_z_assignment():
     g = star(3)
-    bc = bell_coefficients(g, 0)
+    values = brute_lhv_values(g, 0, reduced=False)  # (x_neg << 6) | (y_neg << 3) | z_neg
     # flipping Z on the center plus X,Y on its neighborhood and Y on itself
     # leaves every stabilizer value unchanged (the reduction argument)
-    base = lhv_value(g, bc, LhvAssignment(0, 0))
-    flipped = lhv_value(g, bc, LhvAssignment(0b110, 0b111, 0b001))
-    assert base == flipped
+    flipped = values[(0b110 << 6) | (0b111 << 3) | 0b001]
+    assert values[0] == flipped
+    assert lhv_value(g, bell_coefficients(g, 0), LhvAssignment(0, 0)) == Dyadic(flipped, 3)

@@ -33,22 +33,15 @@ def test_lhv_bound_json(capsys):
     assert obj["argmax"] == {"x_neg": [], "y_neg": []}
 
 
-def test_lhv_bound_full_engine(capsys):
-    code, out = run(capsys, "lhv-bound", "--graph", "Bo", "--t", "0",
-                    "--engine", "full", "--json")
+def test_lhv_bound_has_one_engine(capsys):
+    code, out = run(capsys, "lhv-bound", "--graph", "Bo", "--t", "0", "--json")
     assert code == 0
     obj = json.loads(out)
     assert obj["bound"] == {"num": 3, "log2_den": 2}
-    assert obj["engine"] == "full"
-
-
-def test_lhv_bound_engine_choices(capsys):
-    code, out = run(capsys, "lhv-bound", "--graph", "Bo", "--t", "0", "--json")
-    assert json.loads(out)["engine"] == "auto"
-    for gone in ("direct", "transform"):
-        with pytest.raises(SystemExit):
-            main(["lhv-bound", "--graph", "Bo", "--t", "0", "--engine", gone])
-    assert "invalid choice" in capsys.readouterr().err
+    assert "engine" not in obj
+    with pytest.raises(SystemExit):
+        main(["lhv-bound", "--graph", "Bo", "--t", "0", "--engine", "full"])
+    assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
 
 def test_lhv_bound_graph6_literal(capsys):

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
+from bellgraph.canon import CanonicalForm
 from bellgraph.families import complete, ring, star, star_copies, complete_join
-from bellgraph.graph6 import Graph6Error, emit_graph6, iter_graph6_file, parse_graph6
+from bellgraph.graph6 import (
+    Graph6Error,
+    code_of_rows,
+    emit_graph6,
+    iter_graph6_file,
+    parse_graph6,
+    rows_of_code,
+)
 from bellgraph.graphs import Graph
 from oracles import random_graph
 
@@ -43,6 +51,26 @@ def test_roundtrip_random_graphs():
         n = int(rng.integers(1, 17))
         g = random_graph(rng, n)
         assert parse_graph6(emit_graph6(g)) == g
+
+
+def test_edge_code_round_trip():
+    # a code is a record body: pairs (0,1), (0,2), (1,2), (0,3), ... from the
+    # highest bit down, zero-padded to whole 6-bit groups
+    rng = np.random.default_rng(14)
+    for n in range(1, 17):
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+        for _ in range(20):
+            bits = "".join(rng.choice(["0", "1"], size=len(pairs)))
+            code = int(bits or "0", 2)
+            g = Graph(n, rows_of_code(n, code))
+            assert set(g.edges()) == {p for p, b in zip(pairs, bits) if b == "1"}
+            assert code_of_rows(n, g.adj) == code
+            assert CanonicalForm(n, code).to_graph() == g
+            padded = bits + "0" * (-len(bits) % 6)
+            record = chr(n + 63) + "".join(
+                chr(int(padded[k:k + 6], 2) + 63) for k in range(0, len(padded), 6))
+            assert emit_graph6(g) == CanonicalForm(n, code).to_graph6() == record
+            assert parse_graph6(record) == g
 
 
 def test_parse_empty_is_error():
