@@ -33,15 +33,28 @@ def test_lhv_bound_json(capsys):
     assert obj["argmax"] == {"x_neg": [], "y_neg": []}
 
 
-def test_lhv_bound_has_one_engine(capsys):
+def test_lhv_bound_full_engine(capsys):
+    # The blocked Z-reduced engine is the only one: `--engine full` is gone
+    # and the default path still gives the 8^n oracle's value for Bo.
     code, out = run(capsys, "lhv-bound", "--graph", "Bo", "--t", "0", "--json")
     assert code == 0
     obj = json.loads(out)
     assert obj["bound"] == {"num": 3, "log2_den": 2}
-    assert "engine" not in obj
     with pytest.raises(SystemExit):
         main(["lhv-bound", "--graph", "Bo", "--t", "0", "--engine", "full"])
     assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
+
+def test_lhv_bound_engine_choices(capsys):
+    # No engine is selectable: the JSON carries no "engine" key and argparse
+    # rejects every former --engine choice.
+    code, out = run(capsys, "lhv-bound", "--graph", "Bo", "--t", "0", "--json")
+    assert code == 0
+    assert "engine" not in json.loads(out)
+    for gone in ("auto", "full", "direct", "transform"):
+        with pytest.raises(SystemExit):
+            main(["lhv-bound", "--graph", "Bo", "--t", "0", "--engine", gone])
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
 
 def test_lhv_bound_graph6_literal(capsys):
