@@ -19,7 +19,6 @@ from .dyadic import Dyadic
 from .families import complete, complete_join, parse_family, ring, star, star_copies
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .graphs import Graph, bits_of, disjoint_union, iter_bits, local_complement, neighborhood_of_set
-from .pauli import PauliString, multiply, stabilizer_element, vertex_stabilizer
 from .quantum import (
     KrausChannel,
     amplitude_damping_channel,
@@ -28,7 +27,6 @@ from .quantum import (
     bell_operator_matrix,
     build_graph_state,
     depolarizing_channel,
-    pauli_matrix,
     random_weight_t_channel,
 )
 from .search import (

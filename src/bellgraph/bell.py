@@ -75,7 +75,7 @@ def stabilizer_table(g: Graph) -> StabilizerTable:
     adds 2 to the phase exactly when v lies in the set-neighborhood of S-v.
     So the subsets with highest vertex v are the ones below 2^v with v added,
     and each vertex doubles the arrays. Cross-checked in the tests against
-    per-element products in `pauli`.
+    the per-element Pauli products in `tests/oracles.py`.
     """
     nbhd = np.zeros(1, dtype=np.int64)
     half_phase = np.zeros(1, dtype=np.int64)  # phase/2 mod 2

@@ -16,7 +16,6 @@ from .coverable import coverable_set
 from .families import parse_family, parse_graph_arg
 from .graph6 import emit_graph6
 from .graphs import iter_bits
-from .pauli import stabilizer_element, to_text
 from .quantum import (
     apply_channel,
     bell_expectation,
@@ -30,6 +29,19 @@ from .search import (
     search_file,
     search_labeled_all,
 )
+
+
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than `low`, so no count makes a check vacuous."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _bitstring(mask: int, n: int) -> str:
@@ -66,7 +78,11 @@ def cmd_bell_op(args) -> int:
     for s in range(1 << g.n):
         k = int(bc.k[s])
         if k:
-            terms.append((s, k * int(table.signs[s]), to_text(stabilizer_element(g, s))))
+            # letter index x + 2z: X on S alone, Z on the neighborhood alone, Y on both
+            sign, nb = int(table.signs[s]), int(table.nbhd[s])
+            letters = " ".join(f"{'IXZY'[(s >> v & 1) + 2 * (nb >> v & 1)]}{v + 1}"
+                               for v in iter_bits(s | nb))
+            terms.append((s, k * sign, f"{'+' if sign > 0 else '-'}{letters or 'I'}"))
     if args.json:
         print(json.dumps({
             "n": g.n,
@@ -233,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bell-op", help="stabilizer expansion of the Bell operator")
     add_graph_t(p)
-    p.add_argument("--limit", type=int, default=None, help="print at most this many terms")
+    p.add_argument("--limit", type=_int_at_least(0), default=None,
+                   help="print at most this many terms")
     p.set_defaults(func=cmd_bell_op)
 
     p = sub.add_parser("lhv-bound", help="exact LHV bound of the Bell operator")
@@ -243,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-prop1",
                        help="check error tolerance against random noise channels")
     add_graph_t(p)
-    p.add_argument("--channels", type=int, default=20)
+    p.add_argument("--channels", type=_int_at_least(1), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_verify_prop1)
@@ -258,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dedup", choices=("lc", "iso", "none"), default="lc")
     p.add_argument("--lenient", action="store_true",
                    help="skip malformed census lines instead of aborting")
-    p.add_argument("--max-witnesses", type=int, default=32)
+    p.add_argument("--max-witnesses", type=_int_at_least(0), default=32)
     p.add_argument("--checkpoint",
                    help="checkpoint file; rerunning with it resumes exactly")
     p.add_argument("--json", action="store_true")
@@ -266,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce-table1",
                        help="recompute the optimal-bound grid D_t(n)")
-    p.add_argument("--max-n", type=int, default=7)
+    p.add_argument("--max-n", type=_int_at_least(3), default=7)
     p.add_argument("--census-dir", default=None,
                    help="directory with n<k>.g6 files for n beyond 9")
     p.add_argument("--json", action="store_true")

@@ -3,93 +3,72 @@
 Every Bell value and LHV bound in this package is an integer over 2^n, so
 dyadics close under the arithmetic we need and all golden-value tests are
 exact equality tests. No floats anywhere.
+
+`Dyadic` is a `Fraction`, so equality, ordering and hashing agree with int
+and Fraction (`{Dyadic(1), 1}` has one element); only the constructor and
+the serialized form speak in (num, log2_den).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import total_ordering
+from fractions import Fraction
 
 
-@total_ordering
-@dataclass(frozen=True)
-class Dyadic:
-    num: int
-    log2_den: int = 0
+def _closed(op):
+    """Fraction's operator, returning a Dyadic when the other operand is an
+    int or a Dyadic (sums, differences and products of dyadics are dyadic)."""
 
-    def __post_init__(self):
-        if self.log2_den < 0:
+    def method(a, b):
+        out = op(a, b)
+        if isinstance(b, (int, Dyadic)):
+            return Fraction.__new__(Dyadic, out.numerator, out.denominator)
+        return out
+
+    return method
+
+
+class Dyadic(Fraction):
+    __slots__ = ()
+
+    def __new__(cls, num: int = 0, log2_den: int = 0):
+        if log2_den < 0:
             raise ValueError("negative denominator exponent")
-        num, l2d = self.num, self.log2_den
-        if num == 0:
-            l2d = 0
-        else:
-            while l2d > 0 and num % 2 == 0:
-                num //= 2
-                l2d -= 1
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "log2_den", l2d)
+        return super().__new__(cls, num, 1 << log2_den)
+
+    @property
+    def num(self) -> int:
+        return self.numerator
 
     @property
     def den(self) -> int:
-        return 1 << self.log2_den
+        return self.denominator
 
-    def _pair(self, other) -> tuple[int, int, int]:
-        if isinstance(other, int):
-            other = Dyadic(other)
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        l2d = max(self.log2_den, other.log2_den)
-        a = self.num << (l2d - self.log2_den)
-        b = other.num << (l2d - other.log2_den)
-        return a, b, l2d
+    @property
+    def log2_den(self) -> int:
+        return self.denominator.bit_length() - 1
 
-    def __eq__(self, other) -> bool:
-        pair = self._pair(other)
-        if pair is NotImplemented:
-            return NotImplemented
-        a, b, _ = pair
-        return a == b
-
-    def __lt__(self, other) -> bool:
-        pair = self._pair(other)
-        if pair is NotImplemented:
-            return NotImplemented
-        a, b, _ = pair
-        return a < b
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.log2_den))
-
-    def __add__(self, other) -> "Dyadic":
-        a, b, l2d = self._pair(other)
-        return Dyadic(a + b, l2d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Dyadic":
-        a, b, l2d = self._pair(other)
-        return Dyadic(a - b, l2d)
+    __add__ = _closed(Fraction.__add__)
+    __radd__ = _closed(Fraction.__radd__)
+    __sub__ = _closed(Fraction.__sub__)
+    __rsub__ = _closed(Fraction.__rsub__)
+    __mul__ = _closed(Fraction.__mul__)
+    __rmul__ = _closed(Fraction.__rmul__)
 
     def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.num, self.log2_den)
-
-    def __mul__(self, other) -> "Dyadic":
-        if isinstance(other, int):
-            other = Dyadic(other)
-        return Dyadic(self.num * other.num, self.log2_den + other.log2_den)
-
-    __rmul__ = __mul__
-
-    def __float__(self) -> float:
-        return self.num / self.den
-
-    def __str__(self) -> str:
-        if self.log2_den == 0:
-            return str(self.num)
-        return f"{self.num}/{self.den}"
+        return Fraction.__new__(Dyadic, -self.numerator, self.denominator)
 
     def __repr__(self) -> str:
         return f"Dyadic({self.num}, {self.log2_den})"
+
+    # Fraction rebuilds copies and pickles as cls(numerator, denominator),
+    # which would read the denominator as an exponent
+    def __reduce__(self):
+        return (Dyadic, (self.num, self.log2_den))
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def to_json(self) -> dict:
         return {"num": self.num, "log2_den": self.log2_den}

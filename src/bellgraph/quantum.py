@@ -2,8 +2,9 @@
 
 Basis convention: computational basis index b has qubit v in state (b >> v) & 1,
 i.e. qubit 0 is the least significant bit. Everything here is plain complex128
-linear algebra at n <= 10; it deliberately shares no code path with the
-combinatorial machinery it validates.
+linear algebra at n <= 10. It shares one input with the combinatorial
+machinery it validates, the coverable sets that define B_t, and nothing of
+the stabilizer tables or the LHV engine.
 """
 from __future__ import annotations
 
@@ -11,34 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import bell_coefficients
 from .coverable import coverable_set
 from .graphs import Graph
-from .pauli import PauliString, stabilizer_element, vertex_stabilizer
 
 STATE_TOL = 1e-12
 CHANNEL_TOL = 1e-10
 EXPECTATION_TOL = 1e-9
 
 DENSE_MAX_N = 10
-
-
-def pauli_matrix(p: PauliString) -> np.ndarray:
-    """Dense matrix of i^phase * X^x Z^z."""
-    size = 1 << p.n
-    b = np.arange(size)
-    amp = (1j) ** p.phase * np.where(np.bitwise_count(b & p.z) & 1, -1.0, 1.0)
-    m = np.zeros((size, size), dtype=complex)
-    m[b ^ p.x, b] = amp
-    return m
-
-
-def apply_pauli(p: PauliString, vec: np.ndarray) -> np.ndarray:
-    out = np.empty_like(vec)
-    b = np.arange(vec.shape[0])
-    amp = (1j) ** p.phase * np.where(np.bitwise_count(b & p.z) & 1, -1.0, 1.0)
-    out[b ^ p.x] = amp * vec
-    return out
 
 
 def phase_flip(c: int, vec: np.ndarray) -> np.ndarray:
@@ -62,7 +43,8 @@ def build_graph_state(g: Graph) -> np.ndarray:
         both = (b >> a & 1) & (b >> bb & 1)
         vec = np.where(both, -vec, vec)
     for a in range(g.n):
-        fixed = apply_pauli(vertex_stabilizer(g, a), vec)
+        fixed = np.empty_like(vec)
+        fixed[b ^ 1 << a] = phase_flip(g.adj[a], vec)  # X_a Z_N(a)
         err = np.abs(fixed - vec).max()
         if err > STATE_TOL:
             raise AssertionError(f"stabilizer {a} not fixed: residual {err:.3e}")
@@ -187,21 +169,12 @@ def bell_expectation(g: Graph, t: int, rho: np.ndarray) -> float:
     return total
 
 
-def bell_operator_matrix(g: Graph, t: int, form: str = "projector") -> np.ndarray:
-    """Dense B_t, assembled either from flipped projectors or coefficients."""
+def bell_operator_matrix(g: Graph, t: int) -> np.ndarray:
+    """Dense B_t: the sum of the graph-state projectors phase-flipped by
+    every coverable set."""
     size = 1 << g.n
-    if form == "projector":
-        vec = build_graph_state(g)
-        out = np.zeros((size, size), dtype=complex)
-        for c in coverable_set(g, t).members:
-            flipped = phase_flip(c, vec)
-            out += density_matrix(flipped)
-        return out
-    if form == "coefficient":
-        bc = bell_coefficients(g, t)
-        out = np.zeros((size, size), dtype=complex)
-        for s in range(size):
-            if bc.k[s]:
-                out += int(bc.k[s]) * pauli_matrix(stabilizer_element(g, s))
-        return out / size
-    raise ValueError(f"unknown form {form!r}")
+    vec = build_graph_state(g)
+    out = np.zeros((size, size), dtype=complex)
+    for c in coverable_set(g, t).members:
+        out += density_matrix(phase_flip(c, vec))
+    return out

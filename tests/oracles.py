@@ -3,16 +3,19 @@
 Everything here recomputes results from first principles without touching
 the package's fast paths: coverable sets by full pair enumeration, LHV
 values by evaluating letter strings term by term, Pauli matrices by
-explicit Kronecker products, transforms by the character-sum definition,
+explicit Kronecker products, stabilizer elements by per-element products of
+phase-tracked Pauli strings, transforms by the character-sum definition,
 canonical codes by a per-graph recursive search and by all n! relabelings.
-The exceptions are `transform_lhv_values` and `lhv_bound_full`, which take
-the package's coefficient and stabilizer tables (both checked against the
-brute-force versions here) and replace only the LHV engine. The package
-never imports this module.
+The exceptions are `transform_lhv_values`, `lhv_values_full` and
+`coefficient_operator_matrix`, which take the package's coefficient table
+(and, for the first two, its stabilizer table; both checked against the
+brute-force versions here) and replace only the LHV engine or the
+simulator's operator assembly. The package never imports this module.
 """
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,6 +57,176 @@ def kron_chain(mats) -> np.ndarray:
 def letters_matrix(letters: str) -> np.ndarray:
     """Dense matrix of a letter string; qubit 0 is the least significant bit."""
     return kron_chain([LETTER_MATRIX[c] for c in reversed(letters)])
+
+# ---------------------------------------------------------------------------
+# phase-tracked Pauli strings
+#
+# A PauliString (x, z, phase) denotes i^phase * prod_v X_v^{x_v} Z_v^{z_v},
+# with X written before Z on every qubit; x and z are vertex-set words. The
+# letter at v is Y when v is in both supports, X or Z when in exactly one.
+# Products move every Z of the left factor past every X of the right factor
+# (each such qubit flips the sign), which fixes the convention Z*X = i*Y.
+# Graph-state stabilizer elements have an even number of Y letters (they sit
+# on the odd-degree vertices of an induced subgraph) and phase 0 or 2, so
+# each is a Hermitian sign times its letter string.
+
+_LETTERS = ("I", "X", "Z", "Y")  # indexed by x_bit + 2*z_bit
+
+
+@dataclass(frozen=True)
+class PauliString:
+    n: int
+    x: int
+    z: int
+    phase: int  # exponent of i, mod 4
+
+    def __post_init__(self):
+        full = (1 << self.n) - 1
+        if self.x & ~full or self.z & ~full:
+            raise ValueError("support outside the qubit range")
+        if not 0 <= self.phase < 4:
+            object.__setattr__(self, "phase", self.phase % 4)
+
+    def __mul__(self, other: "PauliString") -> "PauliString":
+        return multiply(self, other)
+
+    def letter(self, v: int) -> str:
+        return _LETTERS[(self.x >> v & 1) + 2 * (self.z >> v & 1)]
+
+    def letters(self) -> str:
+        return "".join(self.letter(v) for v in range(self.n))
+
+    def is_identity(self) -> bool:
+        return self.x == 0 and self.z == 0 and self.phase == 0
+
+    def sign(self) -> int:
+        """+1 or -1 such that the operator is sign * its letter string.
+
+        Defined for Hermitian strings only (even Y count, phase 0 or 2).
+        """
+        y_count = (self.x & self.z).bit_count()
+        if y_count % 2 or self.phase % 2:
+            raise ValueError("phase is not a real sign; operator is not Hermitian")
+        # each Y letter absorbs one factor -i from X*Z
+        return (-1) ** ((self.phase // 2 + y_count // 2) % 2)
+
+    def __str__(self) -> str:
+        return to_text(self)
+
+
+def identity(n: int) -> PauliString:
+    return PauliString(n, 0, 0, 0)
+
+
+def multiply(p: PauliString, q: PauliString) -> PauliString:
+    """Exact operator product with phase bookkeeping."""
+    if p.n != q.n:
+        raise ValueError(f"qubit counts differ: {p.n} vs {q.n}")
+    phase = (p.phase + q.phase + 2 * (p.z & q.x).bit_count()) % 4
+    return PauliString(p.n, p.x ^ q.x, p.z ^ q.z, phase)
+
+
+def single(n: int, v: int, letter: str) -> PauliString:
+    """One-letter string, e.g. single(3, 0, 'Y')."""
+    if letter == "X":
+        return PauliString(n, 1 << v, 0, 0)
+    if letter == "Z":
+        return PauliString(n, 0, 1 << v, 0)
+    if letter == "Y":
+        return PauliString(n, 1 << v, 1 << v, 1)  # i * XZ = Y
+    if letter == "I":
+        return identity(n)
+    raise ValueError(f"unknown letter {letter!r}")
+
+
+def vertex_stabilizer(g: Graph, a: int) -> PauliString:
+    """X on a, Z on every neighbor of a."""
+    if not 0 <= a < g.n:
+        raise ValueError(f"vertex {a} out of range")
+    return PauliString(g.n, 1 << a, g.adj[a], 0)
+
+
+def stabilizer_element(g: Graph, s: int) -> PauliString:
+    """Product of vertex stabilizers over s, ascending vertex order.
+
+    X support is s itself, Z support the set-neighborhood of s, and the
+    phase is always a plain sign (0 or 2).
+    """
+    out = identity(g.n)
+    for a in iter_bits(s):
+        out = multiply(out, vertex_stabilizer(g, a))
+    return out
+
+
+def stabilizer_sign(g: Graph, s: int) -> int:
+    """Sign of the stabilizer element's letter string."""
+    return stabilizer_element(g, s).sign()
+
+
+def to_text(p: PauliString) -> str:
+    """Render as '+X1 Y2 Z3' (1-based vertices, identities omitted).
+
+    Hermitian strings only; the all-identity string renders as '+I'.
+    """
+    sign = p.sign()
+    head = "+" if sign > 0 else "-"
+    parts = [
+        f"{p.letter(v)}{v + 1}" for v in range(p.n) if p.letter(v) != "I"
+    ]
+    if not parts:
+        return head + "I"
+    return head + " ".join(parts)
+
+
+def from_text(text: str, n: int) -> PauliString:
+    """Parse the `to_text` rendering back into a PauliString."""
+    text = text.strip()
+    if not text or text[0] not in "+-":
+        raise ValueError(f"missing sign in {text!r}")
+    negative = text[0] == "-"
+    body = text[1:].strip()
+    out = identity(n)
+    if body and body != "I":
+        seen = 0
+        for token in body.split():
+            letter, idx = token[0], token[1:]
+            if letter not in "XYZ" or not idx.isdigit():
+                raise ValueError(f"bad token {token!r}")
+            v = int(idx) - 1
+            if not 0 <= v < n:
+                raise ValueError(f"vertex {idx} out of range for n={n}")
+            if seen >> v & 1:
+                raise ValueError(f"vertex {idx} repeated")
+            seen |= 1 << v
+            out = multiply(out, single(n, v, letter))
+    if negative:
+        out = PauliString(n, out.x, out.z, (out.phase + 2) % 4)
+    return out
+
+
+def pauli_matrix(p: PauliString) -> np.ndarray:
+    """Dense matrix of i^phase * X^x Z^z."""
+    size = 1 << p.n
+    b = np.arange(size)
+    amp = (1j) ** p.phase * np.where(np.bitwise_count(b & p.z) & 1, -1.0, 1.0)
+    m = np.zeros((size, size), dtype=complex)
+    m[b ^ p.x, b] = amp
+    return m
+
+
+def apply_pauli(p: PauliString, vec: np.ndarray) -> np.ndarray:
+    return pauli_matrix(p) @ vec
+
+
+def coefficient_operator_matrix(g: Graph, t: int) -> np.ndarray:
+    """Dense B_t as (1/2^n) sum_S k[S] G_S, each G_S a per-element product."""
+    bc = bell_coefficients(g, t)
+    size = 1 << g.n
+    out = np.zeros((size, size), dtype=complex)
+    for s in range(size):
+        if bc.k[s]:
+            out += int(bc.k[s]) * pauli_matrix(stabilizer_element(g, s))
+    return out / size
 
 
 def stabilizer_letters(g: Graph, s: int) -> tuple[int, str]:
@@ -153,12 +326,13 @@ def transform_lhv_values(g: Graph, t: int) -> np.ndarray:
     return stage_wht(h)
 
 
-def lhv_bound_full(g: Graph, t: int) -> Dyadic:
-    """LHV bound over independent X, Y and Z signs: the unreduced 8^n scan.
+def lhv_values_full(g: Graph, t: int) -> np.ndarray:
+    """Numerators of all 8^n values over independent X, Y and Z signs.
 
     Scatters each stabilizer weight to (S_X << 2n) | (S_Y << n) | S_Z, with
     S_Z the Z-letter support (the neighborhood minus S), and transforms over
-    all 3n sign bits. It checks the package's Z=+1 reduction; n <= 6.
+    all 3n sign bits; indexed (x_neg << 2n) | (y_neg << n) | z_neg like
+    `brute_lhv_values(..., reduced=False)`. n <= 6.
     """
     if g.n > 6:
         raise ValueError(f"full assignment scan is 8^n; n={g.n} exceeds 6")
@@ -167,7 +341,15 @@ def lhv_bound_full(g: Graph, t: int) -> Dyadic:
     sz = table.nbhd & ~np.arange(1 << n, dtype=np.int64)
     h = np.zeros(1 << (3 * n), dtype=np.int64)
     h[(table.sx << 2 * n) | (table.sy << n) | sz] = bell_coefficients(g, t).k * table.signs
-    return Dyadic(int(stage_wht(h).max()), n)
+    return stage_wht(h)
+
+
+def lhv_bound_full(g: Graph, t: int) -> Dyadic:
+    """LHV bound over independent X, Y and Z signs: the unreduced 8^n scan.
+
+    It checks the package's Z=+1 reduction; n <= 6.
+    """
+    return Dyadic(int(lhv_values_full(g, t).max()), g.n)
 
 
 def identity_table(n: int) -> np.ndarray:

@@ -5,20 +5,22 @@ lines as they complete. Every comparison of bounds and coefficients is an
 exact equality on dyadic rationals or integer arrays; the only tolerances
 are the stated numerical ones for the dense-simulator checks.
 """
+import io
+import json
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 
 import numpy as np
 import pytest
 
 from bellgraph.bell import bell_coefficients, family_oracle_star_copies, lhv_bound, lhv_value_table
 from bellgraph.canon import lc_orbit
+from bellgraph.cli import main
 from bellgraph.coverable import coverable_set
 from bellgraph.dyadic import Dyadic
 from bellgraph.families import complete, complete_join, star, star_copies
 from bellgraph.graph6 import emit_graph6, parse_graph6
 from bellgraph.graphs import local_complement
-from bellgraph.pauli import stabilizer_element, to_text
 from bellgraph.quantum import (
     apply_channel,
     bell_expectation,
@@ -57,12 +59,14 @@ def criterion(num: int, desc: str):
 def test_criterion_1_golden_star_expansion():
     with criterion(1, "8*B_0(star-3) reproduces all 8 signed terms exactly, < 1s"):
         start = time.perf_counter()
-        g = star(3)
-        bc = bell_coefficients(g, 0)
+        assert emit_graph6(star(3)) == "Bo"
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["bell-op", "--graph", "Bo", "--t", "0", "--json"]) == 0
+        # each coefficient is k[S] times the sign the rendered G_S carries
         terms = {
-            to_text(stabilizer_element(g, s)): int(bc.k[s])
-            for s in range(8)
-            if bc.k[s]
+            term["pauli"]: term["coefficient"] * (1 if term["pauli"][0] == "+" else -1)
+            for term in json.loads(out.getvalue())["terms"]
         }
         assert terms == {
             "+I": 1, "+X1 Z2 Z3": 1, "+Z1 X2": 1, "+Z1 X3": 1,

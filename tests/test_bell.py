@@ -22,14 +22,16 @@ from bellgraph.coverable import coverable_set
 from bellgraph.dyadic import Dyadic
 from bellgraph.families import complete, ring, star, star_copies
 from bellgraph.graphs import Graph, local_complement
-from bellgraph.pauli import stabilizer_element, to_text
 from oracles import (
     brute_lhv_values,
     brute_wht,
     identity_table,
     lhv_bound_full,
+    lhv_values_full,
     random_graph,
+    stabilizer_element,
     tensor_tables,
+    to_text,
     transform_lhv_values,
 )
 
@@ -229,6 +231,16 @@ def test_full_oracle_matches_brute():
         t = int(rng.integers(0, min(2, n) + 1))
         brute = max(brute_lhv_values(g, t, reduced=False))
         assert lhv_bound_full(g, t) == Dyadic(brute, n)
+
+
+def test_full_oracle_table_matches_brute(census):
+    # entry by entry, so a wrong Z support is caught even where it leaves
+    # the maximum unchanged
+    for n in (1, 2, 3):
+        for g in census[n]:
+            for t in range(min(2, n) + 1):
+                brute = np.array(brute_lhv_values(g, t, reduced=False))
+                assert np.array_equal(lhv_values_full(g, t), brute), (g, t)
 
 
 def test_full_oracle_size_cap():

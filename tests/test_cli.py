@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+from bellgraph.bell import bell_coefficients
 from bellgraph.cli import main
+from bellgraph.graph6 import emit_graph6
+from oracles import random_graph, stabilizer_element, to_text
 
 
 def run(capsys, *argv):
@@ -94,6 +98,29 @@ def test_bell_op_json_roundtrip(capsys):
     assert len(obj["terms"]) == 8
 
 
+def test_bell_op_terms_match_oracle(capsys, census):
+    # the CLI renders each G_S from the stabilizer table; the oracle
+    # multiplies the vertex stabilizers one by one
+    rng = np.random.default_rng(9)
+    graphs = [g for n in range(1, 6) for g in census[n]]
+    graphs += [random_graph(rng, n) for n in range(6, 11) for _ in range(2)]
+    for g in graphs:
+        for t in range(min(2, g.n) + 1):
+            code, out = run(capsys, "bell-op", "--graph", emit_graph6(g),
+                            "--t", str(t), "--json")
+            assert code == 0
+            k = bell_coefficients(g, t).k
+            expected = []
+            for s in range(1 << g.n):
+                if k[s]:
+                    p = stabilizer_element(g, s)
+                    subset = "".join(str(s >> v & 1) for v in range(g.n))
+                    expected.append((subset, int(k[s]) * p.sign(), to_text(p)))
+            got = [(term["subset"], term["coefficient"], term["pauli"])
+                   for term in json.loads(out)["terms"]]
+            assert got == expected, (emit_graph6(g), t)
+
+
 def test_verify_prop1(capsys):
     code, out = run(capsys, "verify-prop1", "--graph", "family:star_copies(2)",
                     "--t", "1", "--channels", "5", "--seed", "11")
@@ -157,3 +184,37 @@ def test_reproduce_table1_json(capsys):
 def test_bad_graph_literal_is_reported(capsys):
     assert main(["lhv-bound", "--graph", "!!!", "--t", "0"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-prop1", "--graph", "Bo", "--t", "1", "--channels", "0"],
+     "argument --channels: must be at least 1, got 0"),
+    (["search", "--all-labeled", "4", "--t", "0", "--max-witnesses", "-1"],
+     "argument --max-witnesses: must be at least 0, got -1"),
+    (["reproduce-table1", "--max-n", "2"],
+     "argument --max-n: must be at least 3, got 2"),
+    (["bell-op", "--graph", "Bo", "--t", "0", "--limit", "-1"],
+     "argument --limit: must be at least 0, got -1"),
+])
+def test_counts_that_would_make_a_check_vacuous_are_rejected(capsys, argv, message):
+    # zero channels would print PASS having checked nothing, a negative
+    # witness cap would slice off the last witness, and max-n below 3 would
+    # print an empty grid; a negative limit would print 7 of 8 terms and
+    # then "... 9 more"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_smallest_accepted_counts(capsys):
+    code, out = run(capsys, "verify-prop1", "--graph", "Bo", "--t", "1", "--channels", "1")
+    assert code == 0 and "PASS: 1 random" in out
+    code, out = run(capsys, "search", "--all-labeled", "4", "--t", "0",
+                    "--max-witnesses", "0", "--json")
+    obj = json.loads(out)
+    assert obj["witnesses"] == [] and obj["witness_classes_total"] > 0
+    code, out = run(capsys, "reproduce-table1", "--max-n", "3", "--json")
+    assert code == 0 and {c["n"] for c in json.loads(out)["cells"]} == {3}
+    code, out = run(capsys, "bell-op", "--graph", "Bo", "--t", "0", "--limit", "0")
+    assert code == 0 and out.splitlines()[1:] == ["  ... 8 more"]

@@ -5,18 +5,20 @@ import pytest
 
 from bellgraph.families import complete, star
 from bellgraph.graphs import Graph, neighborhood_of_set
-from bellgraph.pauli import (
+from oracles import (
+    LETTER_MATRIX,
     PauliString,
     from_text,
     identity,
     multiply,
+    random_graph,
     single,
     stabilizer_element,
+    stabilizer_letters,
     stabilizer_sign,
     to_text,
     vertex_stabilizer,
 )
-from oracles import LETTER_MATRIX, random_graph, stabilizer_letters
 
 
 def _denoted_matrix(p: PauliString) -> np.ndarray:

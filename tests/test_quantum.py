@@ -1,27 +1,39 @@
+import ast
+import importlib.util
+import inspect
+
 import numpy as np
 import pytest
 
+import bellgraph
+from bellgraph import quantum
 from bellgraph.bell import lhv_bound
 from bellgraph.coverable import coverable_set
 from bellgraph.families import complete, ring, star, star_copies
 from bellgraph.graphs import Graph
-from bellgraph.pauli import PauliString, multiply, stabilizer_element
 from bellgraph.quantum import (
     KrausChannel,
     amplitude_damping_channel,
     apply_channel,
-    apply_pauli,
     bell_expectation,
     bell_operator_matrix,
     build_graph_state,
     density_matrix,
     depolarizing_channel,
     embed_operator,
-    pauli_matrix,
     phase_flip,
     random_weight_t_channel,
 )
-from oracles import letters_matrix, random_graph
+from oracles import (
+    PauliString,
+    apply_pauli,
+    coefficient_operator_matrix,
+    letters_matrix,
+    multiply,
+    pauli_matrix,
+    random_graph,
+    stabilizer_element,
+)
 
 STATE_TOL = 1e-12
 EXPECT_TOL = 1e-9
@@ -88,8 +100,8 @@ def test_operator_assembly_equivalence():
         n = int(rng.integers(2, 7))
         g = random_graph(rng, n)
         t = int(rng.integers(0, 3))
-        a = bell_operator_matrix(g, t, "projector")
-        b = bell_operator_matrix(g, t, "coefficient")
+        a = bell_operator_matrix(g, t)
+        b = coefficient_operator_matrix(g, t)
         assert np.linalg.norm(a - b) < 1e-10
 
 
@@ -196,3 +208,24 @@ def test_quantum_value_exceeds_lhv_bound():
     g = star_copies(2)
     rho = density_matrix(build_graph_state(g))
     assert bell_expectation(g, 1, rho) > float(lhv_bound(g, 1).bound)
+
+
+def test_one_stabilizer_model():
+    # the per-element Pauli algebra lives in the test oracles; the simulator
+    # builds B_t from the coverable sets alone, never from the engine's tables
+    assert importlib.util.find_spec("bellgraph.pauli") is None
+    for name in ("PauliString", "multiply", "stabilizer_element", "vertex_stabilizer",
+                 "pauli_matrix", "apply_pauli"):
+        assert not hasattr(bellgraph, name), name
+        assert not hasattr(quantum, name), name
+    tree = ast.parse(inspect.getsource(quantum))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):  # names too, for `from . import bell`
+            modules = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            assert module.split(".")[-1] not in ("bell", "pauli"), f"quantum imports {module}"
+    assert list(inspect.signature(bell_operator_matrix).parameters) == ["g", "t"]
