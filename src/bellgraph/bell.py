@@ -15,9 +15,12 @@ Y letters on S_Y, the assignment value is
     (1/2^n) * sum_S k[S] sign(S) (-1)^(|S_X & x_neg| + |S_Y & y_neg|)
 
 The maximum over all 4^n assignments is one more Walsh-Hadamard transform
-over the 2n sign variables, run in blocks of x_neg values: flip the weights by
-their x parity, sum them onto their Y supports and transform over y_neg.
-Memory stays at about BLOCK_ELEMENTS entries whatever n is.
+over the 2n sign variables, run in blocks of consecutive x_neg values: flip
+the weights by the x parity the block fixes, sum them onto a grid of
+(low X bits, Y support) cells, transform the grid over the low x_neg bits and
+the block over y_neg. Memory stays at about BLOCK_ELEMENTS entries whatever n
+is, and the entries are int16 whenever sum|w| < 2^15 (every table at n <= 9)
+and int32 otherwise.
 
 All LHV values are integers over 2^n and are returned as exact `Dyadic`s.
 """
@@ -33,19 +36,11 @@ from .coverable import coverable_set
 from .dyadic import Dyadic
 from .graphs import Graph
 
-BLOCK_ELEMENTS = 1 << 20  # int32 assignment values per engine block (4 MB)
+BLOCK_ELEMENTS = 1 << 18  # assignment values per engine block: 0.5 MB at int16, 1 MB at int32
 
 
-def fwht_inplace(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform over subset-parity characters.
-
-    Transforms along the first axis, so each column of a 2-D array is one
-    transform; the butterflies then run over whole contiguous rows, which is
-    several times faster than short strided runs along the last axis.
-    """
-    size = a.shape[0]
-    cols = a.size // size if size else 0
-    h = 1
+def _butterflies(a: np.ndarray, h: int, size: int, cols: int) -> None:
+    """Butterfly stages h, 2h, ... < size along the first axis of a."""
     while h < size:
         b = a.reshape(-1, 2, h * cols)
         x = b[:, 0, :].copy()
@@ -53,6 +48,27 @@ def fwht_inplace(a: np.ndarray) -> np.ndarray:
         np.add(x, y, out=b[:, 0, :])
         np.subtract(x, y, out=y)
         h *= 2
+
+
+def fwht_inplace(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform over subset-parity characters.
+
+    Transforms along the first axis, so each column of a 2-D array is one
+    transform; the butterflies then run over whole contiguous rows, which is
+    several times faster than short strided runs along the last axis. A
+    stage on row bit j still works on runs of only 2^j rows, so the low half
+    of the row bits is transformed on a transposed copy, where their runs
+    span all 2^(high bits) rows; each stage then runs over at least about
+    sqrt(rows) rows at a time.
+    """
+    size = a.shape[0]
+    cols = a.size // size if size else 0
+    low = 1 << (size.bit_length() // 2)
+    view = a.reshape(size // low, low, cols)
+    turned = np.ascontiguousarray(view.transpose(1, 0, 2))
+    _butterflies(turned, 1, low, size // low * cols)
+    view[...] = turned.transpose(1, 0, 2)
+    _butterflies(a, low, size, cols)
     return a
 
 
@@ -138,57 +154,85 @@ def lhv_value(g: Graph, bc: BellCoefficients, a: LhvAssignment) -> Dyadic:
     return Dyadic(int(terms.sum()), g.n)
 
 
+def _block_dtype(total: int) -> type[np.signedinteger]:
+    """Narrowest engine accumulator for weights with sum|w| = total.
+
+    Every entry the engine forms is a signed sum of distinct weights of the
+    table: a flipped weight, a reduceat partial sum onto one grid cell, and
+    every butterfly stage of both transforms, which adds or subtracts
+    entries holding disjoint sets of weights. So total bounds them all. By
+    Parseval on k, total = sum|k| <= 2^n sqrt(|C|) <= 2^(1.5n): int16 for
+    every n <= 9, int32 for every n <= 16.
+    """
+    if total < 1 << 15:
+        return np.int16
+    if total < 1 << 31:
+        return np.int32
+    raise OverflowError(f"sum of |weights| {total} does not fit the int32 accumulator")
+
+
 def _value_blocks(g: Graph, t: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (x0, values) with values[y_neg, r] the numerator at x_neg = x0 + r.
 
-    Blocks come in ascending x0 and hold 2^n * cols <= BLOCK_ELEMENTS int32
-    entries once n > 10; below that a single block covers everything.
+    Blocks come in ascending x0 and hold 2^n * cols <= BLOCK_ELEMENTS
+    entries of `_block_dtype` once n > 9; below that a single block covers
+    everything.
     """
     n = g.n
     table = stabilizer_table(g)
     w = _weights(g, bell_coefficients(g, t))
-    # Parseval on k: sum|w| = sum|k| <= 2^n sqrt(|C|) <= 2^(1.5n), which bounds
-    # every partial sum below, so int32 holds them for every n <= 16
-    assert int(np.abs(w).sum()) < 1 << 31, "int32 accumulator would overflow"
-    # nonzero weights only, sorted by Y support: reduceat then sums each
-    # support's run, and the sums land on their rows of the block
-    keep = np.flatnonzero(w)
-    keep = keep[np.argsort(table.sy[keep], kind="stable")]
-    w = w[keep].astype(np.int32)
-    sx = table.sx[keep].astype(np.uint16)
-    sy = table.sy[keep]
-    starts = np.flatnonzero(np.diff(sy, prepend=-1))
+    dtype = _block_dtype(int(np.abs(w).sum()))
     cols = min(1 << n, max(1, BLOCK_ELEMENTS >> n))
-    # x0 is a multiple of cols, so the parity of sx & (x0 + r) splits in two
-    low = np.arange(cols, dtype=np.uint16)[:, None]
-    flip_low = np.where(np.bitwise_count(low & sx) & 1, np.int8(-1), np.int8(1))
+    # x0 is a multiple of cols, so the parity of sx & (x0 + r) splits into a
+    # sign per block and the parity of sx & r, which only sees the low bits
+    # of sx. Nonzero weights sorted by (Y support, low X bits): reduceat sums
+    # each run onto its cell of the grid, one row per low X pattern and one
+    # column per Y support, and a transform down the grid's rows then
+    # supplies the sx & r parities
+    keep = np.flatnonzero(w)
+    sx, sy = table.sx[keep], table.sy[keep]
+    low = sx & (cols - 1)
+    order = np.lexsort((low, sy))
+    w, sx, sy, low = w[keep[order]].astype(dtype), sx[order], sy[order], low[order]
+    new_y = np.concatenate(([True], sy[1:] != sy[:-1]))
+    starts = np.flatnonzero(new_y | np.concatenate(([True], low[1:] != low[:-1])))
+    cells = (low[starts], np.cumsum(new_y)[starts] - 1)
+    supports = sy[new_y]
     for x0 in range(0, 1 << n, cols):
-        w_high = np.where(np.bitwise_count(sx & x0) & 1, -w, w)
-        block = np.zeros((1 << n, cols), dtype=np.int32)
-        block[sy[starts]] = np.add.reduceat(flip_low * w_high, starts, axis=1).T
+        w_x0 = w * (1 - 2 * (np.bitwise_count(sx & x0) & 1).view(np.int8))
+        grid = np.zeros((cols, len(supports)), dtype=dtype)
+        grid[cells] = np.add.reduceat(w_x0, starts, dtype=dtype)
+        block = np.zeros((1 << n, cols), dtype=dtype)
+        block[supports] = fwht_inplace(grid).T
         yield x0, fwht_inplace(block)
 
 
 def lhv_value_table(g: Graph, t: int) -> np.ndarray:
-    """Numerators of all 4^n assignment values, indexed (x_neg << n) | y_neg."""
-    return np.concatenate([block.T for _, block in _value_blocks(g, t)]).ravel()
+    """Numerators of all 4^n assignment values, indexed (x_neg << n) | y_neg.
+
+    Always int64, whatever width the engine blocks used.
+    """
+    size = 1 << g.n
+    out = np.empty((size, size), dtype=np.int64)
+    for x0, block in _value_blocks(g, t):
+        out[x0:x0 + block.shape[1]] = block.T
+    return out.ravel()
 
 
 def lhv_bound(g: Graph, t: int) -> LhvResult:
     """Exact LHV bound: maximum assignment value, with its first attainer.
 
     Ties go to the least (x_neg << n) | y_neg: blocks arrive in ascending
-    x_neg, inside a block the first column (x_neg) reaching the block maximum
-    wins and then its first row (y_neg), and a later block replaces the
-    running best only when strictly larger.
+    x_neg, a later block replaces the running best only when strictly
+    larger, and inside that block the first column (x_neg) holding its
+    maximum wins and then that column's first row (y_neg).
     """
     n = g.n
     best = best_idx = None
     for x0, block in _value_blocks(g, t):
-        col_max = block.max(axis=0)
-        r = int(col_max.argmax())
-        value = int(col_max[r])
+        value = int(block.max())
         if best is None or value > best:
+            r = int((block == value).any(axis=0).argmax())
             best, best_idx = value, ((x0 + r) << n) | int(block[:, r].argmax())
     bound = Dyadic(best, n)
     return LhvResult(bound, LhvAssignment(best_idx >> n, best_idx & ((1 << n) - 1)), bound < 1)

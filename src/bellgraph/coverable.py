@@ -7,23 +7,30 @@ reduce to on a graph state. The empty set is always a member (omega = delta
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
+from math import comb
 
 import numpy as np
 
-from .graphs import Graph, bits_of, neighborhood_of_set
+from .graphs import Graph
+
+PAIR_CHUNK = 1 << 20  # (omega, delta) pairs formed at once
 
 
 @dataclass(frozen=True, eq=False)
 class CoverableSet:
     n: int
     t: int
-    members: frozenset[int]
     indicator: np.ndarray = field(repr=False)  # 0/1 per subset index, length 2^n
+
+    @cached_property
+    def members(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.indicator).tolist())
 
     @property
     def count(self) -> int:
-        return len(self.members)
+        return int(np.count_nonzero(self.indicator))
 
     @property
     def is_full(self) -> bool:
@@ -31,31 +38,32 @@ class CoverableSet:
         return self.count == 1 << self.n
 
 
-def _subsets_of(support: int) -> list[int]:
-    subs = [0]
-    sub = support
-    while sub:
-        subs.append(sub)
-        sub = (sub - 1) & support
-    return subs
-
-
 def coverable_set(g: Graph, t: int) -> CoverableSet:
     """All sets delta ^ N(omega) over pairs with |omega u delta| <= t.
 
-    Enumerates every support U with |U| <= t and all pairs omega, delta
-    inside U; duplicates collapse in the indicator array.
+    A pair inside a support smaller than t also lies inside one of size
+    exactly t, so the supports U with |U| = t cover every pair. For each U
+    the subsets omega, delta of U and the neighborhoods N(omega) are built
+    by doubling over U's vertices, and all 4^t sums land in the indicator
+    at once; duplicates collapse there.
     """
     if not 0 <= t <= g.n:
         raise ValueError(f"t={t} outside 0..{g.n}")
     indicator = np.zeros(1 << g.n, dtype=np.int64)
-    for size in range(t + 1):
-        for support in combinations(range(g.n), size):
-            u = bits_of(support)
-            subs = _subsets_of(u)
-            for omega in subs:
-                nw = neighborhood_of_set(g, omega)
-                for delta in subs:
-                    indicator[delta ^ nw] = 1
-    members = frozenset(int(i) for i in np.flatnonzero(indicator))
-    return CoverableSet(g.n, t, members, indicator)
+    if t == 0:  # the one pair omega = delta = empty
+        indicator[0] = 1
+        return CoverableSet(g.n, t, indicator)
+    adj = np.array(g.adj, dtype=np.int64)
+    supports = np.fromiter(
+        chain.from_iterable(combinations(range(g.n), t)), dtype=np.int64,
+    ).reshape(comb(g.n, t), t)
+    step = max(1, PAIR_CHUNK >> 2 * t)
+    for start in range(0, len(supports), step):
+        part = supports[start:start + step]
+        subs = np.zeros((len(part), 1), dtype=np.int64)  # subsets of each support
+        nbhd = np.zeros_like(subs)                      # and their neighborhoods
+        for v in part.T[:, :, None]:
+            subs = np.concatenate((subs, subs | 1 << v), axis=1)
+            nbhd = np.concatenate((nbhd, nbhd ^ adj[v]), axis=1)
+        indicator[subs[:, :, None] ^ nbhd[:, None, :]] = 1
+    return CoverableSet(g.n, t, indicator)

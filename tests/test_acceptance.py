@@ -213,11 +213,17 @@ def test_criterion_8_property_suite(census5_path):
             assert parse_graph6(emit_graph6(g)) == g
 
         # LC-dedup soundness on the full n=6 labeled census: the deduplicated
-        # search sees exactly the bound values the raw census produces
-        for t in (0, 1, 2):
-            with_dedup = {lhv_bound(g, t).bound for g in lc_class_reps(6)}
-            without = {lhv_bound(g, t).bound for g in enumerate_labeled(6)}
-            assert with_dedup == without
+        # search sees exactly the bound values the raw census produces. Graphs
+        # outer and t inner, so each stabilizer table is built once
+        ts = (0, 1, 2)
+        with_dedup = {t: set() for t in ts}
+        without = {t: set() for t in ts}
+        for graphs, seen in ((lc_class_reps(6), with_dedup), (enumerate_labeled(6), without)):
+            for g in graphs:
+                for t in ts:
+                    seen[t].add(lhv_bound(g, t).bound)
+        for t in ts:
+            assert with_dedup[t] == without[t], f"t={t}"
 
 
 @pytest.mark.slow

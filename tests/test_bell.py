@@ -41,6 +41,12 @@ def test_fwht_matches_definition():
     for n in range(0, 7):
         a = rng.integers(-5, 6, size=1 << n).astype(np.int64)
         assert np.array_equal(fwht_inplace(a.copy()), brute_wht(a))
+    # columns transform independently, whatever split of the row bits the
+    # transposed low half takes
+    for n, cols in ((1, 3), (3, 2), (5, 4), (6, 1), (7, 5)):
+        a = rng.integers(-5, 6, size=(1 << n, cols)).astype(np.int32)
+        expected = np.stack([brute_wht(col) for col in a.T.astype(np.int64)], axis=1)
+        assert np.array_equal(fwht_inplace(a.copy()), expected)
 
 
 def test_coefficients_t0_all_ones():
@@ -127,7 +133,9 @@ def test_tables_match_brute_force():
         g = random_graph(rng, n)
         t = int(rng.integers(0, min(2, n) + 1))
         brute = np.array(brute_lhv_values(g, t, reduced=True), dtype=np.int64)
-        assert np.array_equal(lhv_value_table(g, t), brute)
+        table = lhv_value_table(g, t)
+        assert table.dtype == np.int64  # whatever width the blocks used
+        assert np.array_equal(table, brute)
         assert np.array_equal(transform_lhv_values(g, t), brute)
 
 
@@ -157,6 +165,22 @@ def test_engines_agree_on_argmax():
         assert lhv_bound(g, t) == _oracle_result(g, t)
 
 
+def _block_dtype_of(g, t):
+    return next(bell._value_blocks(g, t))[1].dtype
+
+
+def _first_max_over_blocks(g, t):
+    # the least (x_neg << n) | y_neg attaining the maximum, found by two plain
+    # passes over the blocks rather than by lhv_bound's running maximum
+    best = max(int(block.max()) for _, block in bell._value_blocks(g, t))
+    idx = min(
+        ((x0 + int(c)) << g.n) | int(r)
+        for x0, block in bell._value_blocks(g, t)
+        for r, c in np.argwhere(block == best)
+    )
+    return best, LhvAssignment(idx >> g.n, idx & ((1 << g.n) - 1))
+
+
 def test_blocks_keep_values_and_first_argmax(monkeypatch):
     # tiny blocks split every table into many x_neg blocks, so the running
     # max and its tie-break cross block boundaries
@@ -168,6 +192,15 @@ def test_blocks_keep_values_and_first_argmax(monkeypatch):
         for t in range(0, min(2, g.n) + 1):
             assert np.array_equal(lhv_value_table(g, t), transform_lhv_values(g, t))
             assert lhv_bound(g, t) == _oracle_result(g, t)
+    # int32 path (sum|w| = 74086): its maxima sit at y_neg = 0 and 4095 of
+    # x_neg = 1755, 2925 and 3510, three different blocks of 16 columns
+    monkeypatch.setattr(bell, "BLOCK_ELEMENTS", 1 << 16)
+    g = ring(12)
+    assert _block_dtype_of(g, 3) == np.int32
+    res = lhv_bound(g, 3)
+    best, first = _first_max_over_blocks(g, 3)
+    assert (res.bound, res.argmax) == (Dyadic(best, g.n), first)
+    assert lhv_value(g, bell_coefficients(g, 3), res.argmax) == res.bound
 
 
 def test_known_bounds():
@@ -254,6 +287,35 @@ def test_bound_above_old_cap():
     g = random_graph(np.random.default_rng(12), 13)
     res = lhv_bound(g, 1)
     assert lhv_value(g, bell_coefficients(g, 1), res.argmax) == res.bound
+
+
+def test_block_width_rule():
+    assert bell._block_dtype(0) == np.int16
+    assert bell._block_dtype((1 << 15) - 1) == np.int16
+    assert bell._block_dtype(1 << 15) == np.int32
+    assert bell._block_dtype((1 << 31) - 1) == np.int32
+    with pytest.raises(OverflowError):
+        bell._block_dtype(1 << 31)
+
+
+def test_int16_blocks_near_their_limit():
+    # 2^14 < sum|w| < 2^15 at n = 11, t = 2; the 4^11 table spans 16 blocks
+    g = random_graph(np.random.default_rng(25), 11)
+    total = int(np.abs(bell_coefficients(g, 2).k).sum())
+    assert 1 << 14 < total < 1 << 15
+    assert _block_dtype_of(g, 2) == np.int16
+    values = transform_lhv_values(g, 2)
+    assert np.array_equal(lhv_value_table(g, 2), values)
+    assert lhv_bound(g, 2) == _oracle_result(g, 2)
+
+
+def test_int32_blocks_match_closed_form():
+    g = star_copies(4)
+    assert int(np.abs(bell_coefficients(g, 3).k).sum()) == 37710
+    assert _block_dtype_of(g, 3) == np.int32
+    res = lhv_bound(g, 3)
+    assert res.bound == family_oracle_star_copies(4, 3) == Dyadic(255, 8)
+    assert lhv_value(g, bell_coefficients(g, 3), res.argmax) == res.bound
 
 
 @pytest.mark.slow

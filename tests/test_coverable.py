@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bellgraph import coverable
 from bellgraph.coverable import coverable_set
 from bellgraph.families import complete, star, star_copies
 from bellgraph.graphs import disjoint_union
@@ -60,6 +61,19 @@ def test_matches_brute_enumeration():
         g = random_graph(rng, n)
         t = int(rng.integers(0, 3))
         assert coverable_set(g, t).members == brute_coverable(g, t)
+
+
+def test_matches_brute_enumeration_every_t(monkeypatch):
+    # every t up to n, with the supports formed whole and then one at a time
+    rng = np.random.default_rng(17)
+    graphs = [random_graph(rng, int(rng.integers(1, 7))) for _ in range(8)]
+    for chunk in (coverable.PAIR_CHUNK, 1):
+        monkeypatch.setattr(coverable, "PAIR_CHUNK", chunk)
+        for g in graphs:
+            for t in range(g.n + 1):
+                cov = coverable_set(g, t)
+                assert cov.members == brute_coverable(g, t), (g, t, chunk)
+                assert cov.count == len(cov.members)
 
 
 def test_monotone_in_t():
