@@ -39,8 +39,16 @@ from .graphs import Graph
 BLOCK_ELEMENTS = 1 << 18  # assignment values per engine block: 0.5 MB at int16, 1 MB at int32
 
 
-def _butterflies(a: np.ndarray, h: int, size: int, cols: int) -> None:
-    """Butterfly stages h, 2h, ... < size along the first axis of a."""
+def fwht_inplace(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform over subset-parity characters.
+
+    Transforms along the first axis, so each column of a 2-D array is one
+    transform; the butterflies then run over whole contiguous rows, which is
+    several times faster than short strided runs along the last axis.
+    """
+    size = a.shape[0]
+    cols = a.size // size if size else 0
+    h = 1
     while h < size:
         b = a.reshape(-1, 2, h * cols)
         x = b[:, 0, :].copy()
@@ -48,27 +56,6 @@ def _butterflies(a: np.ndarray, h: int, size: int, cols: int) -> None:
         np.add(x, y, out=b[:, 0, :])
         np.subtract(x, y, out=y)
         h *= 2
-
-
-def fwht_inplace(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform over subset-parity characters.
-
-    Transforms along the first axis, so each column of a 2-D array is one
-    transform; the butterflies then run over whole contiguous rows, which is
-    several times faster than short strided runs along the last axis. A
-    stage on row bit j still works on runs of only 2^j rows, so the low half
-    of the row bits is transformed on a transposed copy, where their runs
-    span all 2^(high bits) rows; each stage then runs over at least about
-    sqrt(rows) rows at a time.
-    """
-    size = a.shape[0]
-    cols = a.size // size if size else 0
-    low = 1 << (size.bit_length() // 2)
-    view = a.reshape(size // low, low, cols)
-    turned = np.ascontiguousarray(view.transpose(1, 0, 2))
-    _butterflies(turned, 1, low, size // low * cols)
-    view[...] = turned.transpose(1, 0, 2)
-    _butterflies(a, low, size, cols)
     return a
 
 

@@ -41,8 +41,8 @@ def test_fwht_matches_definition():
     for n in range(0, 7):
         a = rng.integers(-5, 6, size=1 << n).astype(np.int64)
         assert np.array_equal(fwht_inplace(a.copy()), brute_wht(a))
-    # columns transform independently, whatever split of the row bits the
-    # transposed low half takes
+    # a 2-D array transforms each column on its own, as the engine's grids
+    # and blocks need
     for n, cols in ((1, 3), (3, 2), (5, 4), (6, 1), (7, 5)):
         a = rng.integers(-5, 6, size=(1 << n, cols)).astype(np.int32)
         expected = np.stack([brute_wht(col) for col in a.T.astype(np.int64)], axis=1)
@@ -316,6 +316,25 @@ def test_int32_blocks_match_closed_form():
     res = lhv_bound(g, 3)
     assert res.bound == family_oracle_star_copies(4, 3) == Dyadic(255, 8)
     assert lhv_value(g, bell_coefficients(g, 3), res.argmax) == res.bound
+
+
+def test_values_beyond_int16_stay_exact(monkeypatch):
+    # weights scaled by 2^11 push the values themselves past int16; sums that
+    # wrap modulo 2^16 would then give wrong values, not only a wrong dtype
+    scale = 1 << 11
+    weights = bell._weights
+    monkeypatch.setattr(bell, "_weights", lambda g, bc: weights(g, bc) * scale)
+    rng = np.random.default_rng(26)
+    for n in (5, 6, 7):
+        g = random_graph(rng, n)
+        for t in (0, 1, 2):
+            values = transform_lhv_values(g, t) * scale
+            assert np.abs(values).max() >= 1 << 15
+            assert np.array_equal(lhv_value_table(g, t), values)
+            idx = int(values.argmax())
+            res = lhv_bound(g, t)
+            assert res.bound == Dyadic(int(values[idx]), n)
+            assert res.argmax == LhvAssignment(idx >> n, idx & ((1 << n) - 1))
 
 
 @pytest.mark.slow
