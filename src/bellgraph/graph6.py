@@ -6,10 +6,14 @@ upper triangle of the adjacency matrix read column by column (pair order
 with zero bits, each group offset by 63. This module only accepts n <= 16.
 
 Census files are plain text, one record per line; no headers, no comments.
+`read_graph6` decodes them a chunk of lines at a time into numpy arrays.
 """
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator
+
+import numpy as np
 
 from .graphs import MAX_VERTICES, Graph
 
@@ -99,21 +103,83 @@ def emit_graph6(g: Graph) -> str:
     )
 
 
-def iter_graph6_file(path: str, lenient: bool = False) -> Iterator[tuple[int, Graph | Graph6Error]]:
-    """Yield (line_number, Graph) per record; malformed lines raise unless lenient.
+def _pair_weights(n: int) -> np.ndarray:
+    """[p, v]: the bit that pair p sets in row v, for the pairs in graph6 order."""
+    j, i = np.tril_indices(n, -1)  # (1,0), (2,0), (2,1), (3,0), ...
+    weights = np.zeros((len(i), n), dtype=np.int64)
+    weights[np.arange(len(i)), i] = np.int64(1) << j
+    weights[np.arange(len(i)), j] = np.int64(1) << i
+    return weights
 
-    Under lenient=True malformed lines yield (line_number, Graph6Error)
-    instead of raising, so callers can count and skip them.
+
+def _decode_lines(lines: list[str], first: int) -> list[tuple[list[int], np.ndarray | Graph6Error]]:
+    """(line numbers, rows) per run of records with one vertex count, in order.
+
+    The records of the common shape, the length and first byte of the first
+    well-formed one, are decoded together; every other line, and any of
+    those the batch decode rejects, goes through `parse_graph6`, whose
+    Graph6Error takes the record's place.
+    """
+    n = width = 0
+    for line in lines:
+        k = ord(line[0]) - 63 if line else 0
+        if 1 <= k <= MAX_VERTICES and len(line) == 1 + (k * (k - 1) // 2 + 5) // 6:
+            n, width = k, len(line)
+            break
+    head = chr(n + 63)
+    shape = [i for i, line in enumerate(lines) if len(line) == width and line[0] == head] if n else []
+    decoded = {}
+    if shape:
+        raw = np.frombuffer("".join(lines[i] for i in shape).encode("ascii"), dtype=np.uint8)
+        raw = raw.reshape(len(shape), width)
+        groups = raw[:, 1:].astype(np.int64) - 63
+        bits = (groups[:, :, None] >> np.arange(5, -1, -1, dtype=np.int64) & 1).reshape(len(shape), -1)
+        nbits = n * (n - 1) // 2
+        ok = ((raw >= 63) & (raw <= 126)).all(axis=1) & ~bits[:, nbits:].any(axis=1)
+        adj = bits[:, :nbits] @ _pair_weights(n)
+        if ok.all() and len(shape) == sum(map(bool, lines)):
+            return [([first + i for i in shape], adj)]
+        decoded = {i: row for i, row, good in zip(shape, adj.tolist(), ok.tolist()) if good}
+    runs: list[tuple[list[int], list | Graph6Error]] = []
+    for i, line in enumerate(lines):
+        if not line:
+            continue
+        row = decoded.get(i)
+        if row is None:
+            try:
+                row = list(parse_graph6(line).adj)
+            except Graph6Error as err:
+                runs.append(([first + i], err))
+                continue
+        if runs and isinstance(runs[-1][1], list) and len(runs[-1][1][0]) == len(row):
+            runs[-1][0].append(first + i)
+            runs[-1][1].append(row)
+        else:
+            runs.append(([first + i], [row]))
+    return [(at, rows if isinstance(rows, Graph6Error) else np.array(rows, dtype=np.int64))
+            for at, rows in runs]
+
+
+def read_graph6(
+    path: str, lines: int, lenient: bool = False
+) -> Iterator[tuple[list[int], np.ndarray | Graph6Error]]:
+    """Decode a census file `lines` lines at a time; blank lines are skipped.
+
+    Yields (line numbers, rows) per run of consecutive records with one
+    vertex count: rows is the (B, n) int64 array of their adjacency rows.
+    A malformed line raises its Graph6Error with the line number, or under
+    lenient=True yields ([line number], Graph6Error) in its place, so
+    callers can count and skip it. Lines are the same, and so are the
+    messages, as with `parse_graph6` on each line of the text file.
     """
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            try:
-                yield lineno, parse_graph6(line)
-            except Graph6Error as err:
-                if lenient:
-                    yield lineno, err
-                else:
-                    raise Graph6Error(f"line {lineno}: {err.args[0]}", err.offset) from None
+        first = 1
+        while True:
+            block = [raw.rstrip("\n") for raw in islice(fh, lines)]
+            if not block:
+                return
+            for at, item in _decode_lines(block, first):
+                if isinstance(item, Graph6Error) and not lenient:
+                    raise Graph6Error(f"line {at[0]}: {item.args[0]}", item.offset) from None
+                yield at, item
+            first += len(block)

@@ -8,11 +8,19 @@ representative depends only on its class, so reports do not depend on the
 order of the records. Bounds are constant on classes, which the test suite
 checks independently.
 
-The pipeline takes its records from any iterable of graphs (`search`), from
-a graph6 census file (`search_file`, with checkpoints that store the whole
-pipeline state, so an interrupted and resumed run reports the same), or
-from `class_reps`, which builds every class on n vertices by one-vertex
-extension of the classes on n - 1 (`search_labeled_all`).
+The pipeline takes records as (B, n) arrays of adjacency rows: stacked
+from any iterable of graphs (`search`), decoded from a graph6 census file a
+chunk of lines at a time (`search_file`, with checkpoints that store the
+whole pipeline state, so an interrupted and resumed run reports the same),
+or broadcast by `class_reps`, which builds every class on n vertices by
+one-vertex extension of the classes on n - 1 (`search_labeled_all`).
+
+Each chunk is canonicalized in one batch, and under "lc" the orbits of all
+its unseen classes are walked in one breadth-first search (`lc_orbits`):
+walks that meet are merged, since they lie in one orbit, and every level is
+canonicalized `canon.SLICE` graphs at a time, so memory stays bounded by the
+slice and the seen-set, not by the chunk or the orbit. A `Graph` is built
+only for the class representatives and the witnesses.
 """
 from __future__ import annotations
 
@@ -22,10 +30,19 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .bell import bell_coefficients, lhv_bound, lhv_value
-from .canon import DEFAULT_ORBIT_CAP, CanonicalForm, OrbitCapExceeded, canonicalize_many, lc_orbit
+from .canon import (
+    DEFAULT_ORBIT_CAP,
+    CanonicalForm,
+    OrbitCapExceeded,
+    canonical_codes,
+    canonicalize_many,
+    lc_orbits,
+)
 from .dyadic import Dyadic
-from .graph6 import Graph6Error, emit_graph6, iter_graph6_file, parse_graph6, rows_of_code
+from .graph6 import Graph6Error, emit_graph6, parse_graph6, read_graph6, rows_of_code
 from .graphs import Graph
 from .families import parse_family
 
@@ -47,6 +64,8 @@ class SearchReport:
     witness_classes_total: int  # classes attaining the bound, before truncation
     records_skipped: int = 0  # malformed census lines passed over in lenient mode
     orbit_cap_fallbacks: int = 0  # LC orbits past the cap, each split into its members
+    stages: dict[str, float] = field(default_factory=dict, compare=False)  # seconds per stage
+
 
     @property
     def valid(self) -> bool:
@@ -65,10 +84,11 @@ class SearchReport:
             "records_skipped": self.records_skipped,
             "orbit_cap_fallbacks": self.orbit_cap_fallbacks,
             "wall_time_s": self.wall_time,
+            "stages_s": self.stages,
         }
 
     def comparable(self) -> tuple:
-        """Everything but the wall time, for determinism checks."""
+        """Everything but the wall and stage times, for determinism checks."""
         return (
             self.n,
             self.t,
@@ -96,14 +116,19 @@ def enumerate_labeled(n: int) -> Iterator[Graph]:
 # ---------------------------------------------------------------------------
 # the search pipeline: records -> n check and count -> dedup -> evaluate -> reduce
 
+STAGES = ("read", "dedup", "evaluate", "verify")
+
+
 @dataclass
 class _Pipeline:
     """State of one search, fed one chunk of records at a time.
 
-    A chunk is canonicalized in one batch, its new classes are picked out
-    in stream order and their representatives evaluated, so the state after
-    any chunk holds everything the final reports depend on; `Checkpoint`
-    saves and restores exactly this.
+    A chunk is canonicalized in one batch, the LC orbits of its unseen
+    classes are walked together (`lc_orbits`), its new classes are picked
+    out in stream order and their representatives evaluated, so the state
+    after any chunk holds everything the final reports depend on;
+    `Checkpoint` saves and restores exactly this. `stages` holds the
+    seconds this process spent per stage; it is not saved.
     """
 
     ts: tuple[int, ...]
@@ -114,7 +139,8 @@ class _Pipeline:
     orbit_cap_fallbacks: int = 0
     reps: list[Graph] = field(default_factory=list)
     results: list[dict[int, Dyadic]] = field(default_factory=list)  # bound per t, per rep
-    seen: set[CanonicalForm] = field(default_factory=set)
+    seen: set[int] = field(default_factory=set)  # canonical codes
+    stages: dict[str, float] = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
 
     def __post_init__(self):
         if self.dedup not in ("lc", "iso", "none"):
@@ -122,54 +148,80 @@ class _Pipeline:
 
     def feed(
         self,
-        records: Iterable[tuple[str, Graph]],
+        blocks: Iterable[tuple[str, np.ndarray]],
         chunk_size: int,
         on_chunk: Callable[["_Pipeline"], None] | None = None,
     ) -> None:
-        """Take (position, graph) records in chunks; on_chunk runs after each.
+        """Take records as blocks (where, rows); on_chunk runs after each chunk.
 
-        Chunks end where the records consumed, counting those of a restored
-        state, reach a multiple of chunk_size, and at the end of the records.
-        A graph whose vertex count differs from the census's fails with its
-        position.
+        rows is a (B, n) array of adjacency rows, and where names the
+        block's first record. Chunks end where the records consumed,
+        counting those of a restored state, reach a multiple of chunk_size,
+        and at the end of the records. A block whose vertex count differs
+        from the census's fails with its position.
         """
-        chunk: list[Graph] = []
-        for where, g in records:
+        pending: list[np.ndarray] = []
+        held = 0
+        blocks = iter(blocks)
+        while True:
+            started = time.perf_counter()
+            block = next(blocks, None)
+            self.stages["read"] += time.perf_counter() - started
+            if block is None:
+                break
+            where, rows = block
+            if not len(rows):
+                continue
             if self.n is None:
-                self.n = g.n
-            elif g.n != self.n:
-                raise ValueError(f"{where}: census mixes vertex counts {self.n} and {g.n}")
-            chunk.append(g)
-            if (self.records + len(chunk)) % chunk_size == 0:
-                self._take(chunk, on_chunk)
-                chunk = []
-        if chunk:
-            self._take(chunk, on_chunk)
+                self.n = rows.shape[1]
+            elif rows.shape[1] != self.n:
+                raise ValueError(f"{where}: census mixes vertex counts {self.n} and {rows.shape[1]}")
+            while len(rows):
+                room = chunk_size - (self.records + held) % chunk_size
+                pending.append(rows[:room])
+                held += len(pending[-1])
+                rows = rows[room:]
+                if (self.records + held) % chunk_size == 0:
+                    self._take(np.concatenate(pending), on_chunk)
+                    pending, held = [], 0
+        if pending:
+            self._take(np.concatenate(pending), on_chunk)
 
-    def _take(self, chunk: list[Graph], on_chunk: Callable[["_Pipeline"], None] | None) -> None:
+    def _take(self, chunk: np.ndarray, on_chunk: Callable[["_Pipeline"], None] | None) -> None:
         """Count the records, evaluate each new class's representative, run on_chunk.
 
         The representative is the least canonical form of the class, rebuilt
         as a graph: the LC orbit's minimum under "lc", the canonical form
-        under "iso". An orbit past the cap is counted and split: its members
-        are then met, and evaluated, one isomorphism class at a time.
+        under "iso". The chunk's unseen classes are taken in stream order,
+        each once; one whose orbit met an earlier one's is seen by then. An
+        orbit past the cap is counted and split: each of its classes that
+        the records reach is then its own representative, with its own
+        fallback.
         """
+        started = time.perf_counter()
+        n = self.n
         self.records += len(chunk)
         if self.dedup == "none":
-            new = chunk
+            new = [Graph(n, tuple(row)) for row in chunk.tolist()]
         else:
+            first: dict[int, int] = {}
+            for i, code in enumerate(canonical_codes(n, chunk)):
+                if code not in self.seen:
+                    first.setdefault(code, i)
+            if self.dedup == "lc":
+                orbits = lc_orbits(n, list(first), chunk[list(first.values())], self.orbit_cap)
+            else:
+                orbits = [frozenset((code,)) for code in first]
             new = []
-            for g, form in zip(chunk, canonicalize_many(chunk)):
-                if form in self.seen:
+            for code, orbit in zip(first, orbits):
+                if code in self.seen:
                     continue
-                orbit = frozenset((form,))
-                if self.dedup == "lc":
-                    try:
-                        orbit = lc_orbit(g, max_size=self.orbit_cap)
-                    except OrbitCapExceeded:
-                        self.orbit_cap_fallbacks += 1
+                if orbit is None:
+                    self.orbit_cap_fallbacks += 1
+                    orbit = frozenset((code,))
                 self.seen |= orbit
-                new.append(min(orbit).to_graph())
+                new.append(CanonicalForm(n, min(orbit)).to_graph())
+        self.stages["dedup"] += time.perf_counter() - started
         for g in new:
             self.evaluate(g)
         if on_chunk:
@@ -177,8 +229,10 @@ class _Pipeline:
 
     def evaluate(self, g: Graph) -> None:
         """Keep g as a class representative, with its LHV bound for each t."""
+        started = time.perf_counter()
         self.reps.append(g)
         self.results.append({t: lhv_bound(g, t).bound for t in self.ts})
+        self.stages["evaluate"] += time.perf_counter() - started
 
     def reports(
         self, started: float, max_witnesses: int, records_skipped: int = 0
@@ -193,7 +247,8 @@ class _Pipeline:
         """
         if self.n is None:
             raise ValueError("empty census")
-        reports = {}
+        verify_started = time.perf_counter()
+        found = {}
         for t in self.ts:
             best = min(res[t] for res in self.results)
             attain = [g for g, res in zip(self.reps, self.results) if res[t] == best]
@@ -209,19 +264,25 @@ class _Pipeline:
                         f"value at argmax {value}, search minimum {best}"
                     )
                 emitted.append((form, form.to_graph6()))
-            reports[t] = SearchReport(
+            found[t] = best, tuple(emitted), len(witnesses)
+        self.stages["verify"] += time.perf_counter() - verify_started
+        wall_time = time.perf_counter() - started
+        return {
+            t: SearchReport(
                 n=self.n,
                 t=t,
                 best_bound=best,
-                witnesses=tuple(emitted),
+                witnesses=emitted,
                 graphs_examined=self.records,
                 lc_classes_examined=len(self.reps),
-                wall_time=time.perf_counter() - started,
-                witness_classes_total=len(witnesses),
+                wall_time=wall_time,
+                witness_classes_total=total,
                 records_skipped=records_skipped,
                 orbit_cap_fallbacks=self.orbit_cap_fallbacks,
+                stages=dict(self.stages),
             )
-        return reports
+            for t, (best, emitted, total) in found.items()
+        }
 
 
 def _as_ts(t) -> tuple[int, ...]:
@@ -234,15 +295,6 @@ def _as_ts(t) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # every class on n vertices, by one-vertex extension
-
-def _extensions(reps: list[Graph]) -> Iterator[tuple[str, Graph]]:
-    """Each graph joined by a new last vertex with every possible neighborhood."""
-    for g in reps:
-        k = g.n
-        for nb in range(1 << k):
-            rows = [row | (nb >> v & 1) << k for v, row in enumerate(g.adj)]
-            yield "extension", Graph(k + 1, (*rows, nb))
-
 
 def class_reps(n: int, dedup: str = "lc") -> list[Graph]:
     """One representative per class of graphs on n vertices, sorted by code.
@@ -265,8 +317,14 @@ def class_reps(n: int, dedup: str = "lc") -> list[Graph]:
         raise ValueError(f"no classes of graphs on {n} vertices")
     reps = [Graph(1, (0,))]
     for k in range(2, n + 1):
+        # every rep joined by a new last vertex with every neighborhood nb
+        adj = np.array([g.adj for g in reps], dtype=np.int64)
+        nb = np.arange(1 << (k - 1), dtype=np.int64)
+        ext = np.empty((len(reps), len(nb), k), dtype=np.int64)
+        ext[:, :, :-1] = adj[:, None, :] | (nb[:, None] >> np.arange(k - 1) & 1) << (k - 1)
+        ext[:, :, -1] = nb
         pipe = _Pipeline((), dedup)
-        pipe.feed(_extensions(reps), DEFAULT_CHUNK_SIZE)
+        pipe.feed([("extension", ext.reshape(-1, k))], DEFAULT_CHUNK_SIZE)
         if pipe.orbit_cap_fallbacks:
             raise OrbitCapExceeded(
                 f"{pipe.orbit_cap_fallbacks} LC orbits on {k} vertices exceed "
@@ -303,7 +361,9 @@ def search_labeled_all(
     ts = _as_ts(t)
     started = time.perf_counter()
     pipe = _Pipeline(ts, dedup, n=n, records=1 << (n * (n - 1) // 2))
-    for g in class_reps(n, dedup):
+    reps = class_reps(n, dedup)
+    pipe.stages["dedup"] = time.perf_counter() - started
+    for g in reps:
         pipe.evaluate(g)
     reports = pipe.reports(started, max_witnesses)
     return reports[ts[0]] if isinstance(t, int) else reports
@@ -311,6 +371,19 @@ def search_labeled_all(
 
 # ---------------------------------------------------------------------------
 # search over arbitrary graph streams (census files)
+
+def _stacked(census: Iterable[Graph], size: int) -> Iterator[tuple[str, np.ndarray]]:
+    """The graphs' adjacency rows, stacked in blocks of at most size that share n."""
+    rows: list[tuple[int, ...]] = []
+    start = 1
+    for i, g in enumerate(census, start=1):
+        if rows and (len(g.adj) != len(rows[0]) or len(rows) == size):
+            yield f"record {start}", np.array(rows, dtype=np.int64)
+            rows, start = [], i
+        rows.append(g.adj)
+    if rows:
+        yield f"record {start}", np.array(rows, dtype=np.int64)
+
 
 def search(
     census: Iterable[Graph],
@@ -324,7 +397,7 @@ def search(
     ts = _as_ts(t)
     started = time.perf_counter()
     pipe = _Pipeline(ts, dedup, orbit_cap)
-    pipe.feed(((f"record {i}", g) for i, g in enumerate(census, start=1)), DEFAULT_CHUNK_SIZE)
+    pipe.feed(_stacked(census, DEFAULT_CHUNK_SIZE), DEFAULT_CHUNK_SIZE)
     reports = pipe.reports(started, max_witnesses)
     return reports[ts[0]] if isinstance(t, int) else reports
 
@@ -374,7 +447,7 @@ class Checkpoint:
                   f"orbit_cap_fallbacks={state.orbit_cap_fallbacks}"]
         for g, res in zip(state.reps, state.results):
             lines.append(f"rep={emit_graph6(g)} " + " ".join(str(res[t]) for t in state.ts))
-        lines += [f"seen={form.code:x}" for form in sorted(state.seen)]
+        lines += [f"seen={code:x}" for code in sorted(state.seen)]
         tmp = self.path + ".tmp"
         with open(tmp, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -419,7 +492,7 @@ class Checkpoint:
                     raise ValueError(f"rep {g6} has {len(bounds)} bounds")
                 state.reps.append(parse_graph6(g6))
                 state.results.append(dict(zip(state.ts, map(Dyadic.parse, bounds))))
-            state.seen = {CanonicalForm(state.n, int(code, 16)) for code in seen}
+            state.seen = {int(code, 16) for code in seen}
         except (KeyError, ValueError) as err:
             raise ValueError(f"{self.path}: corrupt checkpoint: {err}") from None
         return state
@@ -457,18 +530,19 @@ def search_file(
     resume_at = pipe.records
     skipped = 0
 
-    def records():
+    def blocks():
         nonlocal skipped
         good = 0
-        for lineno, item in iter_graph6_file(path, lenient=lenient):
-            if isinstance(item, Graph6Error):
+        for lines, rows in read_graph6(path, chunk_size, lenient=lenient):
+            if isinstance(rows, Graph6Error):
                 skipped += 1
                 continue
-            good += 1
-            if good > resume_at:
-                yield f"line {lineno}", item
+            drop = min(max(resume_at - good, 0), len(rows))
+            good += len(rows)
+            if drop < len(rows):
+                yield f"line {lines[drop]}", rows[drop:]
 
-    pipe.feed(records(), chunk_size, checkpoint.write if checkpoint else None)
+    pipe.feed(blocks(), chunk_size, checkpoint.write if checkpoint else None)
     reports = pipe.reports(started, max_witnesses, records_skipped=skipped)
     return reports[ts[0]] if isinstance(t, int) else reports
 

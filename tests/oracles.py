@@ -5,7 +5,8 @@ the package's fast paths: coverable sets by full pair enumeration, LHV
 values by evaluating letter strings term by term, Pauli matrices by
 explicit Kronecker products, stabilizer elements by per-element products of
 phase-tracked Pauli strings, transforms by the character-sum definition,
-canonical codes by a per-graph recursive search and by all n! relabelings.
+canonical codes by a per-graph recursive search and by all n! relabelings,
+LC dedup by one orbit walk per record.
 The exceptions are `transform_lhv_values`, `lhv_values_full` and
 `coefficient_operator_matrix`, which take the package's coefficient table
 (and, for the first two, its stabilizer table; both checked against the
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bellgraph.bell import bell_coefficients, stabilizer_table
+from bellgraph.canon import DEFAULT_ORBIT_CAP, OrbitCapExceeded, canonicalize_many, lc_orbit
 from bellgraph.dyadic import Dyadic
 from bellgraph.graphs import Graph, bits_of, iter_bits, local_complement
 
@@ -441,6 +443,28 @@ def reference_lc_orbit(g: Graph) -> set[int]:
                     nxt.append(image)
         frontier = nxt
     return set(seen)
+
+
+def reference_dedup(graphs: list[Graph], orbit_cap: int = DEFAULT_ORBIT_CAP):
+    """LC dedup one record at a time: one `lc_orbit` per record of an unseen class.
+
+    Returns the representatives' codes in order, the seen codes and the
+    orbit-cap fallbacks. A record's representative is its orbit's least
+    code; past the cap it is its own code, and only that code is seen.
+    """
+    seen: set[int] = set()
+    reps, fallbacks = [], 0
+    for g, form in zip(graphs, canonicalize_many(graphs)):
+        if form.code in seen:
+            continue
+        try:
+            orbit = {f.code for f in lc_orbit(g, max_size=orbit_cap)}
+        except OrbitCapExceeded:
+            fallbacks += 1
+            orbit = {form.code}
+        seen |= orbit
+        reps.append(min(orbit))
+    return reps, seen, fallbacks
 
 
 def brute_max_code(g: Graph) -> int:

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,10 @@ from bellgraph.canon import (
     canonicalize,
     canonicalize_many,
     lc_orbit,
+    lc_orbits,
 )
 from bellgraph.families import complete, complete_join, ring, star, star_copies
-from bellgraph.graph6 import iter_graph6_file
+from bellgraph.graph6 import parse_graph6
 from bellgraph.graphs import Graph, disjoint_union, local_complement
 from bellgraph.search import enumerate_labeled, lc_class_reps
 from oracles import (
@@ -160,7 +163,7 @@ def _codes(graphs) -> list[int]:
 
 
 def test_codes_equal_reference_on_small_censuses(census, census5_path):
-    census5 = [g for _, g in iter_graph6_file(census5_path)]
+    census5 = [parse_graph6(line) for line in open(census5_path).read().split()]
     for graphs in (census[6], census5):
         assert _codes(graphs) == [reference_canonical_code(g) for g in graphs]
 
@@ -207,6 +210,26 @@ def test_lc_orbits_equal_reference_orbits():
         assert {form.code for form in orbit} == reference_lc_orbit(g)
         covered |= orbit
     assert len(covered) == 156
+
+
+def test_merging_walks_give_every_source_its_reference_orbit(census):
+    # every class on 6 vertices in one batch, twice over and shuffled, so
+    # that walks meet and merge in every orbit
+    graphs = census[6] + [g.relabel(range(5, -1, -1)) for g in census[6]]
+    random.Random(6).shuffle(graphs)
+    want = []
+    for g in graphs:
+        code = reference_canonical_code(g)
+        want.append(next((orbit for orbit in want if code in orbit), None)
+                    or frozenset(reference_lc_orbit(g)))
+    adj = np.array([g.adj for g in graphs], dtype=np.int64)
+    codes = canonical_codes(6, adj)
+    assert lc_orbits(6, codes, adj) == want
+    assert len(set(want)) == 26
+    # past the cap, exactly the sources of larger orbits give up
+    for cap in (1, 2, 5):
+        assert lc_orbits(6, codes, adj, max_size=cap) == [
+            orbit if len(orbit) <= cap else None for orbit in want]
 
 
 def test_canonicalize_many_rejects_mixed_vertex_counts():

@@ -141,6 +141,7 @@ def test_search_all_labeled_json(capsys):
     obj = json.loads(out)
     assert obj["best_bound"] == {"num": 3, "log2_den": 2}
     assert obj["graphs_examined"] == 64
+    assert set(obj["stages_s"]) == {"read", "dedup", "evaluate", "verify"}
 
 
 def test_search_census_file(capsys, census5_path):

@@ -7,8 +7,8 @@ from bellgraph.graph6 import (
     Graph6Error,
     code_of_rows,
     emit_graph6,
-    iter_graph6_file,
     parse_graph6,
+    read_graph6,
     rows_of_code,
 )
 from bellgraph.graphs import Graph
@@ -106,21 +106,28 @@ def test_parse_nonzero_padding():
 def test_file_iteration(tmp_path):
     path = tmp_path / "mini.g6"
     path.write_text("Bw\nBo\n\nDhc\n")
-    graphs = [g for _, g in iter_graph6_file(str(path))]
-    assert graphs == [complete(3), star(3), ring(5)]
+    for lines in (1, 2, 4096):
+        blocks = list(read_graph6(str(path), lines))
+        assert [at for at, _ in blocks for at in at] == [1, 2, 4]
+        graphs = [Graph(len(row), tuple(row)) for _, rows in blocks for row in rows.tolist()]
+        assert graphs == [complete(3), star(3), ring(5)]
+    # one block per run of records that share a vertex count
+    assert [at for at, _ in blocks] == [[1, 2], [4]]
 
 
 def test_file_strict_raises_with_line_number(tmp_path):
     path = tmp_path / "bad.g6"
     path.write_text("Bw\nB\n")
     with pytest.raises(Graph6Error) as err:
-        list(iter_graph6_file(str(path)))
+        list(read_graph6(str(path), 4096))
     assert "line 2" in str(err.value)
 
 
 def test_file_lenient_yields_errors(tmp_path):
     path = tmp_path / "bad.g6"
     path.write_text("Bw\nB\nBo\n")
-    items = list(iter_graph6_file(str(path), lenient=True))
+    items = list(read_graph6(str(path), 4096, lenient=True))
+    assert [at for at, _ in items] == [[1], [2], [3]]
     assert isinstance(items[1][1], Graph6Error)
-    assert items[0][1] == complete(3) and items[2][1] == star(3)
+    assert items[0][1].tolist() == [list(complete(3).adj)]
+    assert items[2][1].tolist() == [list(star(3).adj)]

@@ -2,12 +2,13 @@ import dataclasses
 import importlib
 import random
 
+import numpy as np
 import pytest
 
-from bellgraph.canon import canonicalize_many, lc_orbit
+from bellgraph.canon import DEFAULT_ORBIT_CAP, canonicalize_many, lc_orbit
 from bellgraph.dyadic import Dyadic
 from bellgraph.families import complete, complete_join, parse_family, ring, star, star_copies
-from bellgraph.graph6 import Graph6Error, emit_graph6
+from bellgraph.graph6 import Graph6Error, code_of_rows, emit_graph6, parse_graph6
 from bellgraph.graphs import Graph
 from bellgraph.search import (
     TABLE1,
@@ -22,6 +23,7 @@ from bellgraph.search import (
     search_file,
     search_labeled_all,
 )
+from oracles import reference_dedup
 
 
 def test_enumerate_labeled_counts():
@@ -119,9 +121,18 @@ def test_mixed_sizes_rejected(tmp_path):
     assert str(err.value).startswith("record 4101: ")
     path = tmp_path / "mixed.g6"
     path.write_text("Bw\nBo\n\nBw\n" + emit_graph6(star(4)) + "\n")
-    with pytest.raises(ValueError) as err:
-        search_file(str(path), 0, chunk_size=2)
-    assert str(err.value) == "line 5: census mixes vertex counts 3 and 4"
+    # chunks of 2 lines end before the n=4 record; 3 and 4096 decode it
+    # with n=3 records of the same chunk
+    for chunk_size in (2, 3, 4096):
+        with pytest.raises(ValueError) as err:
+            search_file(str(path), 0, chunk_size=chunk_size)
+        assert str(err.value) == "line 5: census mixes vertex counts 3 and 4"
+    lines = [emit_graph6(g) for g in [complete(5)] * 40 + [star(4)] + [ring(5)] * 5]
+    path.write_text("\n".join(lines[:20] + [""] + lines[20:]) + "\n")
+    for chunk_size in (8, 4096):  # past the first chunk
+        with pytest.raises(ValueError) as err:
+            search_file(str(path), 0, chunk_size=chunk_size)
+        assert str(err.value) == "line 42: census mixes vertex counts 5 and 4"
 
 
 def test_empty_census_rejected():
@@ -138,18 +149,45 @@ def test_search_file_reference_census(monkeypatch, census5_path):
     assert report.lc_classes_examined == 11
 
 
+# malformed census lines: each one aborts a strict search with parse_graph6's
+# message and its line number, and is skipped and counted in lenient mode
+MALFORMED = {
+    "bad bytes": "!!bad!!",
+    "byte 127": "D\x7fc",
+    "space": " Dhc",
+    "short": "Dh",
+    "long": "Dhcc",
+    "nonzero padding": "Dh@",
+    "n=17": chr(63 + 17) + "?" * 23,
+    "n=0": "?",
+    "extended form": "~?@??",
+}
+
+
 def test_search_file_lenient(tmp_path, census5_path):
     lines = open(census5_path).read().splitlines()
-    corrupted = lines[:3] + ["!!bad!!"] + lines[3:]
-    path = tmp_path / "corrupt.g6"
-    path.write_text("\n".join(corrupted) + "\n")
-    with pytest.raises(Graph6Error):
-        search_file(str(path), 0)
-    report = search_file(str(path), 0, lenient=True)
-    assert report.best_bound == Dyadic(5, 3)
-    assert report.graphs_examined == 34
-    assert report.records_skipped == 1
-    assert report.to_json()["records_skipped"] == 1
+    for case, bad in MALFORMED.items():
+        with pytest.raises(Graph6Error) as parsed:
+            parse_graph6(bad)
+        for at, chunk_size in ((3, 4096), (3, 2), (30, 8)):
+            path = tmp_path / "corrupt.g6"
+            path.write_text("\n".join(lines[:at] + [bad] + lines[at:]) + "\n")
+            with pytest.raises(Graph6Error) as err:
+                search_file(str(path), 0, chunk_size=chunk_size)
+            offset = parsed.value.offset
+            assert str(err.value) == f"line {at + 1}: {parsed.value} (byte offset {offset})", case
+            assert err.value.offset == offset
+            report = search_file(str(path), 0, lenient=True, chunk_size=chunk_size)
+            assert report.best_bound == Dyadic(5, 3)
+            assert report.graphs_examined == 34
+            assert report.records_skipped == 1, case
+            assert report.to_json()["records_skipped"] == 1
+    # blank lines and CR line endings are no records, and no malformed ones
+    path = tmp_path / "spaced.g6"
+    path.write_text("\n\n".join(lines[:3]) + "\r\n" + "\r\n".join(lines[3:]) + "\n\n")
+    for lenient in (False, True):
+        report = search_file(str(path), 0, lenient=lenient, chunk_size=4)
+        assert (report.graphs_examined, report.records_skipped) == (34, 0)
 
 
 def test_search_file_checkpointing(tmp_path, census5_path):
@@ -276,6 +314,12 @@ def test_report_json_schema():
     assert isinstance(obj["witnesses"], list)
     assert obj["graphs_examined"] == 64
     assert obj["records_skipped"] == 0 and obj["orbit_cap_fallbacks"] == 0
+    # seconds per stage in this process, kept out of comparable()
+    assert set(obj["stages_s"]) == {"read", "dedup", "evaluate", "verify"}
+    assert all(isinstance(s, float) and s >= 0 for s in obj["stages_s"].values())
+    assert obj["stages_s"]["dedup"] > 0 and obj["stages_s"]["verify"] > 0
+    again = dataclasses.replace(report, stages={}, wall_time=0.0)
+    assert again.comparable() == report.comparable()
 
 
 def test_witness_check_catches_wrong_value(monkeypatch, census5_path):
@@ -350,6 +394,26 @@ def test_orbit_cap_fallbacks_are_counted(monkeypatch, tmp_path, census5_path):
                            checkpoint_path=ck) == [10, 20]
     resumed = search_file(census5_path, 0, orbit_cap=1, chunk_size=10, checkpoint_path=ck)
     assert resumed.comparable() == capped.comparable()
+
+
+@pytest.mark.parametrize("orbit_cap", [1, 2, 3, DEFAULT_ORBIT_CAP])
+def test_batched_dedup_equals_per_record_reference(census5_path, orbit_cap):
+    # under the cap the pipeline walks a chunk's orbits together; it must
+    # pick the representatives, the seen codes and the fallbacks of a walk
+    # per record, in stream order
+    search_module = importlib.import_module("bellgraph.search")
+    graphs = [parse_graph6(line) for line in open(census5_path).read().split()]
+    for seed in (1, 2, 3):
+        random.Random(seed).shuffle(graphs)
+        reps, seen, fallbacks = reference_dedup(graphs, orbit_cap)
+        rows = np.array([g.adj for g in graphs], dtype=np.int64)
+        for chunk_size in (7, 4096):
+            pipe = search_module._Pipeline((), "lc", orbit_cap)
+            pipe.feed([("record 1", rows)], chunk_size)
+            assert [code_of_rows(5, g.adj) for g in pipe.reps] == reps
+            assert pipe.seen == seen
+            assert pipe.orbit_cap_fallbacks == fallbacks
+        assert (fallbacks > 0) == (orbit_cap < DEFAULT_ORBIT_CAP)
 
 
 def test_reports_do_not_depend_on_record_order(tmp_path, census5_path):
