@@ -113,6 +113,16 @@ def test_file_iteration(tmp_path):
         assert graphs == [complete(3), star(3), ring(5)]
     # one block per run of records that share a vertex count
     assert [at for at, _ in blocks] == [[1, 2], [4]]
+    # the batch decode equals parse_graph6 for every n, runs of equal n
+    # included
+    rng = np.random.default_rng(16)
+    graphs = [random_graph(rng, n) for n in rng.integers(1, 17, size=150).tolist()]
+    graphs += [random_graph(rng, 7) for _ in range(50)] + [Graph(1, (0,))] * 3
+    path.write_text("".join(emit_graph6(g) + "\n" for g in graphs))
+    for lines in (7, 4096):
+        decoded = [Graph(len(row), tuple(row)) for _, rows in read_graph6(str(path), lines)
+                   for row in rows.tolist()]
+        assert decoded == graphs
 
 
 def test_file_strict_raises_with_line_number(tmp_path):
