@@ -5,8 +5,9 @@ upper triangle of the adjacency matrix read column by column (pair order
 (0,1),(0,2),(1,2),(0,3),...), packed big-endian into 6-bit groups, padded
 with zero bits, each group offset by 63. This module only accepts n <= 16.
 
-Census files are plain text, one record per line; no headers, no comments.
-`read_graph6` decodes them a chunk of lines at a time into numpy arrays.
+Census files are plain text, one record per line, all on one vertex count;
+no headers, no comments. `read_graph6` decodes them a chunk of lines at a
+time into numpy arrays.
 """
 from __future__ import annotations
 
@@ -112,74 +113,66 @@ def _pair_weights(n: int) -> np.ndarray:
     return weights
 
 
-def _decode_lines(lines: list[str], first: int) -> list[tuple[list[int], np.ndarray | Graph6Error]]:
-    """(line numbers, rows) per run of records with one vertex count, in order.
-
-    The records of the common shape, the length and first byte of the first
-    well-formed one, are decoded together; every other line, and any of
-    those the batch decode rejects, goes through `parse_graph6`, whose
-    Graph6Error takes the record's place.
-    """
-    n = width = 0
+def _census_n(lines: list[str]) -> int | None:
+    """The vertex count of the first well-formed record among lines, if any."""
     for line in lines:
-        k = ord(line[0]) - 63 if line else 0
-        if 1 <= k <= MAX_VERTICES and len(line) == 1 + (k * (k - 1) // 2 + 5) // 6:
-            n, width = k, len(line)
-            break
+        try:
+            return parse_graph6(line).n
+        except Graph6Error:
+            pass
+    return None
+
+
+def _decode_lines(lines: list[str], n: int | None) -> tuple[np.ndarray, list[int]]:
+    """The well-formed records on n vertices among lines, decoded together.
+
+    Returns their (B, n) int64 adjacency rows, in order, and the indices of
+    every other non-blank line: the malformed ones and the records on
+    another vertex count, for `parse_graph6` to name.
+    """
+    if n is None:  # no well-formed record so far
+        return np.empty((0, 0), dtype=np.int64), [i for i, line in enumerate(lines) if line]
+    nbits = n * (n - 1) // 2
+    width = 1 + (nbits + 5) // 6
     head = chr(n + 63)
-    shape = [i for i, line in enumerate(lines) if len(line) == width and line[0] == head] if n else []
-    decoded = {}
-    if shape:
-        raw = np.frombuffer("".join(lines[i] for i in shape).encode("ascii"), dtype=np.uint8)
-        raw = raw.reshape(len(shape), width)
-        groups = raw[:, 1:].astype(np.int64) - 63
-        bits = (groups[:, :, None] >> np.arange(5, -1, -1, dtype=np.int64) & 1).reshape(len(shape), -1)
-        nbits = n * (n - 1) // 2
-        ok = ((raw >= 63) & (raw <= 126)).all(axis=1) & ~bits[:, nbits:].any(axis=1)
-        adj = bits[:, :nbits] @ _pair_weights(n)
-        if ok.all() and len(shape) == sum(map(bool, lines)):
-            return [([first + i for i in shape], adj)]
-        decoded = {i: row for i, row, good in zip(shape, adj.tolist(), ok.tolist()) if good}
-    runs: list[tuple[list[int], list | Graph6Error]] = []
-    for i, line in enumerate(lines):
-        if not line:
-            continue
-        row = decoded.get(i)
-        if row is None:
-            try:
-                row = list(parse_graph6(line).adj)
-            except Graph6Error as err:
-                runs.append(([first + i], err))
-                continue
-        if runs and isinstance(runs[-1][1], list) and len(runs[-1][1][0]) == len(row):
-            runs[-1][0].append(first + i)
-            runs[-1][1].append(row)
-        else:
-            runs.append(([first + i], [row]))
-    return [(at, rows if isinstance(rows, Graph6Error) else np.array(rows, dtype=np.int64))
-            for at, rows in runs]
+    shape = [i for i, line in enumerate(lines) if len(line) == width and line[0] == head]
+    raw = np.frombuffer("".join(lines[i] for i in shape).encode("ascii"), dtype=np.uint8)
+    raw = raw.reshape(len(shape), width)
+    groups = raw[:, 1:].astype(np.int64) - 63
+    bits = groups[:, :, None] >> np.arange(5, -1, -1, dtype=np.int64) & 1
+    bits = bits.reshape(len(shape), 6 * (width - 1))
+    ok = ((raw >= 63) & (raw <= 126)).all(axis=1) & ~bits[:, nbits:].any(axis=1)
+    adj = bits[:, :nbits] @ _pair_weights(n)
+    if ok.all() and len(shape) == sum(map(bool, lines)):
+        return adj, []
+    good = {shape[i] for i in np.flatnonzero(ok).tolist()}
+    return adj[ok], [i for i, line in enumerate(lines) if line and i not in good]
 
 
-def read_graph6(
-    path: str, lines: int, lenient: bool = False
-) -> Iterator[tuple[list[int], np.ndarray | Graph6Error]]:
+def read_graph6(path: str, lines: int, lenient: bool = False) -> Iterator[tuple[np.ndarray, int]]:
     """Decode a census file `lines` lines at a time; blank lines are skipped.
 
-    Yields (line numbers, rows) per run of consecutive records with one
-    vertex count: rows is the (B, n) int64 array of their adjacency rows.
-    A malformed line raises its Graph6Error with the line number, or under
-    lenient=True yields ([line number], Graph6Error) in its place, so
-    callers can count and skip it. Lines are the same, and so are the
-    messages, as with `parse_graph6` on each line of the text file.
+    Yields (rows, skipped) per block of lines: rows is the (B, n) int64
+    array of the block's records, skipped the number of malformed lines
+    passed over. The census vertex count n is that of the first well-formed
+    record, and a record on another vertex count raises ValueError with its
+    line number. A malformed line raises its Graph6Error, the message of
+    `parse_graph6` on that line, prefixed with the line number; under
+    lenient=True it is skipped and counted instead.
     """
     with open(path, "r", encoding="ascii") as fh:
-        first = 1
-        while True:
-            block = [raw.rstrip("\n") for raw in islice(fh, lines)]
-            if not block:
-                return
-            for at, item in _decode_lines(block, first):
-                if isinstance(item, Graph6Error) and not lenient:
-                    raise Graph6Error(f"line {at[0]}: {item.args[0]}", item.offset) from None
-                yield at, item
+        first, n = 1, None
+        while block := [raw.rstrip("\n") for raw in islice(fh, lines)]:
+            n = n or _census_n(block)
+            rows, others = _decode_lines(block, n)
+            for i in others:
+                try:
+                    g = parse_graph6(block[i])
+                except Graph6Error as err:
+                    if lenient:
+                        continue
+                    err.args = (f"line {first + i}: {err}",)
+                    raise
+                raise ValueError(f"line {first + i}: census mixes vertex counts {n} and {g.n}")
+            yield rows, len(others)
             first += len(block)

@@ -5,15 +5,17 @@ representative per class. Under "lc" dedup the representative is the least
 canonical form of the class's local-complementation orbit, under "iso" the
 canonical form, and under "none" every graph is evaluated as given. A
 representative depends only on its class, so reports do not depend on the
-order of the records. Bounds are constant on classes, which the test suite
-checks independently.
+order of the records or on how they are cut into chunks. Bounds are
+constant on classes, which the test suite checks independently.
 
 The pipeline takes records as (B, n) arrays of adjacency rows: stacked
 from any iterable of graphs (`search`), decoded from a graph6 census file a
 chunk of lines at a time (`search_file`, with checkpoints that store the
 whole pipeline state, so an interrupted and resumed run reports the same),
 or broadcast by `class_reps`, which builds every class on n vertices by
-one-vertex extension of the classes on n - 1 (`search_labeled_all`).
+one-vertex extension of the classes on n - 1 (`search_labeled_all`). The
+first two reject a record on another vertex count than the census's with
+its position, "record i" or "line L".
 
 Each chunk is canonicalized in one batch, and under "lc" the orbits of all
 its unseen classes are walked in one breadth-first search (`lc_orbits`):
@@ -42,7 +44,7 @@ from .canon import (
     lc_orbits,
 )
 from .dyadic import Dyadic
-from .graph6 import Graph6Error, emit_graph6, parse_graph6, read_graph6, rows_of_code
+from .graph6 import emit_graph6, parse_graph6, read_graph6, rows_of_code
 from .graphs import Graph
 from .families import parse_family
 
@@ -148,44 +150,26 @@ class _Pipeline:
 
     def feed(
         self,
-        blocks: Iterable[tuple[str, np.ndarray]],
+        blocks: Iterable[np.ndarray],
         chunk_size: int,
         on_chunk: Callable[["_Pipeline"], None] | None = None,
     ) -> None:
-        """Take records as blocks (where, rows); on_chunk runs after each chunk.
+        """Take records as (B, n) arrays of adjacency rows, all on one n.
 
-        rows is a (B, n) array of adjacency rows, and where names the
-        block's first record. Chunks end where the records consumed,
-        counting those of a restored state, reach a multiple of chunk_size,
-        and at the end of the records. A block whose vertex count differs
-        from the census's fails with its position.
+        Each array is cut into chunks of at most chunk_size records, and
+        on_chunk runs after each chunk. Reports do not depend on where the
+        cuts fall. The sources check the vertex count, since they know the
+        position of a record on another one.
         """
-        pending: list[np.ndarray] = []
-        held = 0
         blocks = iter(blocks)
         while True:
             started = time.perf_counter()
-            block = next(blocks, None)
+            rows = next(blocks, None)
             self.stages["read"] += time.perf_counter() - started
-            if block is None:
-                break
-            where, rows = block
-            if not len(rows):
-                continue
-            if self.n is None:
-                self.n = rows.shape[1]
-            elif rows.shape[1] != self.n:
-                raise ValueError(f"{where}: census mixes vertex counts {self.n} and {rows.shape[1]}")
-            while len(rows):
-                room = chunk_size - (self.records + held) % chunk_size
-                pending.append(rows[:room])
-                held += len(pending[-1])
-                rows = rows[room:]
-                if (self.records + held) % chunk_size == 0:
-                    self._take(np.concatenate(pending), on_chunk)
-                    pending, held = [], 0
-        if pending:
-            self._take(np.concatenate(pending), on_chunk)
+            if rows is None:
+                return
+            for at in range(0, len(rows), chunk_size):
+                self._take(rows[at:at + chunk_size], on_chunk)
 
     def _take(self, chunk: np.ndarray, on_chunk: Callable[["_Pipeline"], None] | None) -> None:
         """Count the records, evaluate each new class's representative, run on_chunk.
@@ -199,7 +183,7 @@ class _Pipeline:
         fallback.
         """
         started = time.perf_counter()
-        n = self.n
+        n = self.n = chunk.shape[1]
         self.records += len(chunk)
         if self.dedup == "none":
             new = [Graph(n, tuple(row)) for row in chunk.tolist()]
@@ -287,6 +271,8 @@ class _Pipeline:
 
 def _as_ts(t) -> tuple[int, ...]:
     ts = (t,) if isinstance(t, int) else tuple(t)
+    if not ts:
+        raise ValueError("no t given; pass one or more of 0..3")
     for one in ts:
         if not 0 <= one <= 3:
             raise ValueError(f"t={one} outside 0..3")
@@ -324,7 +310,7 @@ def class_reps(n: int, dedup: str = "lc") -> list[Graph]:
         ext[:, :, :-1] = adj[:, None, :] | (nb[:, None] >> np.arange(k - 1) & 1) << (k - 1)
         ext[:, :, -1] = nb
         pipe = _Pipeline((), dedup)
-        pipe.feed([("extension", ext.reshape(-1, k))], DEFAULT_CHUNK_SIZE)
+        pipe.feed([ext.reshape(-1, k)], DEFAULT_CHUNK_SIZE)
         if pipe.orbit_cap_fallbacks:
             raise OrbitCapExceeded(
                 f"{pipe.orbit_cap_fallbacks} LC orbits on {k} vertices exceed "
@@ -372,17 +358,23 @@ def search_labeled_all(
 # ---------------------------------------------------------------------------
 # search over arbitrary graph streams (census files)
 
-def _stacked(census: Iterable[Graph], size: int) -> Iterator[tuple[str, np.ndarray]]:
-    """The graphs' adjacency rows, stacked in blocks of at most size that share n."""
+def _stacked(census: Iterable[Graph], size: int) -> Iterator[np.ndarray]:
+    """The graphs' adjacency rows, stacked in blocks of at most size.
+
+    A graph on another vertex count than the first fails with its position.
+    """
     rows: list[tuple[int, ...]] = []
-    start = 1
+    n = None
     for i, g in enumerate(census, start=1):
-        if rows and (len(g.adj) != len(rows[0]) or len(rows) == size):
-            yield f"record {start}", np.array(rows, dtype=np.int64)
-            rows, start = [], i
+        n = n or g.n
+        if g.n != n:
+            raise ValueError(f"record {i}: census mixes vertex counts {n} and {g.n}")
         rows.append(g.adj)
+        if len(rows) == size:
+            yield np.array(rows, dtype=np.int64)
+            rows = []
     if rows:
-        yield f"record {start}", np.array(rows, dtype=np.int64)
+        yield np.array(rows, dtype=np.int64)
 
 
 def search(
@@ -512,14 +504,17 @@ def search_file(
     """Search a graph6 census file, optionally checkpointing as it goes.
 
     Malformed records abort with their line number unless lenient, in which
-    case they are skipped and counted in `records_skipped`. Good records
-    are canonicalized chunk_size at a time, and with a checkpoint path the
-    pipeline state is saved after every chunk and at the end. A saved state
+    case they are skipped and counted in `records_skipped`. The census is
+    read chunk_size lines at a time, their good records are canonicalized
+    together, and with a checkpoint path the pipeline state is saved after
+    every such chunk. A saved state
     resumes after the records it covers and yields the report of an
     uninterrupted run; one written for another census, ts, dedup or orbit
     cap is rejected.
     """
     ts = _as_ts(t)
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size={chunk_size} must be at least 1")
     started = time.perf_counter()
     pipe = _Pipeline(ts, dedup, orbit_cap)
     checkpoint = None
@@ -533,14 +528,11 @@ def search_file(
     def blocks():
         nonlocal skipped
         good = 0
-        for lines, rows in read_graph6(path, chunk_size, lenient=lenient):
-            if isinstance(rows, Graph6Error):
-                skipped += 1
-                continue
-            drop = min(max(resume_at - good, 0), len(rows))
+        for rows, bad in read_graph6(path, chunk_size, lenient=lenient):
+            skipped += bad
+            drop = max(resume_at - good, 0)
             good += len(rows)
-            if drop < len(rows):
-                yield f"line {lines[drop]}", rows[drop:]
+            yield rows[drop:]
 
     pipe.feed(blocks(), chunk_size, checkpoint.write if checkpoint else None)
     reports = pipe.reports(started, max_witnesses, records_skipped=skipped)
@@ -617,7 +609,7 @@ def reproduce_table1(
     """
     if max_exhaustive_n is None:
         max_exhaustive_n = min(max_n, EXHAUSTIVE_MAX_N)
-    ts = tuple(ts)
+    ts = _as_ts(ts)
     cells: list[TableCell] = []
     for n in range(3, max_n + 1):
         if n <= max_exhaustive_n:

@@ -105,24 +105,23 @@ def test_parse_nonzero_padding():
 
 def test_file_iteration(tmp_path):
     path = tmp_path / "mini.g6"
-    path.write_text("Bw\nBo\n\nDhc\n")
-    for lines in (1, 2, 4096):
-        blocks = list(read_graph6(str(path), lines))
-        assert [at for at, _ in blocks for at in at] == [1, 2, 4]
-        graphs = [Graph(len(row), tuple(row)) for _, rows in blocks for row in rows.tolist()]
-        assert graphs == [complete(3), star(3), ring(5)]
-    # one block per run of records that share a vertex count
-    assert [at for at, _ in blocks] == [[1, 2], [4]]
-    # the batch decode equals parse_graph6 for every n, runs of equal n
-    # included
+    path.write_text("Bw\nBo\n\nBg\n")
+    for lines, blocks in ((1, 4), (2, 2), (4096, 1)):
+        # one (rows, skipped) per block of lines, the blank line's included
+        items = list(read_graph6(str(path), lines))
+        assert len(items) == blocks and all(skipped == 0 for _, skipped in items)
+        graphs = [Graph(3, tuple(row)) for rows, _ in items for row in rows.tolist()]
+        assert graphs == [complete(3), star(3), Graph.from_edges(3, [(0, 1), (1, 2)])]
+    # the batch decode equals parse_graph6 for every n, one census per n
     rng = np.random.default_rng(16)
-    graphs = [random_graph(rng, n) for n in rng.integers(1, 17, size=150).tolist()]
-    graphs += [random_graph(rng, 7) for _ in range(50)] + [Graph(1, (0,))] * 3
-    path.write_text("".join(emit_graph6(g) + "\n" for g in graphs))
-    for lines in (7, 4096):
-        decoded = [Graph(len(row), tuple(row)) for _, rows in read_graph6(str(path), lines)
-                   for row in rows.tolist()]
-        assert decoded == graphs
+    for n in range(1, 17):
+        graphs = [random_graph(rng, n) for _ in range(12)] + [Graph(n, (0,) * n), complete(n)]
+        path.write_text("".join(emit_graph6(g) + "\n" for g in graphs))
+        want = [parse_graph6(line) for line in path.read_text().split()]
+        for lines in (5, 4096):
+            decoded = [Graph(n, tuple(row)) for rows, _ in read_graph6(str(path), lines)
+                       for row in rows.tolist()]
+            assert decoded == want == graphs, f"n={n}"
 
 
 def test_file_strict_raises_with_line_number(tmp_path):
@@ -136,8 +135,13 @@ def test_file_strict_raises_with_line_number(tmp_path):
 def test_file_lenient_yields_errors(tmp_path):
     path = tmp_path / "bad.g6"
     path.write_text("Bw\nB\nBo\n")
-    items = list(read_graph6(str(path), 4096, lenient=True))
-    assert [at for at, _ in items] == [[1], [2], [3]]
-    assert isinstance(items[1][1], Graph6Error)
-    assert items[0][1].tolist() == [list(complete(3).adj)]
-    assert items[2][1].tolist() == [list(star(3).adj)]
+    [(rows, skipped)] = read_graph6(str(path), 4096, lenient=True)
+    assert rows.tolist() == [list(complete(3).adj), list(star(3).adj)] and skipped == 1
+    items = list(read_graph6(str(path), 1, lenient=True))
+    assert [(rows.tolist(), skipped) for rows, skipped in items] == [
+        ([list(complete(3).adj)], 0), ([], 1), ([list(star(3).adj)], 0)]
+    # a block before the first well-formed record yields no rows
+    path.write_text("B\n\nBw\n")
+    items = list(read_graph6(str(path), 1, lenient=True))
+    assert [(len(rows), skipped) for rows, skipped in items] == [(0, 1), (0, 0), (1, 0)]
+    assert items[2][0].tolist() == [list(complete(3).adj)]

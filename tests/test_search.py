@@ -140,6 +140,42 @@ def test_empty_census_rejected():
         search([], 0)
 
 
+def test_census_vertex_count_is_the_first_well_formed_records(tmp_path):
+    # B@ sets a padding bit, so the census is on the 5 vertices of Dhc
+    path = tmp_path / "late.g6"
+    for chunk_size in (1, 2, 4096):
+        path.write_text("B@\nDhc\nBw\n")
+        with pytest.raises(ValueError) as err:
+            search_file(str(path), 0, lenient=True, chunk_size=chunk_size)
+        assert str(err.value) == "line 3: census mixes vertex counts 5 and 3"
+        path.write_text("B@\nDhc\nDhc\n")
+        report = search_file(str(path), 0, lenient=True, chunk_size=chunk_size)
+        assert (report.n, report.graphs_examined, report.records_skipped) == (5, 2, 1)
+        with pytest.raises(Graph6Error) as err:
+            search_file(str(path), 0, chunk_size=chunk_size)
+        assert str(err.value).startswith("line 1: nonzero padding bits")
+
+
+@pytest.mark.parametrize("chunk_size", [0, -1])
+def test_search_file_rejects_chunk_size_below_one(census5_path, chunk_size):
+    with pytest.raises(ValueError) as err:
+        search_file(census5_path, 0, chunk_size=chunk_size)
+    assert "chunk_size" in str(err.value)
+
+
+def test_empty_t_rejected(census5_path):
+    calls = [
+        lambda: search_file(census5_path, ()),
+        lambda: search([star(3)], ()),
+        lambda: search_labeled_all(4, []),
+        lambda: reproduce_table1(max_n=4, ts=()),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert "no t given" in str(err.value)
+
+
 def test_search_file_reference_census(monkeypatch, census5_path):
     # the census is hashed only to match a checkpoint
     monkeypatch.setattr(importlib.import_module("bellgraph.search"), "_file_sha256", None)
@@ -175,7 +211,7 @@ def test_search_file_lenient(tmp_path, census5_path):
             with pytest.raises(Graph6Error) as err:
                 search_file(str(path), 0, chunk_size=chunk_size)
             offset = parsed.value.offset
-            assert str(err.value) == f"line {at + 1}: {parsed.value} (byte offset {offset})", case
+            assert str(err.value) == f"line {at + 1}: {parsed.value}", case
             assert err.value.offset == offset
             report = search_file(str(path), 0, lenient=True, chunk_size=chunk_size)
             assert report.best_bound == Dyadic(5, 3)
@@ -396,6 +432,28 @@ def test_orbit_cap_fallbacks_are_counted(monkeypatch, tmp_path, census5_path):
     assert resumed.comparable() == capped.comparable()
 
 
+@pytest.mark.parametrize("dedup, orbit_cap", [
+    ("lc", 1), ("lc", 2), ("lc", 3), ("lc", DEFAULT_ORBIT_CAP),
+    ("iso", DEFAULT_ORBIT_CAP), ("none", DEFAULT_ORBIT_CAP),  # the cap acts under "lc" only
+])
+def test_reports_do_not_depend_on_chunking(tmp_path, census5_path, dedup, orbit_cap):
+    full = search_file(census5_path, 0, dedup=dedup, orbit_cap=orbit_cap)
+    for chunk_size in range(1, 35):
+        cut = search_file(census5_path, 0, dedup=dedup, orbit_cap=orbit_cap, chunk_size=chunk_size)
+        assert cut.comparable() == full.comparable(), chunk_size
+    # blank lines at uneven places make blocks of lines hold uneven record counts
+    lines = open(census5_path).read().split()
+    for blanks in ([1, 2, 5, 11, 12, 20, 27], [0, 3, 3, 3, 16, 33]):
+        spaced = list(lines)
+        for i in reversed(blanks):
+            spaced.insert(i, "")
+        path = tmp_path / "uneven.g6"
+        path.write_text("\n".join(spaced) + "\n")
+        for chunk_size in (3, 4, 7):
+            cut = search_file(str(path), 0, dedup=dedup, orbit_cap=orbit_cap, chunk_size=chunk_size)
+            assert cut.comparable() == full.comparable(), (blanks, chunk_size)
+
+
 @pytest.mark.parametrize("orbit_cap", [1, 2, 3, DEFAULT_ORBIT_CAP])
 def test_batched_dedup_equals_per_record_reference(census5_path, orbit_cap):
     # under the cap the pipeline walks a chunk's orbits together; it must
@@ -407,9 +465,9 @@ def test_batched_dedup_equals_per_record_reference(census5_path, orbit_cap):
         random.Random(seed).shuffle(graphs)
         reps, seen, fallbacks = reference_dedup(graphs, orbit_cap)
         rows = np.array([g.adj for g in graphs], dtype=np.int64)
-        for chunk_size in (7, 4096):
+        for blocks, chunk_size in (([rows], 7), ([rows], 4096), (np.split(rows, [1, 4, 5, 19]), 6)):
             pipe = search_module._Pipeline((), "lc", orbit_cap)
-            pipe.feed([("record 1", rows)], chunk_size)
+            pipe.feed(blocks, chunk_size)
             assert [code_of_rows(5, g.adj) for g in pipe.reps] == reps
             assert pipe.seen == seen
             assert pipe.orbit_cap_fallbacks == fallbacks
