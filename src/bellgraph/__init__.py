@@ -32,7 +32,6 @@ from .quantum import (
 from .search import (
     SearchReport,
     class_reps,
-    enumerate_labeled,
     iso_class_reps,
     lc_class_reps,
     reproduce_table1,

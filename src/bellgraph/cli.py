@@ -270,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--census", help="graph6 census file, one record per line")
     src.add_argument("--all-labeled", type=int, metavar="N",
                      help="every graph on N vertices, one per class "
-                          "(N = 9 takes about a minute; --dedup none: N <= 7)")
+                          "(N = 9 takes about 25 s on 2 cores)")
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--dedup", choices=("lc", "iso", "none"), default="lc")
+    p.add_argument("--dedup", choices=("lc", "iso"), default="lc")
     p.add_argument("--lenient", action="store_true",
                    help="skip malformed census lines instead of aborting")
     p.add_argument("--max-witnesses", type=_int_at_least(0), default=32)

@@ -136,7 +136,7 @@ def _decode_lines(lines: list[str], n: int | None) -> tuple[np.ndarray, list[int
     width = 1 + (nbits + 5) // 6
     head = chr(n + 63)
     shape = [i for i, line in enumerate(lines) if len(line) == width and line[0] == head]
-    raw = np.frombuffer("".join(lines[i] for i in shape).encode("ascii"), dtype=np.uint8)
+    raw = np.frombuffer("".join(lines[i] for i in shape).encode("latin-1"), dtype=np.uint8)
     raw = raw.reshape(len(shape), width)
     groups = raw[:, 1:].astype(np.int64) - 63
     bits = groups[:, :, None] >> np.arange(5, -1, -1, dtype=np.int64) & 1
@@ -158,9 +158,11 @@ def read_graph6(path: str, lines: int, lenient: bool = False) -> Iterator[tuple[
     record, and a record on another vertex count raises ValueError with its
     line number. A malformed line raises its Graph6Error, the message of
     `parse_graph6` on that line, prefixed with the line number; under
-    lenient=True it is skipped and counted instead.
+    lenient=True it is skipped and counted instead. The file is read as
+    latin-1, one character per byte, so a byte outside ASCII is such a
+    malformed line too.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="latin-1") as fh:
         first, n = 1, None
         while block := [raw.rstrip("\n") for raw in islice(fh, lines)]:
             n = n or _census_n(block)

@@ -1,12 +1,12 @@
 """Census search for the graphs whose Bell operators violate hardest.
 
 One pipeline deduplicates a stream of graphs and evaluates one
-representative per class. Under "lc" dedup the representative is the least
-canonical form of the class's local-complementation orbit, under "iso" the
-canonical form, and under "none" every graph is evaluated as given. A
-representative depends only on its class, so reports do not depend on the
-order of the records or on how they are cut into chunks. Bounds are
-constant on classes, which the test suite checks independently.
+representative per class, held as a canonical code. Under "lc" dedup it is
+the least canonical code of the class's local-complementation orbit, under
+"iso" the class's canonical code. A representative depends only on its
+class, so reports do not depend on the order of the records or on how they
+are cut into chunks. Bounds are constant on classes, which the test suite
+checks against every labeled graph.
 
 The pipeline takes records as (B, n) arrays of adjacency rows: stacked
 from any iterable of graphs (`search`), decoded from a graph6 census file a
@@ -22,7 +22,7 @@ its unseen classes are walked in one breadth-first search (`lc_orbits`):
 walks that meet are merged, since they lie in one orbit, and every level is
 canonicalized `canon.SLICE` graphs at a time, so memory stays bounded by the
 slice and the seen-set, not by the chunk or the orbit. A `Graph` is built
-only for the class representatives and the witnesses.
+from a code only to compute a bound or to read or write graph6.
 """
 from __future__ import annotations
 
@@ -40,16 +40,14 @@ from .canon import (
     CanonicalForm,
     OrbitCapExceeded,
     canonical_codes,
-    canonicalize_many,
     lc_orbits,
 )
 from .dyadic import Dyadic
-from .graph6 import emit_graph6, parse_graph6, read_graph6, rows_of_code
+from .graph6 import code_of_rows, parse_graph6, read_graph6, rows_of_code
 from .graphs import Graph
 from .families import parse_family
 
-ENUMERATION_MAX_N = 7
-EXHAUSTIVE_MAX_N = 9  # class_reps(9, "lc") takes under a minute on 2 cores
+EXHAUSTIVE_MAX_N = 9  # class_reps(9, "lc") takes about 25 s on 2 cores
 DEFAULT_MAX_WITNESSES = 32
 DEFAULT_CHUNK_SIZE = 4096
 
@@ -104,17 +102,6 @@ class SearchReport:
         )
 
 
-def enumerate_labeled(n: int) -> Iterator[Graph]:
-    """Every labeled simple graph on n vertices, ascending edge-bit code."""
-    if n > ENUMERATION_MAX_N:
-        raise ValueError(
-            f"labeled enumeration capped at n={ENUMERATION_MAX_N} "
-            f"(2^{n * (n - 1) // 2} graphs); supply a graph6 census file instead"
-        )
-    for code in range(1 << n * (n - 1) // 2):
-        yield Graph(n, rows_of_code(n, code))
-
-
 # ---------------------------------------------------------------------------
 # the search pipeline: records -> n check and count -> dedup -> evaluate -> reduce
 
@@ -139,13 +126,13 @@ class _Pipeline:
     n: int | None = None
     records: int = 0
     orbit_cap_fallbacks: int = 0
-    reps: list[Graph] = field(default_factory=list)
+    reps: list[int] = field(default_factory=list)  # canonical codes, in stream order
     results: list[dict[int, Dyadic]] = field(default_factory=list)  # bound per t, per rep
     seen: set[int] = field(default_factory=set)  # canonical codes
     stages: dict[str, float] = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
 
     def __post_init__(self):
-        if self.dedup not in ("lc", "iso", "none"):
+        if self.dedup not in ("lc", "iso"):
             raise ValueError(f"unknown dedup mode {self.dedup!r}")
 
     def feed(
@@ -174,47 +161,44 @@ class _Pipeline:
     def _take(self, chunk: np.ndarray, on_chunk: Callable[["_Pipeline"], None] | None) -> None:
         """Count the records, evaluate each new class's representative, run on_chunk.
 
-        The representative is the least canonical form of the class, rebuilt
-        as a graph: the LC orbit's minimum under "lc", the canonical form
-        under "iso". The chunk's unseen classes are taken in stream order,
-        each once; one whose orbit met an earlier one's is seen by then. An
-        orbit past the cap is counted and split: each of its classes that
-        the records reach is then its own representative, with its own
-        fallback.
+        The representative is the least canonical code of the class: the LC
+        orbit's minimum under "lc", the canonical code under "iso". The
+        chunk's unseen classes are taken in stream order, each once; one
+        whose orbit met an earlier one's is seen by then. An orbit past the
+        cap is counted and split: each of its classes that the records reach
+        is then its own representative, with its own fallback.
         """
         started = time.perf_counter()
         n = self.n = chunk.shape[1]
         self.records += len(chunk)
-        if self.dedup == "none":
-            new = [Graph(n, tuple(row)) for row in chunk.tolist()]
+        first: dict[int, int] = {}
+        for i, code in enumerate(canonical_codes(n, chunk)):
+            if code not in self.seen:
+                first.setdefault(code, i)
+        if self.dedup == "lc":
+            orbits = lc_orbits(n, list(first), chunk[list(first.values())], self.orbit_cap)
         else:
-            first: dict[int, int] = {}
-            for i, code in enumerate(canonical_codes(n, chunk)):
-                if code not in self.seen:
-                    first.setdefault(code, i)
-            if self.dedup == "lc":
-                orbits = lc_orbits(n, list(first), chunk[list(first.values())], self.orbit_cap)
-            else:
-                orbits = [frozenset((code,)) for code in first]
-            new = []
-            for code, orbit in zip(first, orbits):
-                if code in self.seen:
-                    continue
-                if orbit is None:
-                    self.orbit_cap_fallbacks += 1
-                    orbit = frozenset((code,))
-                self.seen |= orbit
-                new.append(CanonicalForm(n, min(orbit)).to_graph())
+            orbits = [frozenset((code,)) for code in first]
+        new = []
+        for code, orbit in zip(first, orbits):
+            if code in self.seen:
+                continue
+            if orbit is None:
+                self.orbit_cap_fallbacks += 1
+                orbit = frozenset((code,))
+            self.seen |= orbit
+            new.append(min(orbit))
         self.stages["dedup"] += time.perf_counter() - started
-        for g in new:
-            self.evaluate(g)
+        for code in new:
+            self.evaluate(code)
         if on_chunk:
             on_chunk(self)
 
-    def evaluate(self, g: Graph) -> None:
-        """Keep g as a class representative, with its LHV bound for each t."""
+    def evaluate(self, code: int) -> None:
+        """Keep a canonical code as a class representative, with its LHV bound per t."""
         started = time.perf_counter()
-        self.reps.append(g)
+        g = Graph(self.n, rows_of_code(self.n, code))
+        self.reps.append(code)
         self.results.append({t: lhv_bound(g, t).bound for t in self.ts})
         self.stages["evaluate"] += time.perf_counter() - started
 
@@ -223,11 +207,12 @@ class _Pipeline:
     ) -> dict[int, SearchReport]:
         """Per-t reports; each emitted witness is checked twice before emission.
 
-        The witness is rebuilt from its canonical form with its vertex order
-        reversed, not the labelling a representative is evaluated in, so the
-        engine recomputes table, coefficients and transform; and the separate
-        per-assignment formula `lhv_value` must give the bound at the argmax
-        the engine reports.
+        The witnesses are the codes of the representatives that attain the
+        bound, sorted. Each is rebuilt with its vertex order reversed, not the
+        canonical labelling it was evaluated in, so the engine recomputes
+        table, coefficients and transform; and the separate per-assignment
+        formula `lhv_value` must give the bound at the argmax the engine
+        reports.
         """
         if self.n is None:
             raise ValueError("empty census")
@@ -235,10 +220,10 @@ class _Pipeline:
         found = {}
         for t in self.ts:
             best = min(res[t] for res in self.results)
-            attain = [g for g, res in zip(self.reps, self.results) if res[t] == best]
-            witnesses = sorted(set(canonicalize_many(attain)))
+            witnesses = sorted(code for code, res in zip(self.reps, self.results) if res[t] == best)
             emitted = []
-            for form in witnesses[:max_witnesses]:
+            for code in witnesses[:max_witnesses]:
+                form = CanonicalForm(self.n, code)
                 g = form.to_graph().relabel(range(self.n - 1, -1, -1))
                 check = lhv_bound(g, t)
                 value = lhv_value(g, bell_coefficients(g, t), check.argmax)
@@ -282,31 +267,16 @@ def _as_ts(t) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # every class on n vertices, by one-vertex extension
 
-def class_reps(n: int, dedup: str = "lc") -> list[Graph]:
-    """One representative per class of graphs on n vertices, sorted by code.
-
-    dedup "lc" takes joint isomorphism + local-complementation classes, each
-    represented by its orbit's least canonical form; "iso" takes isomorphism
-    classes, each represented by its canonical form; both come canonically
-    labeled. "none" gives every labeled graph, as `enumerate_labeled`.
-
-    Deleting a vertex v commutes with relabeling and with local
-    complementation at any a != v, so every class on k vertices contains a
-    one-vertex extension of a representative on k - 1 vertices (Danielsen &
-    Parker, JCTA 2006). Starting from the graph on one vertex, level k feeds
-    the 2^(k-1) extensions of every level k - 1 representative through the
-    search pipeline's dedup.
-    """
-    if dedup == "none":
-        return list(enumerate_labeled(n))
+def _class_codes(n: int, dedup: str) -> list[int]:
+    """Sorted canonical codes of the class representatives on n vertices."""
     if n < 1:
         raise ValueError(f"no classes of graphs on {n} vertices")
-    reps = [Graph(1, (0,))]
-    for k in range(2, n + 1):
+    codes = [0]  # the empty graph on 0 vertices
+    for k in range(1, n + 1):
         # every rep joined by a new last vertex with every neighborhood nb
-        adj = np.array([g.adj for g in reps], dtype=np.int64)
+        adj = np.array([rows_of_code(k - 1, code) for code in codes], dtype=np.int64)
         nb = np.arange(1 << (k - 1), dtype=np.int64)
-        ext = np.empty((len(reps), len(nb), k), dtype=np.int64)
+        ext = np.empty((len(codes), len(nb), k), dtype=np.int64)
         ext[:, :, :-1] = adj[:, None, :] | (nb[:, None] >> np.arange(k - 1) & 1) << (k - 1)
         ext[:, :, -1] = nb
         pipe = _Pipeline((), dedup)
@@ -316,8 +286,27 @@ def class_reps(n: int, dedup: str = "lc") -> list[Graph]:
                 f"{pipe.orbit_cap_fallbacks} LC orbits on {k} vertices exceed "
                 f"{pipe.orbit_cap} isomorphism classes"
             )
-        reps = [g for _, g in sorted(zip(canonicalize_many(pipe.reps), pipe.reps))]
-    return reps
+        codes = sorted(pipe.reps)
+    return codes
+
+
+def class_reps(n: int, dedup: str = "lc") -> list[Graph]:
+    """One representative per class of graphs on n vertices, sorted by code.
+
+    dedup "lc" takes joint isomorphism + local-complementation classes, each
+    represented by its orbit's least canonical form; "iso" takes isomorphism
+    classes, each represented by its canonical form; both come canonically
+    labeled.
+
+    Deleting a vertex v commutes with relabeling and with local
+    complementation at any a != v, so every class on k vertices contains a
+    one-vertex extension of a representative on k - 1 vertices (Danielsen &
+    Parker, JCTA 2006). Starting from the empty graph, level k feeds the
+    2^(k-1) extensions of every level k - 1 representative through the
+    search pipeline's dedup, and carries the sorted codes of its
+    representatives to the next level.
+    """
+    return [Graph(n, rows_of_code(n, code)) for code in _class_codes(n, dedup)]
 
 
 def iso_class_reps(n: int) -> list[Graph]:
@@ -339,18 +328,17 @@ def search_labeled_all(
 ):
     """Exhaustive search over all labeled graphs on n vertices.
 
-    Evaluates `class_reps(n, dedup)`: one representative per isomorphism+LC
-    class under "lc", per isomorphism class under "iso", and every labeled
-    graph under "none" (n <= 7). graphs_examined counts the 2^(n(n-1)/2)
-    labeled graphs the classes cover.
+    Evaluates the representatives of `class_reps(n, dedup)`: one per
+    isomorphism+LC class under "lc", one per isomorphism class under "iso".
+    graphs_examined counts the 2^(n(n-1)/2) labeled graphs the classes cover.
     """
     ts = _as_ts(t)
     started = time.perf_counter()
     pipe = _Pipeline(ts, dedup, n=n, records=1 << (n * (n - 1) // 2))
-    reps = class_reps(n, dedup)
+    codes = _class_codes(n, dedup)
     pipe.stages["dedup"] = time.perf_counter() - started
-    for g in reps:
-        pipe.evaluate(g)
+    for code in codes:
+        pipe.evaluate(code)
     reports = pipe.reports(started, max_witnesses)
     return reports[ts[0]] if isinstance(t, int) else reports
 
@@ -415,9 +403,9 @@ class Checkpoint:
     After the header come `key=value` lines for the census hash, ts, dedup,
     orbit cap, n, the number of good records consumed and the orbit-cap
     fallbacks so far; then one `rep=<graph6> <bound per t>` line per
-    representative in stream order;
-    then one `seen=<hex code>` line per canonical form in the seen-set,
-    sorted by code.
+    representative in stream order, the graph6 of its canonically labeled
+    graph; then one `seen=<hex code>` line per canonical form in the
+    seen-set, sorted by code.
     """
 
     path: str
@@ -437,8 +425,9 @@ class Checkpoint:
         lines += [f"{key}={val}" for key, val in self._settings(state).items()]
         lines += [f"n={state.n}", f"records={state.records}",
                   f"orbit_cap_fallbacks={state.orbit_cap_fallbacks}"]
-        for g, res in zip(state.reps, state.results):
-            lines.append(f"rep={emit_graph6(g)} " + " ".join(str(res[t]) for t in state.ts))
+        for code, res in zip(state.reps, state.results):
+            lines.append(f"rep={CanonicalForm(state.n, code).to_graph6()} "
+                         + " ".join(str(res[t]) for t in state.ts))
         lines += [f"seen={code:x}" for code in sorted(state.seen)]
         tmp = self.path + ".tmp"
         with open(tmp, "w", encoding="ascii") as fh:
@@ -482,7 +471,8 @@ class Checkpoint:
                 g6, *bounds = line.split(" ")
                 if len(bounds) != len(state.ts):
                     raise ValueError(f"rep {g6} has {len(bounds)} bounds")
-                state.reps.append(parse_graph6(g6))
+                g = parse_graph6(g6)
+                state.reps.append(code_of_rows(g.n, g.adj))
                 state.results.append(dict(zip(state.ts, map(Dyadic.parse, bounds))))
             state.seen = {int(code, 16) for code in seen}
         except (KeyError, ValueError) as err:
@@ -596,23 +586,20 @@ class TableCell:
 def reproduce_table1(
     max_n: int = 7,
     ts: Sequence[int] = (0, 1, 2),
-    max_exhaustive_n: int | None = None,
     census_dir: str | None = None,
 ) -> list[TableCell]:
     """Recompute the optimal-bound grid for 3 <= n <= max_n.
 
-    Cells with n <= max_exhaustive_n (by default up to EXHAUSTIVE_MAX_N) are
-    searched exhaustively over `class_reps`; beyond it a census file
-    `n<k>.g6` in census_dir is searched when present, otherwise the known
-    optimal family is evaluated as an upper-bound spot check, and cells with
-    neither are reported missing.
+    Cells with n <= EXHAUSTIVE_MAX_N are searched exhaustively over
+    `class_reps`; beyond it a census file `n<k>.g6` in census_dir is
+    searched when present, otherwise the known optimal family is evaluated
+    as an upper-bound spot check, and cells with neither are reported
+    missing.
     """
-    if max_exhaustive_n is None:
-        max_exhaustive_n = min(max_n, EXHAUSTIVE_MAX_N)
     ts = _as_ts(ts)
     cells: list[TableCell] = []
     for n in range(3, max_n + 1):
-        if n <= max_exhaustive_n:
+        if n <= EXHAUSTIVE_MAX_N:
             reports = search_labeled_all(n, ts)
             for t in ts:
                 cells.append(TableCell(t, n, reports[t].best_bound, "exhaustive",

@@ -6,7 +6,8 @@ values by evaluating letter strings term by term, Pauli matrices by
 explicit Kronecker products, stabilizer elements by per-element products of
 phase-tracked Pauli strings, transforms by the character-sum definition,
 canonical codes by a per-graph recursive search and by all n! relabelings,
-LC dedup by one orbit walk per record.
+LC dedup by one orbit walk per record, and the labeled universe on n
+vertices by every edge set.
 The exceptions are `transform_lhv_values`, `lhv_values_full` and
 `coefficient_operator_matrix`, which take the package's coefficient table
 (and, for the first two, its stabilizer table; both checked against the
@@ -17,12 +18,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from bellgraph.bell import bell_coefficients, stabilizer_table
 from bellgraph.canon import DEFAULT_ORBIT_CAP, OrbitCapExceeded, canonicalize_many, lc_orbit
 from bellgraph.dyadic import Dyadic
+from bellgraph.graph6 import rows_of_code
 from bellgraph.graphs import Graph, bits_of, iter_bits, local_complement
 
 I2 = np.eye(2, dtype=complex)
@@ -443,6 +446,20 @@ def reference_lc_orbit(g: Graph) -> set[int]:
                     nxt.append(image)
         frontier = nxt
     return set(seen)
+
+
+ENUMERATION_MAX_N = 7
+
+
+def enumerate_labeled(n: int) -> Iterator[Graph]:
+    """Every labeled simple graph on n vertices, ascending edge-bit code."""
+    if n > ENUMERATION_MAX_N:
+        raise ValueError(
+            f"labeled enumeration capped at n={ENUMERATION_MAX_N} "
+            f"(2^{n * (n - 1) // 2} graphs); supply a graph6 census file instead"
+        )
+    for code in range(1 << n * (n - 1) // 2):
+        yield Graph(n, rows_of_code(n, code))
 
 
 def reference_dedup(graphs: list[Graph], orbit_cap: int = DEFAULT_ORBIT_CAP):

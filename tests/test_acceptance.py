@@ -30,12 +30,12 @@ from bellgraph.quantum import (
 )
 from bellgraph.search import (
     TABLE1,
-    enumerate_labeled,
     lc_class_reps,
     reproduce_table1,
     search_labeled_all,
 )
 from oracles import (
+    enumerate_labeled,
     identity_table,
     lhv_bound_full,
     random_graph,

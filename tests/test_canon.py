@@ -15,10 +15,11 @@ from bellgraph.canon import (
 from bellgraph.families import complete, complete_join, ring, star, star_copies
 from bellgraph.graph6 import parse_graph6
 from bellgraph.graphs import Graph, disjoint_union, local_complement
-from bellgraph.search import enumerate_labeled, lc_class_reps
+from bellgraph.search import lc_class_reps
 from oracles import (
     are_isomorphic,
     brute_max_code,
+    enumerate_labeled,
     random_graph,
     reference_canonical_code,
     reference_lc_orbit,

@@ -154,10 +154,14 @@ def test_search_census_file(capsys, census5_path):
 
 def test_search_dedup_flag(capsys):
     code, out = run(capsys, "search", "--all-labeled", "4", "--t", "0",
-                    "--dedup", "none", "--json")
+                    "--dedup", "iso", "--json")
     obj = json.loads(out)
-    assert obj["lc_classes_examined"] == 64  # every labeled graph evaluated
+    assert obj["lc_classes_examined"] == 11  # one per isomorphism class
     assert obj["best_bound"] == {"num": 3, "log2_den": 2}
+    with pytest.raises(SystemExit) as exit_:
+        main(["search", "--all-labeled", "4", "--t", "0", "--dedup", "none"])
+    assert exit_.value.code == 2
+    assert "argument --dedup: invalid choice: 'none'" in capsys.readouterr().err
 
 
 def test_search_rejects_bad_file(capsys, tmp_path):

@@ -1,20 +1,22 @@
 import dataclasses
 import importlib
+import json
 import random
 
 import numpy as np
 import pytest
 
+from bellgraph.bell import lhv_bound
 from bellgraph.canon import DEFAULT_ORBIT_CAP, canonicalize_many, lc_orbit
+from bellgraph.cli import main
 from bellgraph.dyadic import Dyadic
 from bellgraph.families import complete, complete_join, parse_family, ring, star, star_copies
-from bellgraph.graph6 import Graph6Error, code_of_rows, emit_graph6, parse_graph6
+from bellgraph.graph6 import Graph6Error, emit_graph6, parse_graph6
 from bellgraph.graphs import Graph
 from bellgraph.search import (
     TABLE1,
     Checkpoint,
     class_reps,
-    enumerate_labeled,
     iso_class_reps,
     lc_class_reps,
     minimal_violating_n,
@@ -23,7 +25,7 @@ from bellgraph.search import (
     search_file,
     search_labeled_all,
 )
-from oracles import reference_dedup
+from oracles import enumerate_labeled, reference_dedup
 
 
 def test_enumerate_labeled_counts():
@@ -99,20 +101,18 @@ def test_two_triangles_attain_n6_t1_optimum():
 
 
 def test_dedup_modes_agree_on_n5():
-    by_mode = {
-        mode: search_labeled_all(5, (0, 1, 2), dedup=mode)
-        for mode in ("lc", "iso", "none")
-    }
+    by_mode = {mode: search_labeled_all(5, (0, 1, 2), dedup=mode) for mode in ("lc", "iso")}
+    labeled = list(enumerate_labeled(5))
     for t in (0, 1, 2):
-        bounds = {mode: reports[t].best_bound for mode, reports in by_mode.items()}
-        assert len(set(bounds.values())) == 1
-    assert by_mode["none"][0].lc_classes_examined == 1024
+        # the oracle: the least bound over every labeled graph
+        least = min(lhv_bound(g, t).bound for g in labeled)
+        assert by_mode["lc"][t].best_bound == by_mode["iso"][t].best_bound == least
     assert by_mode["iso"][0].lc_classes_examined == 34
     assert by_mode["lc"][0].lc_classes_examined == 11
 
 
 def test_mixed_sizes_rejected(tmp_path):
-    for dedup in ("lc", "iso", "none"):
+    for dedup in ("lc", "iso"):
         with pytest.raises(ValueError) as err:
             search([star(3), star(4)], 0, dedup=dedup)
         assert str(err.value) == "record 2: census mixes vertex counts 3 and 4"
@@ -197,17 +197,20 @@ MALFORMED = {
     "n=17": chr(63 + 17) + "?" * 23,
     "n=0": "?",
     "extended form": "~?@??",
+    "non-ASCII byte": "D\xe9c",
+    "non-ASCII first byte": "\xe9hc",
 }
 
 
-def test_search_file_lenient(tmp_path, census5_path):
+def test_search_file_lenient(capsys, tmp_path, census5_path):
     lines = open(census5_path).read().splitlines()
     for case, bad in MALFORMED.items():
         with pytest.raises(Graph6Error) as parsed:
             parse_graph6(bad)
-        for at, chunk_size in ((3, 4096), (3, 2), (30, 8)):
+        # at 34 the bad record is the file's last line
+        for at, chunk_size in ((3, 4096), (3, 2), (30, 8), (34, 8)):
             path = tmp_path / "corrupt.g6"
-            path.write_text("\n".join(lines[:at] + [bad] + lines[at:]) + "\n")
+            path.write_text("\n".join(lines[:at] + [bad] + lines[at:]) + "\n", encoding="latin-1")
             with pytest.raises(Graph6Error) as err:
                 search_file(str(path), 0, chunk_size=chunk_size)
             offset = parsed.value.offset
@@ -218,6 +221,14 @@ def test_search_file_lenient(tmp_path, census5_path):
             assert report.graphs_examined == 34
             assert report.records_skipped == 1, case
             assert report.to_json()["records_skipped"] == 1
+    # the command line names a non-ASCII byte like any other, and skips it when lenient
+    path = tmp_path / "latin1.g6"
+    path.write_bytes(b"Bw\nB\xe9\nBo\n")
+    assert main(["search", "--census", str(path), "--t", "0"]) == 2
+    assert "line 2: byte 233 outside graph6 range 63..126 (byte offset 1)" in capsys.readouterr().err
+    assert main(["search", "--census", str(path), "--t", "0", "--lenient", "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["graphs_examined"], obj["records_skipped"]) == (2, 1)
     # blank lines and CR line endings are no records, and no malformed ones
     path = tmp_path / "spaced.g6"
     path.write_text("\n\n".join(lines[:3]) + "\r\n" + "\r\n".join(lines[3:]) + "\n\n")
@@ -265,7 +276,7 @@ def interrupted_run(monkeypatch, k, *args, **kwargs):
     return None  # fewer than k writes: the run completed
 
 
-@pytest.mark.parametrize("dedup", ["lc", "iso", "none"])
+@pytest.mark.parametrize("dedup", ["lc", "iso"])
 @pytest.mark.parametrize("chunk_size", [10, 7])
 def test_resume_matches_uninterrupted_run(monkeypatch, tmp_path, census5_path,
                                           chunk_size, dedup):
@@ -382,22 +393,24 @@ def test_reproduce_table1_exhaustive_band():
     assert all(c.matches for c in cells)
 
 
-def test_reproduce_table1_census_dir(tmp_path):
+def test_reproduce_table1_census_dir(monkeypatch, tmp_path):
     # a supplied census file takes precedence over family spot checks
     from bellgraph.search import SPOT_FAMILIES
 
+    monkeypatch.setattr(importlib.import_module("bellgraph.search"), "EXHAUSTIVE_MAX_N", 4)
     lines = [emit_graph6(parse_family(spec)) for (t, n), spec in SPOT_FAMILIES.items()
              if n == 8] + [emit_graph6(complete_join(8)), emit_graph6(star(8))]
     (tmp_path / "n8.g6").write_text("\n".join(lines) + "\n")
-    cells = reproduce_table1(max_n=8, max_exhaustive_n=4, census_dir=str(tmp_path))
+    cells = reproduce_table1(max_n=8, census_dir=str(tmp_path))
     by_key = {(c.t, c.n): c for c in cells}
     assert by_key[(1, 8)].mode == "exhaustive"
     assert by_key[(1, 8)].value == Dyadic(29, 5)
     assert by_key[(1, 7)].mode == "family-bound"
 
 
-def test_reproduce_table1_spot_checks():
-    cells = reproduce_table1(max_n=10, max_exhaustive_n=4)
+def test_reproduce_table1_spot_checks(monkeypatch):
+    monkeypatch.setattr(importlib.import_module("bellgraph.search"), "EXHAUSTIVE_MAX_N", 4)
+    cells = reproduce_table1(max_n=10)
     by_key = {(c.t, c.n): c for c in cells}
     assert by_key[(1, 8)].mode == "family-bound"
     assert by_key[(1, 8)].value == Dyadic(29, 5)
@@ -434,7 +447,7 @@ def test_orbit_cap_fallbacks_are_counted(monkeypatch, tmp_path, census5_path):
 
 @pytest.mark.parametrize("dedup, orbit_cap", [
     ("lc", 1), ("lc", 2), ("lc", 3), ("lc", DEFAULT_ORBIT_CAP),
-    ("iso", DEFAULT_ORBIT_CAP), ("none", DEFAULT_ORBIT_CAP),  # the cap acts under "lc" only
+    ("iso", DEFAULT_ORBIT_CAP),  # the cap acts under "lc" only
 ])
 def test_reports_do_not_depend_on_chunking(tmp_path, census5_path, dedup, orbit_cap):
     full = search_file(census5_path, 0, dedup=dedup, orbit_cap=orbit_cap)
@@ -468,7 +481,7 @@ def test_batched_dedup_equals_per_record_reference(census5_path, orbit_cap):
         for blocks, chunk_size in (([rows], 7), ([rows], 4096), (np.split(rows, [1, 4, 5, 19]), 6)):
             pipe = search_module._Pipeline((), "lc", orbit_cap)
             pipe.feed(blocks, chunk_size)
-            assert [code_of_rows(5, g.adj) for g in pipe.reps] == reps
+            assert pipe.reps == reps
             assert pipe.seen == seen
             assert pipe.orbit_cap_fallbacks == fallbacks
         assert (fallbacks > 0) == (orbit_cap < DEFAULT_ORBIT_CAP)
@@ -532,6 +545,7 @@ def test_class_counts_match_published_counts():
         reps = iso_class_reps(n)
         assert len(reps) == want, f"n={n}"
         assert [g.adj for g in reps] == [f.to_graph().adj for f in canonicalize_many(reps)]
-    assert class_reps(3, "none") == list(enumerate_labeled(3))
-    with pytest.raises(ValueError):
-        class_reps(4, "bogus")
+    for bogus in ("none", "bogus"):
+        with pytest.raises(ValueError) as err:
+            class_reps(3, bogus)
+        assert str(err.value) == f"unknown dedup mode {bogus!r}"
