@@ -136,17 +136,6 @@ def _pack(n: int, rows: np.ndarray) -> list[int]:
     return codes
 
 
-def _unpack(n: int, rows: np.ndarray) -> np.ndarray:
-    """Adjacency rows of the canonically labeled graphs, from depth rows."""
-    adj = np.zeros_like(rows)
-    for k in range(1, n):
-        i = np.arange(k, dtype=np.int64)
-        edge = rows[:, k, None] >> (k - 1 - i) & 1  # [b, i]: edge (i, k)
-        adj[:, k] = (edge << i).sum(axis=1)
-        adj[:, :k] |= edge << k
-    return adj
-
-
 def canonical_codes(n: int, adj) -> list[int]:
     """Canonical code of each graph given as a (B, n) array of adjacency rows."""
     return _pack(n, _placed_rows(n, adj))
@@ -190,8 +179,9 @@ def lc_orbits(
 
     adj[i] is any labeling of a graph whose canonical code is codes[i]. All
     orbits are walked together, breadth-first over isomorphism classes:
-    complementing one member per class at every vertex where LC can matter
-    reaches every neighboring class, so each walk's closure is complete.
+    complementing one member per class, in the labeling of the image that
+    reached it, at every vertex where LC can matter reaches every neighboring
+    class (LC commutes with relabeling), so each walk's closure is complete.
     Every class is claimed by the first walk that meets it and expanded
     once; a walk that meets a class claimed by another walk is merged with
     it by union-find, since both lie in one orbit. A level is expanded,
@@ -253,7 +243,7 @@ def lc_orbits(
                     nxt_walks.append(w)
                 elif v != w:
                     merge(w, v)
-            nxt.append(_unpack(n, rows[fresh]))
+            nxt.append(images[fresh])
         front, walks = np.concatenate(nxt), nxt_walks
     members: dict[int, list[int]] = {}
     for code, w in owner.items():

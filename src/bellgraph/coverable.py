@@ -50,11 +50,6 @@ def coverable_set(g: Graph, t: int) -> CoverableSet:
     if not 0 <= t <= g.n:
         raise ValueError(f"t={t} outside 0..{g.n}")
     indicator = np.zeros(1 << g.n, dtype=np.int64)
-    if t == 0:
-        # the one pair omega = delta = empty; the general path would get it
-        # right too, but its array set-up costs several times this branch
-        indicator[0] = 1
-        return CoverableSet(g.n, t, indicator)
     adj = np.array(g.adj, dtype=np.int64)
     supports = np.fromiter(
         chain.from_iterable(combinations(range(g.n), t)), dtype=np.int64,

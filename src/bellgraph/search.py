@@ -12,10 +12,11 @@ The pipeline takes records as (B, n) arrays of adjacency rows: stacked
 from any iterable of graphs (`search`), decoded from a graph6 census file a
 chunk of lines at a time (`search_file`, with checkpoints that store the
 whole pipeline state, so an interrupted and resumed run reports the same),
-or broadcast by `class_reps`, which builds every class on n vertices by
-one-vertex extension of the classes on n - 1 (`search_labeled_all`). The
-first two reject a record on another vertex count than the census's with
-its position, "record i" or "line L".
+or broadcast as the one-vertex extensions of the classes on n - 1. One such
+level is one pipeline run; `class_reps` chains levels from the empty graph,
+and `search_labeled_all` and `reproduce_table1` have the runs evaluate the
+classes they find. The first two reject a record on another vertex count
+than the census's with its position, "record i" or "line L".
 
 Each chunk is canonicalized in one batch, and under "lc" the orbits of all
 its unseen classes are walked in one breadth-first search (`lc_orbits`):
@@ -44,7 +45,7 @@ from .canon import (
 )
 from .dyadic import Dyadic
 from .graph6 import code_of_rows, parse_graph6, read_graph6, rows_of_code
-from .graphs import Graph
+from .graphs import MAX_VERTICES, Graph
 from .families import parse_family
 
 EXHAUSTIVE_MAX_N = 9  # class_reps(9, "lc") takes about 25 s on 2 cores
@@ -267,26 +268,35 @@ def _as_ts(t) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # every class on n vertices, by one-vertex extension
 
+def _check_vertex_count(n: int) -> None:
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+
+
+def _level(k: int, codes: Sequence[int], dedup: str, ts: tuple[int, ...] = ()) -> _Pipeline:
+    """One pipeline run, evaluating at each t in ts, on every level k - 1
+    representative (sorted codes) joined by a new last vertex with each of
+    the 2^(k-1) neighborhoods."""
+    adj = np.array([rows_of_code(k - 1, code) for code in codes], dtype=np.int64)
+    nb = np.arange(1 << (k - 1), dtype=np.int64)
+    ext = np.empty((len(codes), len(nb), k), dtype=np.int64)
+    ext[:, :, :-1] = adj[:, None, :] | (nb[:, None] >> np.arange(k - 1) & 1) << (k - 1)
+    ext[:, :, -1] = nb
+    pipe = _Pipeline(ts, dedup)
+    pipe.feed([ext.reshape(-1, k)], DEFAULT_CHUNK_SIZE)
+    if pipe.orbit_cap_fallbacks:
+        raise OrbitCapExceeded(
+            f"{pipe.orbit_cap_fallbacks} LC orbits on {k} vertices exceed "
+            f"{pipe.orbit_cap} isomorphism classes"
+        )
+    return pipe
+
+
 def _class_codes(n: int, dedup: str) -> list[int]:
-    """Sorted canonical codes of the class representatives on n vertices."""
-    if n < 1:
-        raise ValueError(f"no classes of graphs on {n} vertices")
+    """Sorted canonical codes of the class representatives on n >= 0 vertices."""
     codes = [0]  # the empty graph on 0 vertices
     for k in range(1, n + 1):
-        # every rep joined by a new last vertex with every neighborhood nb
-        adj = np.array([rows_of_code(k - 1, code) for code in codes], dtype=np.int64)
-        nb = np.arange(1 << (k - 1), dtype=np.int64)
-        ext = np.empty((len(codes), len(nb), k), dtype=np.int64)
-        ext[:, :, :-1] = adj[:, None, :] | (nb[:, None] >> np.arange(k - 1) & 1) << (k - 1)
-        ext[:, :, -1] = nb
-        pipe = _Pipeline((), dedup)
-        pipe.feed([ext.reshape(-1, k)], DEFAULT_CHUNK_SIZE)
-        if pipe.orbit_cap_fallbacks:
-            raise OrbitCapExceeded(
-                f"{pipe.orbit_cap_fallbacks} LC orbits on {k} vertices exceed "
-                f"{pipe.orbit_cap} isomorphism classes"
-            )
-        codes = sorted(pipe.reps)
+        codes = sorted(_level(k, codes, dedup).reps)
     return codes
 
 
@@ -301,11 +311,12 @@ def class_reps(n: int, dedup: str = "lc") -> list[Graph]:
     Deleting a vertex v commutes with relabeling and with local
     complementation at any a != v, so every class on k vertices contains a
     one-vertex extension of a representative on k - 1 vertices (Danielsen &
-    Parker, JCTA 2006). Starting from the empty graph, level k feeds the
-    2^(k-1) extensions of every level k - 1 representative through the
-    search pipeline's dedup, and carries the sorted codes of its
-    representatives to the next level.
+    Parker, JCTA 2006). Starting from the empty graph, each level k is one
+    search pipeline run on the 2^(k-1) extensions of every level k - 1
+    representative, and carries the sorted codes of its representatives to
+    the next level.
     """
+    _check_vertex_count(n)
     return [Graph(n, rows_of_code(n, code)) for code in _class_codes(n, dedup)]
 
 
@@ -328,17 +339,16 @@ def search_labeled_all(
 ):
     """Exhaustive search over all labeled graphs on n vertices.
 
-    Evaluates the representatives of `class_reps(n, dedup)`: one per
-    isomorphism+LC class under "lc", one per isomorphism class under "iso".
-    graphs_examined counts the 2^(n(n-1)/2) labeled graphs the classes cover.
+    Level n of `class_reps` is one pipeline run that evaluates each of its
+    classes as it finds it. graphs_examined counts the 2^(n(n-1)/2) labeled
+    graphs the classes cover; the dedup stage is building levels 1..n.
     """
     ts = _as_ts(t)
+    _check_vertex_count(n)
     started = time.perf_counter()
-    pipe = _Pipeline(ts, dedup, n=n, records=1 << (n * (n - 1) // 2))
-    codes = _class_codes(n, dedup)
-    pipe.stages["dedup"] = time.perf_counter() - started
-    for code in codes:
-        pipe.evaluate(code)
+    pipe = _level(n, _class_codes(n - 1, dedup), dedup, ts)
+    pipe.records = 1 << (n * (n - 1) // 2)
+    pipe.stages["dedup"] = time.perf_counter() - started - pipe.stages["evaluate"]
     reports = pipe.reports(started, max_witnesses)
     return reports[ts[0]] if isinstance(t, int) else reports
 
@@ -590,35 +600,38 @@ def reproduce_table1(
 ) -> list[TableCell]:
     """Recompute the optimal-bound grid for 3 <= n <= max_n.
 
-    Cells with n <= EXHAUSTIVE_MAX_N are searched exhaustively over
-    `class_reps`; beyond it a census file `n<k>.g6` in census_dir is
-    searched when present, otherwise the known optimal family is evaluated
-    as an upper-bound spot check, and cells with neither are reported
-    missing.
+    Levels 1..min(max_n, EXHAUSTIVE_MAX_N) are built once, as in
+    `class_reps`, and from n = 3 on each level's pipeline run evaluates its
+    classes and reports the exhaustive cells. Beyond EXHAUSTIVE_MAX_N a
+    census file `n<k>.g6` in census_dir is searched when present, otherwise
+    the known optimal family is evaluated as an upper-bound spot check, and
+    cells with neither are reported missing.
     """
     ts = _as_ts(ts)
     cells: list[TableCell] = []
-    for n in range(3, max_n + 1):
+    codes = [0]
+    for n in range(1, max_n + 1):
         if n <= EXHAUSTIVE_MAX_N:
-            reports = search_labeled_all(n, ts)
-            for t in ts:
-                cells.append(TableCell(t, n, reports[t].best_bound, "exhaustive",
-                                       None, TABLE1.get((t, n))))
-            continue
-        census = os.path.join(census_dir, f"n{n}.g6") if census_dir else None
-        if census and os.path.exists(census):
+            started = time.perf_counter()
+            pipe = _level(n, codes, "lc", ts if n >= 3 else ())  # t <= n
+            codes = sorted(pipe.reps)
+            if n < 3:
+                continue
+            reports = pipe.reports(started, DEFAULT_MAX_WITNESSES)
+        elif census_dir and os.path.exists(census := os.path.join(census_dir, f"n{n}.g6")):
             reports = search_file(census, ts)
+        else:
             for t in ts:
-                cells.append(TableCell(t, n, reports[t].best_bound, "exhaustive",
-                                       None, TABLE1.get((t, n))))
+                spec = SPOT_FAMILIES.get((t, n))
+                if spec is None:
+                    cells.append(TableCell(t, n, None, "missing", None, TABLE1.get((t, n))))
+                    continue
+                bound = lhv_bound(parse_family(spec), t).bound
+                cells.append(TableCell(t, n, bound, "family-bound", spec, TABLE1.get((t, n))))
             continue
         for t in ts:
-            spec = SPOT_FAMILIES.get((t, n))
-            if spec is None:
-                cells.append(TableCell(t, n, None, "missing", None, TABLE1.get((t, n))))
-                continue
-            bound = lhv_bound(parse_family(spec), t).bound
-            cells.append(TableCell(t, n, bound, "family-bound", spec, TABLE1.get((t, n))))
+            cells.append(TableCell(t, n, reports[t].best_bound, "exhaustive",
+                                   None, TABLE1.get((t, n))))
     return cells
 
 

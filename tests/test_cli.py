@@ -164,6 +164,13 @@ def test_search_dedup_flag(capsys):
     assert "argument --dedup: invalid choice: 'none'" in capsys.readouterr().err
 
 
+def test_search_all_labeled_rejects_vertex_count(capsys):
+    # rejected before any level is built; 17 would otherwise walk for hours
+    for n in ("0", "17"):
+        assert main(["search", "--all-labeled", n, "--t", "0"]) == 2
+        assert f"error: vertex count {n} outside 1..16" in capsys.readouterr().err
+
+
 def test_search_rejects_bad_file(capsys, tmp_path):
     bad = tmp_path / "bad.g6"
     bad.write_text("Bw\nB\n")

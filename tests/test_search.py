@@ -424,6 +424,29 @@ def test_reproduce_table1_spot_checks(monkeypatch):
     assert minima[2] == (9, False)
 
 
+def test_exhaustive_levels_are_built_once(monkeypatch):
+    # every level is one pipeline run on the extensions of the level below;
+    # the grid walks levels 1..6 once, feeding what class_reps(6) feeds
+    search_module = importlib.import_module("bellgraph.search")
+    real = search_module.canonical_codes
+    fed = []
+
+    def spy(n, adj):
+        fed.append((n, len(adj)))
+        return real(n, adj)
+
+    monkeypatch.setattr(search_module, "canonical_codes", spy)
+    class_reps(6)
+    # 2^(k-1) extensions of each of the 1, 1, 2, 3, 6, 11 classes on k - 1
+    assert fed == [(1, 1), (2, 2), (3, 8), (4, 24), (5, 96), (6, 352)]
+    by_class_reps, fed[:] = list(fed), []
+    reproduce_table1(max_n=6)
+    assert fed == by_class_reps
+    report = search_labeled_all(6, (0, 1, 2))[0]
+    assert report.graphs_examined == 2 ** 15
+    assert all(report.stages[stage] > 0 for stage in ("dedup", "evaluate", "verify"))
+
+
 def test_iso_class_reps_match_census(census):
     for n, reps in census.items():
         assert len(set(canonicalize_many(reps))) == len(reps)
@@ -549,3 +572,7 @@ def test_class_counts_match_published_counts():
         with pytest.raises(ValueError) as err:
             class_reps(3, bogus)
         assert str(err.value) == f"unknown dedup mode {bogus!r}"
+    for n in (0, 17):
+        with pytest.raises(ValueError) as err:
+            class_reps(n)
+        assert str(err.value) == f"vertex count {n} outside 1..16"
