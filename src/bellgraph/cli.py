@@ -17,6 +17,7 @@ from .families import parse_family, parse_graph_arg
 from .graph6 import emit_graph6
 from .graphs import iter_bits
 from .quantum import (
+    EXPECTATION_TOL,
     apply_channel,
     bell_expectation,
     build_graph_state,
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_t(p)
     p.add_argument("--channels", type=_int_at_least(1), default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=EXPECTATION_TOL)
     p.set_defaults(func=cmd_verify_prop1)
 
     p = sub.add_parser("search", help="search a census for the best bound")

@@ -2,9 +2,12 @@
 
 Basis convention: computational basis index b has qubit v in state (b >> v) & 1,
 i.e. qubit 0 is the least significant bit. Everything here is plain complex128
-linear algebra at n <= 10. It shares one input with the combinatorial
-machinery it validates, the coverable sets that define B_t, and nothing of
-the stabilizer tables or the LHV engine.
+linear algebra under one size cap, n <= DENSE_MAX_N, enforced by
+`build_graph_state`. Channels act on their support qubits only. B_t has one
+definition, the sum of the graph-state projectors phase-flipped by the
+coverable sets, which both its expectation and its dense matrix read off.
+Those coverable sets are all the module shares with the machinery it
+validates: nothing of the stabilizer tables or the LHV engine.
 """
 from __future__ import annotations
 
@@ -59,8 +62,8 @@ def density_matrix(vec: np.ndarray) -> np.ndarray:
 class KrausChannel:
     """Trace-preserving map given by Kraus operators on a small support.
 
-    Operators are stored on the support qubits only (d x d with d = 2^|support|)
-    to keep n=10 channels cheap; `full_ops` materializes the 2^n x 2^n forms.
+    Operators are stored and applied on the support qubits only (d x d with
+    d = 2^|support|), the support being distinct qubits of 0..n-1.
     """
 
     n: int
@@ -68,13 +71,13 @@ class KrausChannel:
     ops: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        if len(set(self.support) & set(range(self.n))) != len(self.support):
+            raise ValueError(f"support {self.support} is not distinct qubits in 0..{self.n - 1}")
         d = 1 << len(self.support)
-        acc = np.zeros((d, d), dtype=complex)
         for e in self.ops:
             if e.shape != (d, d):
                 raise ValueError(f"Kraus operator shape {e.shape}, expected {(d, d)}")
-            acc += e.conj().T @ e
-        err = np.abs(acc - np.eye(d)).max()
+        err = np.abs(sum(e.conj().T @ e for e in self.ops) - np.eye(d)).max()
         if err > CHANNEL_TOL:
             raise ValueError(f"channel is not trace preserving: residual {err:.3e}")
 
@@ -82,31 +85,35 @@ class KrausChannel:
     def weight(self) -> int:
         return len(self.support)
 
-    def full_ops(self) -> list[np.ndarray]:
-        return [embed_operator(e, self.n, self.support) for e in self.ops]
+
+def _check_rho(n: int, rho: np.ndarray) -> None:
+    if rho.shape != (1 << n, 1 << n):
+        raise ValueError(f"density matrix shape {rho.shape}, expected {(1 << n, 1 << n)}")
 
 
-def embed_operator(small: np.ndarray, n: int, support: tuple[int, ...]) -> np.ndarray:
-    """Extend an operator on `support` by identity on the other qubits."""
-    s = len(support)
-    rest = [q for q in range(n) if q not in support]
-    d, r = 1 << s, 1 << len(rest)
-    scat_s = np.zeros(d, dtype=np.int64)
-    for i, q in enumerate(support):
-        scat_s |= ((np.arange(d) >> i) & 1) << q
-    scat_r = np.zeros(r, dtype=np.int64)
-    for i, q in enumerate(rest):
-        scat_r |= ((np.arange(r) >> i) & 1) << q
-    perm = (scat_s[:, None] + scat_r[None, :]).ravel()
-    full = np.zeros((1 << n, 1 << n), dtype=complex)
-    full[np.ix_(perm, perm)] = np.kron(small, np.eye(r))
-    return full
+def _scatter(qubits) -> np.ndarray:
+    """Basis index of each assignment a to `qubits` (bit i of a on qubits[i]), others 0."""
+    a = np.arange(1 << len(qubits))
+    return sum(((a >> i & 1) << q for i, q in enumerate(qubits)), np.zeros_like(a))
 
 
 def apply_channel(rho: np.ndarray, channel: KrausChannel) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for e in channel.full_ops():
-        out += e @ rho @ e.conj().T
+    """Sum of E rho E^dagger over the Kraus operators, each applied on its support.
+
+    Basis index (a, b) lists the support bits a, then the other qubits' bits
+    b. rho is gathered into [support, rest, support, rest] blocks in that
+    order, E acts on the first axis and E* on the third, and the sum is
+    scattered back.
+    """
+    n, support = channel.n, channel.support
+    _check_rho(n, rho)
+    rest = [q for q in range(n) if q not in support]
+    d, r = 1 << len(support), 1 << len(rest)
+    perm = (_scatter(support)[:, None] + _scatter(rest)[None, :]).ravel()
+    blocks = rho[np.ix_(perm, perm)].reshape(d, r * d * r)
+    acc = sum(e.conj() @ (e @ blocks).reshape(d * r, d, r) for e in channel.ops)
+    out = np.empty(rho.shape, dtype=complex)
+    out[np.ix_(perm, perm)] = acc.reshape(d * r, d * r)
     return out
 
 
@@ -125,9 +132,7 @@ def random_weight_t_channel(n: int, t: int, seed: int) -> KrausChannel:
     d = 1 << s
     count = int(rng.integers(1, d * d + 1))
     raw = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
-    acc = np.zeros((d, d), dtype=complex)
-    for e in raw:
-        acc += e.conj().T @ e
+    acc = sum(e.conj().T @ e for e in raw)
     w, v = np.linalg.eigh(acc)
     inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
     ops = tuple(e @ inv_sqrt for e in raw)
@@ -142,39 +147,27 @@ def amplitude_damping_channel(n: int, qubit: int, gamma: float) -> KrausChannel:
 
 
 def depolarizing_channel(n: int, qubit: int, p: float) -> KrausChannel:
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    ops = (
-        np.sqrt(1 - 3 * p / 4) * np.eye(2, dtype=complex),
-        np.sqrt(p / 4) * x,
-        np.sqrt(p / 4) * y,
-        np.sqrt(p / 4) * z,
-    )
+    """Single-qubit depolarizing: I with weight 1 - 3p/4, and X, Y, Z with p/4 each."""
+    paulis = ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
+    weights = (1 - 3 * p / 4, p / 4, p / 4, p / 4)
+    ops = tuple(np.sqrt(w) * np.array(e, dtype=complex) for w, e in zip(weights, paulis))
     return KrausChannel(n, (qubit,), ops)
 
 
+def _flipped_states(g: Graph, t: int) -> np.ndarray:
+    """One row per coverable set c: psi_c, the graph state with Z on every vertex of c."""
+    members = np.flatnonzero(coverable_set(g, t).indicator)
+    return phase_flip(members[:, None], build_graph_state(g))
+
+
 def bell_expectation(g: Graph, t: int, rho: np.ndarray) -> float:
-    """Tr(B_t rho) through the phase-flipped-projector form of the operator."""
-    if g.n > 8:
-        raise ValueError("operator assembly capped at n=8")
-    size = 1 << g.n
-    if rho.shape != (size, size):
-        raise ValueError(f"density matrix shape {rho.shape}, expected {(size, size)}")
-    vec = build_graph_state(g)
-    total = 0.0
-    for c in coverable_set(g, t).members:
-        flipped = phase_flip(c, vec)
-        total += float((flipped.conj() @ rho @ flipped).real)
-    return total
+    """Tr(B_t rho): the sum over coverable sets c of <psi_c| rho |psi_c>."""
+    flipped = _flipped_states(g, t)
+    _check_rho(g.n, rho)
+    return float(np.sum((flipped.conj() @ rho) * flipped).real)
 
 
 def bell_operator_matrix(g: Graph, t: int) -> np.ndarray:
-    """Dense B_t: the sum of the graph-state projectors phase-flipped by
-    every coverable set."""
-    size = 1 << g.n
-    vec = build_graph_state(g)
-    out = np.zeros((size, size), dtype=complex)
-    for c in coverable_set(g, t).members:
-        out += density_matrix(phase_flip(c, vec))
-    return out
+    """Dense B_t: the sum over coverable sets c of |psi_c><psi_c|."""
+    flipped = _flipped_states(g, t)
+    return flipped.T @ flipped.conj()

@@ -603,9 +603,9 @@ def reproduce_table1(
     Levels 1..min(max_n, EXHAUSTIVE_MAX_N) are built once, as in
     `class_reps`, and from n = 3 on each level's pipeline run evaluates its
     classes and reports the exhaustive cells. Beyond EXHAUSTIVE_MAX_N a
-    census file `n<k>.g6` in census_dir is searched when present, otherwise
-    the known optimal family is evaluated as an upper-bound spot check, and
-    cells with neither are reported missing.
+    census file `n<k>.g6` in census_dir (records on k vertices) is searched
+    when present, otherwise the known optimal family is evaluated as an
+    upper-bound spot check, and cells with neither are reported missing.
     """
     ts = _as_ts(ts)
     cells: list[TableCell] = []
@@ -620,6 +620,8 @@ def reproduce_table1(
             reports = pipe.reports(started, DEFAULT_MAX_WITNESSES)
         elif census_dir and os.path.exists(census := os.path.join(census_dir, f"n{n}.g6")):
             reports = search_file(census, ts)
+            if (found := reports[ts[0]].n) != n:
+                raise ValueError(f"{census}: records have {found} vertices, expected {n}")
         else:
             for t in ts:
                 spec = SPOT_FAMILIES.get((t, n))

@@ -3,7 +3,8 @@
 Everything here recomputes results from first principles without touching
 the package's fast paths: coverable sets by full pair enumeration, LHV
 values by evaluating letter strings term by term, Pauli matrices by
-explicit Kronecker products, stabilizer elements by per-element products of
+explicit Kronecker products, support-local operators by embedding them as
+full 2^n x 2^n matrices, stabilizer elements by per-element products of
 phase-tracked Pauli strings, transforms by the character-sum definition,
 canonical codes by a per-graph recursive search and by all n! relabelings,
 LC dedup by one orbit walk per record, and the labeled universe on n
@@ -50,6 +51,24 @@ def brute_coverable(g: Graph, t: int) -> set[int]:
                         nw ^= g.adj[v]
                     members.add(bits_of(delta) ^ nw)
     return members
+
+
+def embed_operator(small: np.ndarray, n: int, support: tuple[int, ...]) -> np.ndarray:
+    """Extend an operator on `support` by identity on the other qubits, as a
+    dense 2^n x 2^n matrix."""
+    s = len(support)
+    rest = [q for q in range(n) if q not in support]
+    d, r = 1 << s, 1 << len(rest)
+    scat_s = np.zeros(d, dtype=np.int64)
+    for i, q in enumerate(support):
+        scat_s |= ((np.arange(d) >> i) & 1) << q
+    scat_r = np.zeros(r, dtype=np.int64)
+    for i, q in enumerate(rest):
+        scat_r |= ((np.arange(r) >> i) & 1) << q
+    perm = (scat_s[:, None] + scat_r[None, :]).ravel()
+    full = np.zeros((1 << n, 1 << n), dtype=complex)
+    full[np.ix_(perm, perm)] = np.kron(small, np.eye(r))
+    return full
 
 
 def kron_chain(mats) -> np.ndarray:

@@ -5,6 +5,7 @@ lines as they complete. Every comparison of bounds and coefficients is an
 exact equality on dyadic rationals or integer arrays; the only tolerances
 are the stated numerical ones for the dense-simulator checks.
 """
+import importlib
 import io
 import json
 import time
@@ -227,9 +228,22 @@ def test_criterion_8_property_suite(census5_path):
 
 
 @pytest.mark.slow
-def test_criterion_9_exhaustive_n9():
+def test_criterion_9_exhaustive_n9(monkeypatch):
+    # one walk of levels 1..9: the grid's own level-9 pipeline run also
+    # yields the class count, the fallbacks and every witness
+    search_module = importlib.import_module("bellgraph.search")
+    real_level, levels = search_module._level, {}
+
+    def level(k, *args, **kwargs):
+        levels[k] = real_level(k, *args, **kwargs)
+        return levels[k]
+
+    monkeypatch.setattr(search_module, "_level", level)
     with criterion(9, "all 675 LC classes on 9 vertices reproduce the n=9 column"):
-        reports = search_labeled_all(9, (0, 1, 2), max_witnesses=1000)
+        cells = reproduce_table1(max_n=9)
+        assert {(c.t, c.n) for c in cells} == {(t, n) for t in (0, 1, 2) for n in range(3, 10)}
+        assert all(c.mode == "exhaustive" and c.matches for c in cells)
+        reports = levels[9].reports(time.perf_counter(), 1000)
         assert reports[0].lc_classes_examined == 675
         assert reports[0].orbit_cap_fallbacks == 0
         expected = {0: Dyadic(13, 6), 1: Dyadic(27, 5), 2: Dyadic(63, 6)}
@@ -238,6 +252,3 @@ def test_criterion_9_exhaustive_n9():
         k333 = min(lc_orbit(complete_join(3, 3, 3)))
         for t in (1, 2):
             assert k333 in {form for form, _ in reports[t].witnesses}
-        cells = reproduce_table1(max_n=9)
-        assert {(c.t, c.n) for c in cells} == {(t, n) for t in (0, 1, 2) for n in range(3, 10)}
-        assert all(c.mode == "exhaustive" and c.matches for c in cells)

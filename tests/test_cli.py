@@ -6,6 +6,7 @@ import pytest
 from bellgraph.bell import bell_coefficients
 from bellgraph.cli import main
 from bellgraph.graph6 import emit_graph6
+from bellgraph.quantum import DENSE_MAX_N, EXPECTATION_TOL
 from oracles import random_graph, stabilizer_element, to_text
 
 
@@ -134,6 +135,25 @@ def test_verify_prop1_json(capsys):
     obj = json.loads(out)
     assert obj["passed"] is True
     assert obj["max_deviation"] < 1e-9
+
+
+@pytest.mark.parametrize("family, channels", [
+    ("star_copies(3)", []),                        # 9 qubits, the default 20 channels
+    ("complete_join(3,3,4)", ["--channels", "5"]),  # 10 qubits
+])
+def test_verify_prop1_double_error_constructions(capsys, family, channels):
+    # the paper's t = 2 constructions fit under the one dense cap
+    code, out = run(capsys, "verify-prop1", "--graph", f"family:{family}", "--t", "2",
+                    *channels, "--json")
+    obj = json.loads(out)
+    assert code == 0 and obj["passed"] is True
+    assert obj["tolerance"] == EXPECTATION_TOL
+    assert obj["max_deviation"] < 1e-12
+
+
+def test_verify_prop1_rejects_graphs_past_the_dense_cap(capsys):
+    assert main(["verify-prop1", "--graph", "family:ring(11)", "--t", "2"]) == 2
+    assert f"error: dense statevector capped at n={DENSE_MAX_N}" in capsys.readouterr().err
 
 
 def test_search_all_labeled_json(capsys):

@@ -20,7 +20,6 @@ from bellgraph.quantum import (
     build_graph_state,
     density_matrix,
     depolarizing_channel,
-    embed_operator,
     phase_flip,
     random_weight_t_channel,
 )
@@ -28,6 +27,7 @@ from oracles import (
     PauliString,
     apply_pauli,
     coefficient_operator_matrix,
+    embed_operator,
     letters_matrix,
     multiply,
     pauli_matrix,
@@ -180,6 +180,20 @@ def test_non_trace_preserving_rejected():
         KrausChannel(3, (1,), bad)
 
 
+@pytest.mark.parametrize("support", [(1, 1), (5,), (-1,), (0, 3)])
+def test_support_must_be_distinct_qubits(support):
+    d = 1 << len(support)
+    ops = (np.eye(d, dtype=complex),)
+    with pytest.raises(ValueError, match="not distinct qubits in 0..2"):
+        KrausChannel(3, support, ops)
+
+
+def test_density_matrix_shape_is_checked():
+    # a 4-qubit rho under a 3-qubit channel would otherwise come back partly unset
+    with pytest.raises(ValueError, match="density matrix shape"):
+        apply_channel(np.eye(16) / 16, depolarizing_channel(3, 0, 0.1))
+
+
 def test_embed_operator_positions():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -196,11 +210,43 @@ def test_embed_operator_positions():
     )
 
 
+def test_apply_channel_matches_dense_oracle():
+    # support-local application against sum_E E_full rho E_full^dagger, with
+    # the operators embedded as full matrices by the oracle
+    rng = np.random.default_rng(6)
+    channels = [random_weight_t_channel(int(n), min(int(n), 3), seed)
+                for seed, n in enumerate(rng.integers(1, 7, size=190))]
+    for seed, support in enumerate(((0, 2), (2, 0), (1, 3), (4, 0, 2), (5, 1))):
+        k = len(support)
+        local = next(c for c in (random_weight_t_channel(k, k, 100 * seed + i)
+                                 for i in range(100)) if c.weight == k)
+        channels.append(KrausChannel(6, support, local.ops))
+    for n in range(1, 6):
+        channels.append(depolarizing_channel(n, n - 1, 0.3))
+    assert sum(len(c.support) == 2 and c.support[1] - c.support[0] > 1 for c in channels) > 10
+    for channel in channels:
+        n = channel.n
+        a = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho)
+        dense = sum(e @ rho @ e.conj().T
+                    for e in (embed_operator(op, n, channel.support) for op in channel.ops))
+        assert np.abs(apply_channel(rho, channel) - dense).max() < 1e-12, channel.support
+
+
 def test_dense_cap():
-    with pytest.raises(ValueError):
-        build_graph_state(complete(11))
-    with pytest.raises(ValueError):
-        bell_expectation(ring(9), 0, np.eye(512))
+    # one cap, DENSE_MAX_N = 10: the paper's 9- and 10-qubit constructions fit
+    for g in (ring(9), ring(10)):
+        rho = density_matrix(build_graph_state(g))
+        assert abs(bell_expectation(g, 0, rho) - 1.0) < EXPECT_TOL
+        assert bell_operator_matrix(g, 0).shape == rho.shape
+    g = complete(11)
+    with pytest.raises(ValueError, match="capped at n=10"):
+        build_graph_state(g)
+    with pytest.raises(ValueError, match="capped at n=10"):
+        bell_expectation(g, 0, np.zeros((1 << 11, 1 << 11)))
+    with pytest.raises(ValueError, match="capped at n=10"):
+        bell_operator_matrix(g, 0)
 
 
 def test_quantum_value_exceeds_lhv_bound():
@@ -215,9 +261,11 @@ def test_one_stabilizer_model():
     # builds B_t from the coverable sets alone, never from the engine's tables
     assert importlib.util.find_spec("bellgraph.pauli") is None
     for name in ("PauliString", "multiply", "stabilizer_element", "vertex_stabilizer",
-                 "pauli_matrix", "apply_pauli"):
+                 "pauli_matrix", "apply_pauli", "embed_operator"):
         assert not hasattr(bellgraph, name), name
         assert not hasattr(quantum, name), name
+    # channels act on their support; no full 2^n x 2^n form is built
+    assert not hasattr(KrausChannel, "full_ops")
     tree = ast.parse(inspect.getsource(quantum))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

@@ -2,6 +2,8 @@ import dataclasses
 import importlib
 import json
 import random
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -406,6 +408,15 @@ def test_reproduce_table1_census_dir(monkeypatch, tmp_path):
     assert by_key[(1, 8)].mode == "exhaustive"
     assert by_key[(1, 8)].value == Dyadic(29, 5)
     assert by_key[(1, 7)].mode == "family-bound"
+
+
+def test_reproduce_table1_census_dir_checks_vertex_count(monkeypatch, tmp_path, census5_path):
+    # a census whose records are on 5 vertices is not reported as cells of 6
+    monkeypatch.setattr(importlib.import_module("bellgraph.search"), "EXHAUSTIVE_MAX_N", 4)
+    shutil.copy(census5_path, tmp_path / "n6.g6")
+    census = str(tmp_path / "n6.g6")
+    with pytest.raises(ValueError, match=f"{re.escape(census)}: records have 5 vertices, expected 6"):
+        reproduce_table1(max_n=6, census_dir=str(tmp_path))
 
 
 def test_reproduce_table1_spot_checks(monkeypatch):
