@@ -13,7 +13,7 @@ from .bell import (
     lhv_value,
     lhv_value_table,
 )
-from .canon import CanonicalForm, OrbitCapExceeded, canonicalize, canonicalize_many, lc_orbit
+from .canon import CanonicalForm, OrbitCapExceeded, canonicalize, lc_orbit
 from .coverable import CoverableSet, coverable_set
 from .dyadic import Dyadic
 from .families import complete, complete_join, parse_family, ring, star, star_copies
@@ -33,7 +33,6 @@ from .search import (
     SearchReport,
     class_reps,
     iso_class_reps,
-    lc_class_reps,
     reproduce_table1,
     search,
     search_file,

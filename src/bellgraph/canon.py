@@ -41,12 +41,13 @@ from .graphs import Graph
 # graphs canonicalized together; bounds the state arrays, and so peak memory
 # (1024 was 7-15% faster on table1 and census8, at 2.1-2.7 MB more peak RSS)
 SLICE = 256
-# isomorphism classes an LC orbit may reach before `lc_orbit` gives up
-DEFAULT_ORBIT_CAP = 100_000
+# isomorphism classes an LC orbit may reach before `lc_orbits` gives up on
+# it; read at call time, so a test can lower it on this module alone
+ORBIT_CAP = 100_000
 
 
 class OrbitCapExceeded(RuntimeError):
-    """Local-complementation orbit grew past the configured size bound."""
+    """Local-complementation orbit grew past ORBIT_CAP isomorphism classes."""
 
 
 @dataclass(frozen=True, order=True)
@@ -141,21 +142,9 @@ def canonical_codes(n: int, adj) -> list[int]:
     return _pack(n, _placed_rows(n, adj))
 
 
-def canonicalize_many(graphs: Sequence[Graph]) -> list[CanonicalForm]:
-    """Canonical forms of graphs that share one vertex count, in order."""
-    if not graphs:
-        return []
-    n = graphs[0].n
-    if any(g.n != n for g in graphs):
-        raise ValueError(
-            f"canonicalize_many needs one vertex count, got {sorted({g.n for g in graphs})}"
-        )
-    return [CanonicalForm(n, code) for code in canonical_codes(n, [g.adj for g in graphs])]
-
-
 def canonicalize(g: Graph) -> CanonicalForm:
     """Canonical form, constant on isomorphism classes."""
-    return canonicalize_many([g])[0]
+    return CanonicalForm(g.n, canonical_codes(g.n, [g.adj])[0])
 
 
 def _lc_images(n: int, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,10 +161,8 @@ def _lc_images(n: int, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f, adj[f] ^ bits[f, a] * (na[:, None] & ~(np.int64(1) << np.arange(n, dtype=np.int64)))
 
 
-def lc_orbits(
-    n: int, codes: Sequence[int], adj, max_size: int = DEFAULT_ORBIT_CAP
-) -> list[frozenset[int] | None]:
-    """The LC orbit of each graph as canonical codes, or None past max_size classes.
+def lc_orbits(n: int, codes: Sequence[int], adj) -> list[frozenset[int] | None]:
+    """The LC orbit of each graph as canonical codes, or None past ORBIT_CAP classes.
 
     adj[i] is any labeling of a graph whose canonical code is codes[i]. All
     orbits are walked together, breadth-first over isomorphism classes:
@@ -186,10 +173,11 @@ def lc_orbits(
     once; a walk that meets a class claimed by another walk is merged with
     it by union-find, since both lie in one orbit. A level is expanded,
     canonicalized and looked up SLICE graphs at a time, so no temporary
-    holds more than SLICE * n images. A merged walk that exceeds max_size
-    classes stops, and its graphs get None: the orbit is larger than
-    max_size whichever graph the walk starts from.
+    holds more than SLICE * n images. A merged walk that exceeds ORBIT_CAP
+    classes stops, and its graphs get None: the orbit is larger than the
+    cap whichever graph the walk starts from.
     """
+    cap = ORBIT_CAP
     adj = np.asarray(adj, dtype=np.int64).reshape(-1, n)
     parent = list(range(len(codes)))
     size = [1] * len(codes)
@@ -211,7 +199,7 @@ def lc_orbits(
                 w, v = v, w
             parent[v] = w
             size[w] += size[v]
-            capped[w] = capped[w] or capped[v] or size[w] > max_size
+            capped[w] = capped[w] or capped[v] or size[w] > cap
 
     start = []
     for w, code in enumerate(codes):
@@ -238,7 +226,7 @@ def lc_orbits(
                         continue
                     owner[code] = w
                     size[w] += 1
-                    capped[w] = size[w] > max_size
+                    capped[w] = size[w] > cap
                     fresh.append(j)
                     nxt_walks.append(w)
                 elif v != w:
@@ -252,14 +240,15 @@ def lc_orbits(
     return [orbits.get(find(w)) for w in range(len(codes))]
 
 
-def lc_orbit(g: Graph, max_size: int = DEFAULT_ORBIT_CAP) -> frozenset[CanonicalForm]:
+def lc_orbit(g: Graph) -> frozenset[CanonicalForm]:
     """Closure of g under local complementation, as canonical forms.
 
     The one-graph call into `lc_orbits`. min() of the result is the
-    deterministic orbit representative.
+    deterministic orbit representative. An orbit past ORBIT_CAP isomorphism
+    classes raises OrbitCapExceeded.
     """
     adj = np.array([g.adj], dtype=np.int64)
-    (orbit,) = lc_orbits(g.n, canonical_codes(g.n, adj), adj, max_size)
+    (orbit,) = lc_orbits(g.n, canonical_codes(g.n, adj), adj)
     if orbit is None:
-        raise OrbitCapExceeded(f"orbit exceeds {max_size} isomorphism classes")
+        raise OrbitCapExceeded(f"orbit exceeds {ORBIT_CAP} isomorphism classes")
     return frozenset(CanonicalForm(g.n, code) for code in orbit)

@@ -165,6 +165,8 @@ def cmd_search(args) -> int:
             checkpoint_path=args.checkpoint,
         )
     else:
+        if args.checkpoint or args.lenient:
+            raise ValueError("--checkpoint and --lenient need --census")
         report = search_labeled_all(
             args.all_labeled,
             args.t,

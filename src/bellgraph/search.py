@@ -35,14 +35,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import canon
 from .bell import bell_coefficients, lhv_bound, lhv_value
-from .canon import (
-    DEFAULT_ORBIT_CAP,
-    CanonicalForm,
-    OrbitCapExceeded,
-    canonical_codes,
-    lc_orbits,
-)
+from .canon import CanonicalForm, OrbitCapExceeded, canonical_codes, lc_orbits
 from .dyadic import Dyadic
 from .graph6 import code_of_rows, parse_graph6, read_graph6, rows_of_code
 from .graphs import MAX_VERTICES, Graph
@@ -50,7 +45,9 @@ from .families import parse_family
 
 EXHAUSTIVE_MAX_N = 9  # class_reps(9, "lc") takes about 25 s on 2 cores
 DEFAULT_MAX_WITNESSES = 32
-DEFAULT_CHUNK_SIZE = 4096
+# records canonicalized in one batch, and census lines read between two
+# checkpoints; read at call time, so a test can change it on this module alone
+CHUNK_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -123,7 +120,6 @@ class _Pipeline:
 
     ts: tuple[int, ...]
     dedup: str
-    orbit_cap: int = DEFAULT_ORBIT_CAP
     n: int | None = None
     records: int = 0
     orbit_cap_fallbacks: int = 0
@@ -139,12 +135,11 @@ class _Pipeline:
     def feed(
         self,
         blocks: Iterable[np.ndarray],
-        chunk_size: int,
         on_chunk: Callable[["_Pipeline"], None] | None = None,
     ) -> None:
         """Take records as (B, n) arrays of adjacency rows, all on one n.
 
-        Each array is cut into chunks of at most chunk_size records, and
+        Each array is cut into chunks of at most CHUNK_SIZE records, and
         on_chunk runs after each chunk. Reports do not depend on where the
         cuts fall. The sources check the vertex count, since they know the
         position of a record on another one.
@@ -156,8 +151,8 @@ class _Pipeline:
             self.stages["read"] += time.perf_counter() - started
             if rows is None:
                 return
-            for at in range(0, len(rows), chunk_size):
-                self._take(rows[at:at + chunk_size], on_chunk)
+            for at in range(0, len(rows), CHUNK_SIZE):
+                self._take(rows[at:at + CHUNK_SIZE], on_chunk)
 
     def _take(self, chunk: np.ndarray, on_chunk: Callable[["_Pipeline"], None] | None) -> None:
         """Count the records, evaluate each new class's representative, run on_chunk.
@@ -177,7 +172,7 @@ class _Pipeline:
             if code not in self.seen:
                 first.setdefault(code, i)
         if self.dedup == "lc":
-            orbits = lc_orbits(n, list(first), chunk[list(first.values())], self.orbit_cap)
+            orbits = lc_orbits(n, list(first), chunk[list(first.values())])
         else:
             orbits = [frozenset((code,)) for code in first]
         new = []
@@ -283,11 +278,11 @@ def _level(k: int, codes: Sequence[int], dedup: str, ts: tuple[int, ...] = ()) -
     ext[:, :, :-1] = adj[:, None, :] | (nb[:, None] >> np.arange(k - 1) & 1) << (k - 1)
     ext[:, :, -1] = nb
     pipe = _Pipeline(ts, dedup)
-    pipe.feed([ext.reshape(-1, k)], DEFAULT_CHUNK_SIZE)
+    pipe.feed([ext.reshape(-1, k)])
     if pipe.orbit_cap_fallbacks:
         raise OrbitCapExceeded(
             f"{pipe.orbit_cap_fallbacks} LC orbits on {k} vertices exceed "
-            f"{pipe.orbit_cap} isomorphism classes"
+            f"{canon.ORBIT_CAP} isomorphism classes"
         )
     return pipe
 
@@ -325,11 +320,6 @@ def iso_class_reps(n: int) -> list[Graph]:
     return class_reps(n, "iso")
 
 
-def lc_class_reps(n: int) -> list[Graph]:
-    """The least canonical form of each joint isomorphism + LC class, sorted."""
-    return class_reps(n, "lc")
-
-
 def search_labeled_all(
     n: int,
     t,
@@ -356,8 +346,8 @@ def search_labeled_all(
 # ---------------------------------------------------------------------------
 # search over arbitrary graph streams (census files)
 
-def _stacked(census: Iterable[Graph], size: int) -> Iterator[np.ndarray]:
-    """The graphs' adjacency rows, stacked in blocks of at most size.
+def _stacked(census: Iterable[Graph]) -> Iterator[np.ndarray]:
+    """The graphs' adjacency rows, stacked in blocks of at most CHUNK_SIZE.
 
     A graph on another vertex count than the first fails with its position.
     """
@@ -368,7 +358,7 @@ def _stacked(census: Iterable[Graph], size: int) -> Iterator[np.ndarray]:
         if g.n != n:
             raise ValueError(f"record {i}: census mixes vertex counts {n} and {g.n}")
         rows.append(g.adj)
-        if len(rows) == size:
+        if len(rows) == CHUNK_SIZE:
             yield np.array(rows, dtype=np.int64)
             rows = []
     if rows:
@@ -380,14 +370,13 @@ def search(
     t,
     *,
     dedup: str = "lc",
-    orbit_cap: int = DEFAULT_ORBIT_CAP,
     max_witnesses: int = DEFAULT_MAX_WITNESSES,
 ):
     """Search a stream of graphs; dedup via canonical LC-orbit seen-sets."""
     ts = _as_ts(t)
     started = time.perf_counter()
-    pipe = _Pipeline(ts, dedup, orbit_cap)
-    pipe.feed(_stacked(census, DEFAULT_CHUNK_SIZE), DEFAULT_CHUNK_SIZE)
+    pipe = _Pipeline(ts, dedup)
+    pipe.feed(_stacked(census))
     reports = pipe.reports(started, max_witnesses)
     return reports[ts[0]] if isinstance(t, int) else reports
 
@@ -427,7 +416,7 @@ class Checkpoint:
             "census_sha256": self.census_sha256,
             "ts": ",".join(map(str, state.ts)),
             "dedup": state.dedup,
-            "orbit_cap": str(state.orbit_cap),
+            "orbit_cap": str(canon.ORBIT_CAP),
         }
 
     def write(self, state: _Pipeline) -> None:
@@ -474,7 +463,7 @@ class Checkpoint:
                     f"has {key}={want}; delete the file to start over"
                 )
         try:
-            state = _Pipeline(fresh.ts, fresh.dedup, fresh.orbit_cap,
+            state = _Pipeline(fresh.ts, fresh.dedup,
                               n=int(kv["n"]), records=int(kv["records"]),
                               orbit_cap_fallbacks=int(kv["orbit_cap_fallbacks"]))
             for line in reps:
@@ -496,27 +485,22 @@ def search_file(
     *,
     lenient: bool = False,
     dedup: str = "lc",
-    orbit_cap: int = DEFAULT_ORBIT_CAP,
     max_witnesses: int = DEFAULT_MAX_WITNESSES,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     checkpoint_path: str | None = None,
 ):
     """Search a graph6 census file, optionally checkpointing as it goes.
 
     Malformed records abort with their line number unless lenient, in which
     case they are skipped and counted in `records_skipped`. The census is
-    read chunk_size lines at a time, their good records are canonicalized
+    read CHUNK_SIZE lines at a time, their good records are canonicalized
     together, and with a checkpoint path the pipeline state is saved after
-    every such chunk. A saved state
-    resumes after the records it covers and yields the report of an
-    uninterrupted run; one written for another census, ts, dedup or orbit
-    cap is rejected.
+    every such chunk. A saved state resumes after the records it covers and
+    yields the report of an uninterrupted run; one written for another
+    census, ts, dedup or `canon.ORBIT_CAP` is rejected.
     """
     ts = _as_ts(t)
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size={chunk_size} must be at least 1")
     started = time.perf_counter()
-    pipe = _Pipeline(ts, dedup, orbit_cap)
+    pipe = _Pipeline(ts, dedup)
     checkpoint = None
     if checkpoint_path:
         checkpoint = Checkpoint(checkpoint_path, _file_sha256(path))
@@ -528,13 +512,13 @@ def search_file(
     def blocks():
         nonlocal skipped
         good = 0
-        for rows, bad in read_graph6(path, chunk_size, lenient=lenient):
+        for rows, bad in read_graph6(path, CHUNK_SIZE, lenient=lenient):
             skipped += bad
             drop = max(resume_at - good, 0)
             good += len(rows)
             yield rows[drop:]
 
-    pipe.feed(blocks(), chunk_size, checkpoint.write if checkpoint else None)
+    pipe.feed(blocks(), checkpoint.write if checkpoint else None)
     reports = pipe.reports(started, max_witnesses, records_skipped=skipped)
     return reports[ts[0]] if isinstance(t, int) else reports
 
@@ -606,8 +590,15 @@ def reproduce_table1(
     census file `n<k>.g6` in census_dir (records on k vertices) is searched
     when present, otherwise the known optimal family is evaluated as an
     upper-bound spot check, and cells with neither are reported missing.
+    A max_n outside 3..MAX_VERTICES or a census_dir that is not a directory
+    is rejected before any level is built.
     """
     ts = _as_ts(ts)
+    if max_n < 3:
+        raise ValueError(f"max_n={max_n} below 3, the grid's first column")
+    _check_vertex_count(max_n)
+    if census_dir is not None and not os.path.isdir(census_dir):
+        raise ValueError(f"census_dir {census_dir} is not a directory")
     cells: list[TableCell] = []
     codes = [0]
     for n in range(1, max_n + 1):

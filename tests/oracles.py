@@ -24,7 +24,6 @@ from typing import Iterator
 import numpy as np
 
 from bellgraph.bell import bell_coefficients, stabilizer_table
-from bellgraph.canon import DEFAULT_ORBIT_CAP, OrbitCapExceeded, canonicalize_many, lc_orbit
 from bellgraph.dyadic import Dyadic
 from bellgraph.graph6 import rows_of_code
 from bellgraph.graphs import Graph, bits_of, iter_bits, local_complement
@@ -481,23 +480,24 @@ def enumerate_labeled(n: int) -> Iterator[Graph]:
         yield Graph(n, rows_of_code(n, code))
 
 
-def reference_dedup(graphs: list[Graph], orbit_cap: int = DEFAULT_ORBIT_CAP):
-    """LC dedup one record at a time: one `lc_orbit` per record of an unseen class.
+def reference_dedup(graphs: list[Graph], orbit_cap: int):
+    """LC dedup one record at a time: one reference orbit per record of an unseen class.
 
     Returns the representatives' codes in order, the seen codes and the
     orbit-cap fallbacks. A record's representative is its orbit's least
-    code; past the cap it is its own code, and only that code is seen.
+    code; past orbit_cap classes it is its own code, and only that code is
+    seen.
     """
     seen: set[int] = set()
     reps, fallbacks = [], 0
-    for g, form in zip(graphs, canonicalize_many(graphs)):
-        if form.code in seen:
+    for g in graphs:
+        code = reference_canonical_code(g)
+        if code in seen:
             continue
-        try:
-            orbit = {f.code for f in lc_orbit(g, max_size=orbit_cap)}
-        except OrbitCapExceeded:
+        orbit = reference_lc_orbit(g)
+        if len(orbit) > orbit_cap:
             fallbacks += 1
-            orbit = {form.code}
+            orbit = {code}
         seen |= orbit
         reps.append(min(orbit))
     return reps, seen, fallbacks

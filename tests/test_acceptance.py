@@ -31,7 +31,7 @@ from bellgraph.quantum import (
 )
 from bellgraph.search import (
     TABLE1,
-    lc_class_reps,
+    class_reps,
     reproduce_table1,
     search_labeled_all,
 )
@@ -219,7 +219,7 @@ def test_criterion_8_property_suite(census5_path):
         ts = (0, 1, 2)
         with_dedup = {t: set() for t in ts}
         without = {t: set() for t in ts}
-        for graphs, seen in ((lc_class_reps(6), with_dedup), (enumerate_labeled(6), without)):
+        for graphs, seen in ((class_reps(6), with_dedup), (enumerate_labeled(6), without)):
             for g in graphs:
                 for t in ts:
                     seen[t].add(lhv_bound(g, t).bound)

@@ -3,19 +3,19 @@ import random
 import numpy as np
 import pytest
 
+from bellgraph import canon
 from bellgraph.canon import (
     CanonicalForm,
     OrbitCapExceeded,
     canonical_codes,
     canonicalize,
-    canonicalize_many,
     lc_orbit,
     lc_orbits,
 )
 from bellgraph.families import complete, complete_join, ring, star, star_copies
 from bellgraph.graph6 import parse_graph6
 from bellgraph.graphs import Graph, disjoint_union, local_complement
-from bellgraph.search import lc_class_reps
+from bellgraph.search import class_reps
 from oracles import (
     are_isomorphic,
     brute_max_code,
@@ -24,6 +24,11 @@ from oracles import (
     reference_canonical_code,
     reference_lc_orbit,
 )
+
+
+def _codes(graphs) -> list[int]:
+    """Canonical codes of graphs on one vertex count, canonicalized in one batch."""
+    return canonical_codes(graphs[0].n, [g.adj for g in graphs])
 
 
 def test_relabeled_stars_share_code():
@@ -44,22 +49,22 @@ def test_invariant_under_relabeling():
         n = int(rng.integers(2, 9))
         g = random_graph(rng, n)
         relabeled = [g.relabel(rng.permutation(n)) for _ in range(20)]
-        assert canonicalize_many(relabeled) == [canonicalize(g)] * 20
+        assert _codes(relabeled) == [canonicalize(g).code] * 20
 
 
 def test_code_counts_classes_exactly():
     # distinct codes over all labeled graphs = known class counts
     for n, expected in [(3, 4), (4, 11), (5, 34)]:
-        codes = set(canonicalize_many(list(enumerate_labeled(n))))
+        codes = set(_codes(list(enumerate_labeled(n))))
         assert len(codes) == expected
 
 
 def test_equal_code_implies_isomorphic():
     rng = np.random.default_rng(9)
     graphs = [random_graph(rng, 5) for _ in range(40)]
-    forms = canonicalize_many(graphs)
-    for g1, f1 in zip(graphs[:10], forms[:10]):
-        for g2, f2 in zip(graphs[10:20], forms[10:20]):
+    codes = _codes(graphs)
+    for g1, f1 in zip(graphs[:10], codes[:10]):
+        for g2, f2 in zip(graphs[10:20], codes[10:20]):
             assert (f1 == f2) == are_isomorphic(g1, g2)
 
 
@@ -111,9 +116,10 @@ def test_lc_orbit_invariant_along_moves():
         assert lc_orbit(g) == lc_orbit(local_complement(g, a))
 
 
-def test_lc_orbit_cap():
+def test_lc_orbit_cap(monkeypatch):
+    monkeypatch.setattr(canon, "ORBIT_CAP", 2)
     with pytest.raises(OrbitCapExceeded):
-        lc_orbit(ring(7), max_size=2)
+        lc_orbit(ring(7))
 
 
 def test_canonical_forms_order_deterministically():
@@ -125,7 +131,7 @@ def test_canonical_forms_order_deterministically():
 def test_n6_codes_agree_with_permutation_orbit_dedup():
     # canonicalize and the search's permutation-orbit bitmap are independent
     # dedup routes; both must see exactly the known 156 classes
-    codes = set(canonicalize_many(list(enumerate_labeled(6))))
+    codes = set(_codes(list(enumerate_labeled(6))))
     assert len(codes) == 156
 
 
@@ -157,10 +163,6 @@ def _ring_copies(m: int, k: int) -> Graph:
     for _ in range(m - 1):
         g = disjoint_union(g, ring(k))
     return g
-
-
-def _codes(graphs) -> list[int]:
-    return [form.code for form in canonicalize_many(graphs)]
 
 
 def test_codes_equal_reference_on_small_censuses(census, census5_path):
@@ -206,14 +208,14 @@ def test_degree_rule_excludes_maximum_on_8_n6_classes(census):
 def test_lc_orbits_equal_reference_orbits():
     # one representative per LC class at n = 6 reaches all 156 classes
     covered = set()
-    for g in lc_class_reps(6):
+    for g in class_reps(6):
         orbit = lc_orbit(g)
         assert {form.code for form in orbit} == reference_lc_orbit(g)
         covered |= orbit
     assert len(covered) == 156
 
 
-def test_merging_walks_give_every_source_its_reference_orbit(census):
+def test_merging_walks_give_every_source_its_reference_orbit(monkeypatch, census):
     # every class on 6 vertices in one batch, twice over and shuffled, so
     # that walks meet and merge in every orbit
     graphs = census[6] + [g.relabel(range(5, -1, -1)) for g in census[6]]
@@ -229,16 +231,10 @@ def test_merging_walks_give_every_source_its_reference_orbit(census):
     assert len(set(want)) == 26
     # past the cap, exactly the sources of larger orbits give up
     for cap in (1, 2, 5):
-        assert lc_orbits(6, codes, adj, max_size=cap) == [
+        monkeypatch.setattr(canon, "ORBIT_CAP", cap)
+        assert lc_orbits(6, codes, adj) == [
             orbit if len(orbit) <= cap else None for orbit in want]
 
 
-def test_canonicalize_many_rejects_mixed_vertex_counts():
-    with pytest.raises(ValueError) as err:
-        canonicalize_many([star(3), star(4), complete(3)])
-    assert "one vertex count" in str(err.value)
-
-
 def test_empty_batches():
-    assert canonicalize_many([]) == []
     assert canonical_codes(5, np.zeros((0, 5), dtype=np.int64)) == []

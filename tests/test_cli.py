@@ -191,6 +191,15 @@ def test_search_all_labeled_rejects_vertex_count(capsys):
         assert f"error: vertex count {n} outside 1..16" in capsys.readouterr().err
 
 
+def test_search_all_labeled_rejects_census_only_flags(capsys, tmp_path):
+    # --checkpoint and --lenient act on census files only
+    ck = tmp_path / "y.ck"
+    for extra in (["--checkpoint", str(ck)], ["--lenient"]):
+        assert main(["search", "--all-labeled", "5", "--t", "0", *extra]) == 2
+        assert "error: --checkpoint and --lenient need --census" in capsys.readouterr().err
+    assert not ck.exists()
+
+
 def test_search_rejects_bad_file(capsys, tmp_path):
     bad = tmp_path / "bad.g6"
     bad.write_text("Bw\nB\n")
@@ -211,6 +220,16 @@ def test_reproduce_table1_json(capsys):
     cells = {(c["t"], c["n"]): c for c in obj["cells"]}
     assert cells[(0, 3)]["value"] == {"num": 3, "log2_den": 2}
     assert obj["minimal_violating_n"]["0"] == {"n": 3, "exact": True}
+
+
+def test_reproduce_table1_rejects_bad_arguments(capsys, tmp_path):
+    missing = str(tmp_path / "nonexistent")
+    for argv, message in (
+        (["--max-n", "17"], "error: vertex count 17 outside 1..16"),
+        (["--max-n", "10", "--census-dir", missing], f"error: census_dir {missing} is not a directory"),
+    ):
+        assert main(["reproduce-table1", *argv]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_bad_graph_literal_is_reported(capsys):

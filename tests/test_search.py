@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 import json
 import random
 import re
@@ -8,8 +9,10 @@ import shutil
 import numpy as np
 import pytest
 
+import bellgraph
+from bellgraph import canon
 from bellgraph.bell import lhv_bound
-from bellgraph.canon import DEFAULT_ORBIT_CAP, canonicalize_many, lc_orbit
+from bellgraph.canon import ORBIT_CAP, canonicalize, lc_orbit, lc_orbits
 from bellgraph.cli import main
 from bellgraph.dyadic import Dyadic
 from bellgraph.families import complete, complete_join, parse_family, ring, star, star_copies
@@ -20,7 +23,6 @@ from bellgraph.search import (
     Checkpoint,
     class_reps,
     iso_class_reps,
-    lc_class_reps,
     minimal_violating_n,
     reproduce_table1,
     search,
@@ -29,13 +31,28 @@ from bellgraph.search import (
 )
 from oracles import enumerate_labeled, reference_dedup
 
+# the package re-exports the function `search`, which shadows the module
+search_module = importlib.import_module("bellgraph.search")
+
 
 def test_enumerate_labeled_counts():
     assert sum(1 for _ in enumerate_labeled(1)) == 1
     assert sum(1 for _ in enumerate_labeled(3)) == 8
     assert sum(1 for _ in enumerate_labeled(4)) == 64
-    assert len(set(canonicalize_many(list(enumerate_labeled(3))))) == 4
-    assert len(set(canonicalize_many(list(enumerate_labeled(4))))) == 11
+    assert len({canonicalize(g) for g in enumerate_labeled(3)}) == 4
+    assert len({canonicalize(g) for g in enumerate_labeled(4)}) == 11
+
+
+def test_orbit_cap_and_chunk_size_are_constants():
+    # no call takes the cap or the chunk size; tests set canon.ORBIT_CAP and
+    # search.CHUNK_SIZE instead
+    for fn, name in ((search, "orbit_cap"), (search_file, "orbit_cap"), (search_file, "chunk_size"),
+                     (lc_orbits, "max_size"), (lc_orbit, "max_size")):
+        assert name not in inspect.signature(fn).parameters, (fn.__name__, name)
+    assert (ORBIT_CAP, search_module.CHUNK_SIZE) == (100_000, 4096)
+    for alias in ("canonicalize_many", "lc_class_reps"):
+        assert not hasattr(bellgraph, alias)
+        assert not hasattr(canon, alias) and not hasattr(search_module, alias)
 
 
 def test_enumerate_labeled_cap():
@@ -113,7 +130,7 @@ def test_dedup_modes_agree_on_n5():
     assert by_mode["lc"][0].lc_classes_examined == 11
 
 
-def test_mixed_sizes_rejected(tmp_path):
+def test_mixed_sizes_rejected(monkeypatch, tmp_path):
     for dedup in ("lc", "iso"):
         with pytest.raises(ValueError) as err:
             search([star(3), star(4)], 0, dedup=dedup)
@@ -126,14 +143,16 @@ def test_mixed_sizes_rejected(tmp_path):
     # chunks of 2 lines end before the n=4 record; 3 and 4096 decode it
     # with n=3 records of the same chunk
     for chunk_size in (2, 3, 4096):
+        monkeypatch.setattr(search_module, "CHUNK_SIZE", chunk_size)
         with pytest.raises(ValueError) as err:
-            search_file(str(path), 0, chunk_size=chunk_size)
+            search_file(str(path), 0)
         assert str(err.value) == "line 5: census mixes vertex counts 3 and 4"
     lines = [emit_graph6(g) for g in [complete(5)] * 40 + [star(4)] + [ring(5)] * 5]
     path.write_text("\n".join(lines[:20] + [""] + lines[20:]) + "\n")
     for chunk_size in (8, 4096):  # past the first chunk
+        monkeypatch.setattr(search_module, "CHUNK_SIZE", chunk_size)
         with pytest.raises(ValueError) as err:
-            search_file(str(path), 0, chunk_size=chunk_size)
+            search_file(str(path), 0)
         assert str(err.value) == "line 42: census mixes vertex counts 5 and 4"
 
 
@@ -142,27 +161,21 @@ def test_empty_census_rejected():
         search([], 0)
 
 
-def test_census_vertex_count_is_the_first_well_formed_records(tmp_path):
+def test_census_vertex_count_is_the_first_well_formed_records(monkeypatch, tmp_path):
     # B@ sets a padding bit, so the census is on the 5 vertices of Dhc
     path = tmp_path / "late.g6"
     for chunk_size in (1, 2, 4096):
+        monkeypatch.setattr(search_module, "CHUNK_SIZE", chunk_size)
         path.write_text("B@\nDhc\nBw\n")
         with pytest.raises(ValueError) as err:
-            search_file(str(path), 0, lenient=True, chunk_size=chunk_size)
+            search_file(str(path), 0, lenient=True)
         assert str(err.value) == "line 3: census mixes vertex counts 5 and 3"
         path.write_text("B@\nDhc\nDhc\n")
-        report = search_file(str(path), 0, lenient=True, chunk_size=chunk_size)
+        report = search_file(str(path), 0, lenient=True)
         assert (report.n, report.graphs_examined, report.records_skipped) == (5, 2, 1)
         with pytest.raises(Graph6Error) as err:
-            search_file(str(path), 0, chunk_size=chunk_size)
+            search_file(str(path), 0)
         assert str(err.value).startswith("line 1: nonzero padding bits")
-
-
-@pytest.mark.parametrize("chunk_size", [0, -1])
-def test_search_file_rejects_chunk_size_below_one(census5_path, chunk_size):
-    with pytest.raises(ValueError) as err:
-        search_file(census5_path, 0, chunk_size=chunk_size)
-    assert "chunk_size" in str(err.value)
 
 
 def test_empty_t_rejected(census5_path):
@@ -180,7 +193,7 @@ def test_empty_t_rejected(census5_path):
 
 def test_search_file_reference_census(monkeypatch, census5_path):
     # the census is hashed only to match a checkpoint
-    monkeypatch.setattr(importlib.import_module("bellgraph.search"), "_file_sha256", None)
+    monkeypatch.setattr(search_module, "_file_sha256", None)
     report = search_file(census5_path, 0)
     assert report.best_bound == Dyadic(5, 3)
     assert report.graphs_examined == 34
@@ -204,26 +217,28 @@ MALFORMED = {
 }
 
 
-def test_search_file_lenient(capsys, tmp_path, census5_path):
+def test_search_file_lenient(monkeypatch, capsys, tmp_path, census5_path):
     lines = open(census5_path).read().splitlines()
     for case, bad in MALFORMED.items():
         with pytest.raises(Graph6Error) as parsed:
             parse_graph6(bad)
         # at 34 the bad record is the file's last line
         for at, chunk_size in ((3, 4096), (3, 2), (30, 8), (34, 8)):
+            monkeypatch.setattr(search_module, "CHUNK_SIZE", chunk_size)
             path = tmp_path / "corrupt.g6"
             path.write_text("\n".join(lines[:at] + [bad] + lines[at:]) + "\n", encoding="latin-1")
             with pytest.raises(Graph6Error) as err:
-                search_file(str(path), 0, chunk_size=chunk_size)
+                search_file(str(path), 0)
             offset = parsed.value.offset
             assert str(err.value) == f"line {at + 1}: {parsed.value}", case
             assert err.value.offset == offset
-            report = search_file(str(path), 0, lenient=True, chunk_size=chunk_size)
+            report = search_file(str(path), 0, lenient=True)
             assert report.best_bound == Dyadic(5, 3)
             assert report.graphs_examined == 34
             assert report.records_skipped == 1, case
             assert report.to_json()["records_skipped"] == 1
     # the command line names a non-ASCII byte like any other, and skips it when lenient
+    monkeypatch.undo()
     path = tmp_path / "latin1.g6"
     path.write_bytes(b"Bw\nB\xe9\nBo\n")
     assert main(["search", "--census", str(path), "--t", "0"]) == 2
@@ -234,14 +249,16 @@ def test_search_file_lenient(capsys, tmp_path, census5_path):
     # blank lines and CR line endings are no records, and no malformed ones
     path = tmp_path / "spaced.g6"
     path.write_text("\n\n".join(lines[:3]) + "\r\n" + "\r\n".join(lines[3:]) + "\n\n")
+    monkeypatch.setattr(search_module, "CHUNK_SIZE", 4)
     for lenient in (False, True):
-        report = search_file(str(path), 0, lenient=lenient, chunk_size=4)
+        report = search_file(str(path), 0, lenient=lenient)
         assert (report.graphs_examined, report.records_skipped) == (34, 0)
 
 
-def test_search_file_checkpointing(tmp_path, census5_path):
+def test_search_file_checkpointing(monkeypatch, tmp_path, census5_path):
+    monkeypatch.setattr(search_module, "CHUNK_SIZE", 8)
     ck = tmp_path / "resume.ck"
-    full = search_file(census5_path, (0, 1), chunk_size=8, checkpoint_path=str(ck))
+    full = search_file(census5_path, (0, 1), checkpoint_path=str(ck))
     text = ck.read_text().splitlines()
     assert text[0] == "bellgraph-checkpoint v3"
     assert "records=34" in text and "ts=0,1" in text and "orbit_cap_fallbacks=0" in text
@@ -249,7 +266,7 @@ def test_search_file_checkpointing(tmp_path, census5_path):
     # all 34 graphs on 5 vertices lie in the seen-set of the LC orbits
     assert sum(line.startswith("seen=") for line in text) == 34
     # rerunning with the completed checkpoint returns the same reports
-    again = search_file(census5_path, (0, 1), chunk_size=8, checkpoint_path=str(ck))
+    again = search_file(census5_path, (0, 1), checkpoint_path=str(ck))
     for t in (0, 1):
         assert again[t].comparable() == full[t].comparable()
 
@@ -259,7 +276,10 @@ class Interrupted(Exception):
 
 
 def interrupted_run(monkeypatch, k, *args, **kwargs):
-    """Run search_file until its k-th checkpoint write has finished."""
+    """Run search_file until its k-th checkpoint write has finished.
+
+    The run reads the census in chunks of whatever `CHUNK_SIZE` the caller set.
+    """
     real = Checkpoint.write
     calls = []
 
@@ -284,17 +304,17 @@ def test_resume_matches_uninterrupted_run(monkeypatch, tmp_path, census5_path,
                                           chunk_size, dedup):
     ts = (0, 1, 2)
     full = search_file(census5_path, ts, dedup=dedup)
+    monkeypatch.setattr(search_module, "CHUNK_SIZE", chunk_size)
     k = 1
     while True:
         ck = str(tmp_path / f"k{k}.ck")
         calls = interrupted_run(monkeypatch, k, census5_path, ts, dedup=dedup,
-                                chunk_size=chunk_size, checkpoint_path=ck)
+                                checkpoint_path=ck)
         if calls is None:
             break
         assert calls[-1] == min(k * chunk_size, 34)
         for _ in range(2):  # resume, then rerun with the completed checkpoint
-            resumed = search_file(census5_path, ts, dedup=dedup,
-                                  chunk_size=chunk_size, checkpoint_path=ck)
+            resumed = search_file(census5_path, ts, dedup=dedup, checkpoint_path=ck)
             for t in ts:
                 assert resumed[t].comparable() == full[t].comparable()
         k += 1
@@ -302,10 +322,10 @@ def test_resume_matches_uninterrupted_run(monkeypatch, tmp_path, census5_path,
 
 
 def test_resume_after_three_chunks(monkeypatch, tmp_path, census5_path):
+    monkeypatch.setattr(search_module, "CHUNK_SIZE", 10)
     ck = str(tmp_path / "three.ck")
-    assert interrupted_run(monkeypatch, 3, census5_path, 0, chunk_size=10,
-                           checkpoint_path=ck) == [10, 20, 30]
-    report = search_file(census5_path, 0, chunk_size=10, checkpoint_path=ck)
+    assert interrupted_run(monkeypatch, 3, census5_path, 0, checkpoint_path=ck) == [10, 20, 30]
+    report = search_file(census5_path, 0, checkpoint_path=ck)
     assert report.graphs_examined == 34
     assert report.lc_classes_examined == 11
     assert report.witness_classes_total == len(report.witnesses) == 4
@@ -316,11 +336,21 @@ def test_resume_after_three_chunks(monkeypatch, tmp_path, census5_path):
     ({"t": 0, "dedup": "lc"}, {"t": 0, "dedup": "iso"}),
     ({"t": 0, "orbit_cap": 50}, {"t": 0}),
 ])
-def test_checkpoint_rejects_other_settings(tmp_path, census5_path, written, resumed):
+def test_checkpoint_rejects_other_settings(monkeypatch, tmp_path, census5_path,
+                                          written, resumed):
+    # "orbit_cap" is not an argument: it sets canon.ORBIT_CAP for the run
+    monkeypatch.setattr(search_module, "CHUNK_SIZE", 10)
     ck = str(tmp_path / "other.ck")
-    search_file(census5_path, chunk_size=10, checkpoint_path=ck, **written)
+
+    def run(settings):
+        settings = dict(settings)
+        with monkeypatch.context() as patch:
+            patch.setattr(canon, "ORBIT_CAP", settings.pop("orbit_cap", ORBIT_CAP))
+            search_file(census5_path, checkpoint_path=ck, **settings)
+
+    run(written)
     with pytest.raises(ValueError) as err:
-        search_file(census5_path, chunk_size=10, checkpoint_path=ck, **resumed)
+        run(resumed)
     assert "delete the file" in str(err.value)
 
 
@@ -372,8 +402,6 @@ def test_report_json_schema():
 
 
 def test_witness_check_catches_wrong_value(monkeypatch, census5_path):
-    # the package re-exports the function `search`, which shadows the module
-    search_module = importlib.import_module("bellgraph.search")
     real = search_module.lhv_value
     monkeypatch.setattr(
         search_module, "lhv_value", lambda g, bc, a: real(g, bc, a) + Dyadic(1, g.n)
@@ -399,7 +427,7 @@ def test_reproduce_table1_census_dir(monkeypatch, tmp_path):
     # a supplied census file takes precedence over family spot checks
     from bellgraph.search import SPOT_FAMILIES
 
-    monkeypatch.setattr(importlib.import_module("bellgraph.search"), "EXHAUSTIVE_MAX_N", 4)
+    monkeypatch.setattr(search_module, "EXHAUSTIVE_MAX_N", 4)
     lines = [emit_graph6(parse_family(spec)) for (t, n), spec in SPOT_FAMILIES.items()
              if n == 8] + [emit_graph6(complete_join(8)), emit_graph6(star(8))]
     (tmp_path / "n8.g6").write_text("\n".join(lines) + "\n")
@@ -412,15 +440,34 @@ def test_reproduce_table1_census_dir(monkeypatch, tmp_path):
 
 def test_reproduce_table1_census_dir_checks_vertex_count(monkeypatch, tmp_path, census5_path):
     # a census whose records are on 5 vertices is not reported as cells of 6
-    monkeypatch.setattr(importlib.import_module("bellgraph.search"), "EXHAUSTIVE_MAX_N", 4)
+    monkeypatch.setattr(search_module, "EXHAUSTIVE_MAX_N", 4)
     shutil.copy(census5_path, tmp_path / "n6.g6")
     census = str(tmp_path / "n6.g6")
     with pytest.raises(ValueError, match=f"{re.escape(census)}: records have 5 vertices, expected 6"):
         reproduce_table1(max_n=6, census_dir=str(tmp_path))
 
 
+def test_reproduce_table1_rejects_bad_arguments(monkeypatch, tmp_path):
+    # rejected before any level is built: no graph has 17 vertices, max_n=2
+    # would give an empty grid, and a census_dir that is not a directory
+    # would turn its cells into spot checks and missing cells
+    monkeypatch.setattr(search_module, "_level", None)
+    (tmp_path / "file").write_text("")
+    for kwargs, message in (
+        ({"max_n": 17}, "vertex count 17 outside 1..16"),
+        ({"max_n": 2}, "max_n=2 below 3"),
+        ({"max_n": 10, "census_dir": str(tmp_path / "nonexistent")},
+         f"census_dir {tmp_path / 'nonexistent'} is not a directory"),
+        ({"max_n": 10, "census_dir": str(tmp_path / "file")},
+         f"census_dir {tmp_path / 'file'} is not a directory"),
+    ):
+        with pytest.raises(ValueError) as err:
+            reproduce_table1(**kwargs)
+        assert str(err.value).startswith(message), kwargs
+
+
 def test_reproduce_table1_spot_checks(monkeypatch):
-    monkeypatch.setattr(importlib.import_module("bellgraph.search"), "EXHAUSTIVE_MAX_N", 4)
+    monkeypatch.setattr(search_module, "EXHAUSTIVE_MAX_N", 4)
     cells = reproduce_table1(max_n=10)
     by_key = {(c.t, c.n): c for c in cells}
     assert by_key[(1, 8)].mode == "family-bound"
@@ -438,7 +485,6 @@ def test_reproduce_table1_spot_checks(monkeypatch):
 def test_exhaustive_levels_are_built_once(monkeypatch):
     # every level is one pipeline run on the extensions of the level below;
     # the grid walks levels 1..6 once, feeding what class_reps(6) feeds
-    search_module = importlib.import_module("bellgraph.search")
     real = search_module.canonical_codes
     fed = []
 
@@ -460,33 +506,37 @@ def test_exhaustive_levels_are_built_once(monkeypatch):
 
 def test_iso_class_reps_match_census(census):
     for n, reps in census.items():
-        assert len(set(canonicalize_many(reps))) == len(reps)
+        assert len({canonicalize(g) for g in reps}) == len(reps)
 
 
 def test_orbit_cap_fallbacks_are_counted(monkeypatch, tmp_path, census5_path):
-    capped = search_file(census5_path, 0, orbit_cap=1)
+    uncapped = search_file(census5_path, 0)
+    monkeypatch.setattr(canon, "ORBIT_CAP", 1)
+    capped = search_file(census5_path, 0)
     # every record whose orbit has a second isomorphism class hits the cap,
     # and its class is split into its members
     assert capped.orbit_cap_fallbacks > 0
     assert capped.lc_classes_examined == 34
     assert capped.to_json()["orbit_cap_fallbacks"] == capped.orbit_cap_fallbacks
-    assert search_file(census5_path, 0).orbit_cap_fallbacks == 0
+    assert uncapped.orbit_cap_fallbacks == 0
     # the count survives an interrupt and resume
+    monkeypatch.setattr(search_module, "CHUNK_SIZE", 10)
     ck = str(tmp_path / "capped.ck")
-    assert interrupted_run(monkeypatch, 2, census5_path, 0, orbit_cap=1, chunk_size=10,
-                           checkpoint_path=ck) == [10, 20]
-    resumed = search_file(census5_path, 0, orbit_cap=1, chunk_size=10, checkpoint_path=ck)
+    assert interrupted_run(monkeypatch, 2, census5_path, 0, checkpoint_path=ck) == [10, 20]
+    resumed = search_file(census5_path, 0, checkpoint_path=ck)
     assert resumed.comparable() == capped.comparable()
 
 
 @pytest.mark.parametrize("dedup, orbit_cap", [
-    ("lc", 1), ("lc", 2), ("lc", 3), ("lc", DEFAULT_ORBIT_CAP),
-    ("iso", DEFAULT_ORBIT_CAP),  # the cap acts under "lc" only
+    ("lc", 1), ("lc", 2), ("lc", 3), ("lc", ORBIT_CAP),
+    ("iso", ORBIT_CAP),  # the cap acts under "lc" only
 ])
-def test_reports_do_not_depend_on_chunking(tmp_path, census5_path, dedup, orbit_cap):
-    full = search_file(census5_path, 0, dedup=dedup, orbit_cap=orbit_cap)
+def test_reports_do_not_depend_on_chunking(monkeypatch, tmp_path, census5_path, dedup, orbit_cap):
+    monkeypatch.setattr(canon, "ORBIT_CAP", orbit_cap)
+    full = search_file(census5_path, 0, dedup=dedup)
     for chunk_size in range(1, 35):
-        cut = search_file(census5_path, 0, dedup=dedup, orbit_cap=orbit_cap, chunk_size=chunk_size)
+        monkeypatch.setattr(search_module, "CHUNK_SIZE", chunk_size)
+        cut = search_file(census5_path, 0, dedup=dedup)
         assert cut.comparable() == full.comparable(), chunk_size
     # blank lines at uneven places make blocks of lines hold uneven record counts
     lines = open(census5_path).read().split()
@@ -497,28 +547,30 @@ def test_reports_do_not_depend_on_chunking(tmp_path, census5_path, dedup, orbit_
         path = tmp_path / "uneven.g6"
         path.write_text("\n".join(spaced) + "\n")
         for chunk_size in (3, 4, 7):
-            cut = search_file(str(path), 0, dedup=dedup, orbit_cap=orbit_cap, chunk_size=chunk_size)
+            monkeypatch.setattr(search_module, "CHUNK_SIZE", chunk_size)
+            cut = search_file(str(path), 0, dedup=dedup)
             assert cut.comparable() == full.comparable(), (blanks, chunk_size)
 
 
-@pytest.mark.parametrize("orbit_cap", [1, 2, 3, DEFAULT_ORBIT_CAP])
-def test_batched_dedup_equals_per_record_reference(census5_path, orbit_cap):
+@pytest.mark.parametrize("orbit_cap", [1, 2, 3, ORBIT_CAP])
+def test_batched_dedup_equals_per_record_reference(monkeypatch, census5_path, orbit_cap):
     # under the cap the pipeline walks a chunk's orbits together; it must
     # pick the representatives, the seen codes and the fallbacks of a walk
     # per record, in stream order
-    search_module = importlib.import_module("bellgraph.search")
+    monkeypatch.setattr(canon, "ORBIT_CAP", orbit_cap)
     graphs = [parse_graph6(line) for line in open(census5_path).read().split()]
     for seed in (1, 2, 3):
         random.Random(seed).shuffle(graphs)
         reps, seen, fallbacks = reference_dedup(graphs, orbit_cap)
         rows = np.array([g.adj for g in graphs], dtype=np.int64)
         for blocks, chunk_size in (([rows], 7), ([rows], 4096), (np.split(rows, [1, 4, 5, 19]), 6)):
-            pipe = search_module._Pipeline((), "lc", orbit_cap)
-            pipe.feed(blocks, chunk_size)
+            monkeypatch.setattr(search_module, "CHUNK_SIZE", chunk_size)
+            pipe = search_module._Pipeline((), "lc")
+            pipe.feed(blocks)
             assert pipe.reps == reps
             assert pipe.seen == seen
             assert pipe.orbit_cap_fallbacks == fallbacks
-        assert (fallbacks > 0) == (orbit_cap < DEFAULT_ORBIT_CAP)
+        assert (fallbacks > 0) == (orbit_cap < ORBIT_CAP)
 
 
 def test_reports_do_not_depend_on_record_order(tmp_path, census5_path):
@@ -569,16 +621,16 @@ def test_euler_transform_of_published_counts():
 
 def test_class_counts_match_published_counts():
     for n, want in enumerate(euler_transform(CONNECTED_LC)[:8], start=1):
-        reps = lc_class_reps(n)
+        reps = class_reps(n)
         assert len(reps) == want, f"n={n}"
-        forms = canonicalize_many(reps)
+        forms = [canonicalize(g) for g in reps]
         assert forms == sorted(forms)
         if n <= 7:  # each representative is its orbit's least canonical form
             assert all(form == min(lc_orbit(g)) for g, form in zip(reps, forms))
     for n, want in enumerate(euler_transform(CONNECTED_ISO)[:7], start=1):
         reps = iso_class_reps(n)
         assert len(reps) == want, f"n={n}"
-        assert [g.adj for g in reps] == [f.to_graph().adj for f in canonicalize_many(reps)]
+        assert [g.adj for g in reps] == [canonicalize(g).to_graph().adj for g in reps]
     for bogus in ("none", "bogus"):
         with pytest.raises(ValueError) as err:
             class_reps(3, bogus)
