@@ -24,7 +24,6 @@ from .quantum import (
     amplitude_damping_channel,
     apply_channel,
     bell_expectation,
-    bell_operator_matrix,
     build_graph_state,
     depolarizing_channel,
     random_weight_t_channel,

@@ -21,7 +21,6 @@ from .quantum import (
     apply_channel,
     bell_expectation,
     build_graph_state,
-    density_matrix,
     random_weight_t_channel,
 )
 from .search import (
@@ -130,11 +129,11 @@ def cmd_lhv_bound(args) -> int:
 
 def cmd_verify_prop1(args) -> int:
     g = parse_graph_arg(args.graph)
-    rho0 = density_matrix(build_graph_state(g))
+    psi = build_graph_state(g)
     worst = 0.0
     for i in range(args.channels):
         channel = random_weight_t_channel(g.n, args.t, args.seed + i)
-        value = bell_expectation(g, args.t, apply_channel(rho0, channel))
+        value = bell_expectation(g, args.t, apply_channel(psi, channel))
         worst = max(worst, abs(value - 1.0))
     passed = worst < args.tol
     if args.json:

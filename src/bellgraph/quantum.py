@@ -1,13 +1,15 @@
-"""Dense statevector oracle: graph states, noise channels, Bell expectations.
+"""Statevector oracle: graph states, noise channels, Bell expectations.
 
 Basis convention: computational basis index b has qubit v in state (b >> v) & 1,
-i.e. qubit 0 is the least significant bit. Everything here is plain complex128
-linear algebra under one size cap, n <= DENSE_MAX_N, enforced by
-`build_graph_state`. Channels act on their support qubits only. B_t has one
-definition, the sum of the graph-state projectors phase-flipped by the
-coverable sets, which both its expectation and its dense matrix read off.
-Those coverable sets are all the module shares with the machinery it
-validates: nothing of the stabilizer tables or the LHV engine.
+i.e. qubit 0 is the least significant bit. A mixed state is a stack of branch
+vectors psi_i, standing for rho = sum_i psi_i psi_i^dagger, so memory grows as
+2^n per branch and the only size cap is the graph's own, n <= MAX_VERTICES.
+A channel maps the stack to every E psi_i, each Kraus operator E acting on its
+support qubits only. B_t has one definition, the sum of the graph-state
+projectors phase-flipped by the coverable sets: <B_t> sums |<G|Z_C|psi_i>|^2
+over coverable C, every C at once from one Walsh-Hadamard transform of
+conj(G) psi_i. Those coverable sets are all the module shares with the
+machinery it validates: nothing of the stabilizer tables or the LHV engine.
 """
 from __future__ import annotations
 
@@ -22,7 +24,10 @@ STATE_TOL = 1e-12
 CHANNEL_TOL = 1e-10
 EXPECTATION_TOL = 1e-9
 
-DENSE_MAX_N = 10
+# A weight-s draw holds up to 4^s Gaussian d x d operators, 16^s entries: 4.3 GB
+# at s = 7. Every paper construction on <= 16 qubits has t <= 4, where the draw
+# is <= 1 MB and the branch stack <= 256 * 2^16 entries (268 MB) at n = 16.
+CHANNEL_MAX_T = 4
 
 
 def phase_flip(c: int, vec: np.ndarray) -> np.ndarray:
@@ -37,8 +42,6 @@ def build_graph_state(g: Graph) -> np.ndarray:
     Built by entangling the uniform superposition with a controlled phase
     per edge, then checked against every stabilizer to STATE_TOL.
     """
-    if g.n > DENSE_MAX_N:
-        raise ValueError(f"dense statevector capped at n={DENSE_MAX_N}")
     size = 1 << g.n
     vec = np.full(size, 1.0 / np.sqrt(size), dtype=complex)
     b = np.arange(size)
@@ -52,10 +55,6 @@ def build_graph_state(g: Graph) -> np.ndarray:
         if err > STATE_TOL:
             raise AssertionError(f"stabilizer {a} not fixed: residual {err:.3e}")
     return vec
-
-
-def density_matrix(vec: np.ndarray) -> np.ndarray:
-    return np.outer(vec, vec.conj())
 
 
 @dataclass(frozen=True)
@@ -86,35 +85,26 @@ class KrausChannel:
         return len(self.support)
 
 
-def _check_rho(n: int, rho: np.ndarray) -> None:
-    if rho.shape != (1 << n, 1 << n):
-        raise ValueError(f"density matrix shape {rho.shape}, expected {(1 << n, 1 << n)}")
+def _branches(n: int, states: np.ndarray) -> np.ndarray:
+    """One state (2^n,) or a stack (k, 2^n), as a (k, 2^n) stack."""
+    states = np.asarray(states)
+    if states.ndim not in (1, 2) or states.shape[-1] != 1 << n:
+        raise ValueError(f"state shape {states.shape}, expected (2^{n},) or (k, 2^{n})")
+    return states.reshape(-1, 1 << n)
 
 
-def _scatter(qubits) -> np.ndarray:
-    """Basis index of each assignment a to `qubits` (bit i of a on qubits[i]), others 0."""
-    a = np.arange(1 << len(qubits))
-    return sum(((a >> i & 1) << q for i, q in enumerate(qubits)), np.zeros_like(a))
+def apply_channel(states: np.ndarray, channel: KrausChannel) -> np.ndarray:
+    """The stack of every branch E psi_i, each E applied on its support.
 
-
-def apply_channel(rho: np.ndarray, channel: KrausChannel) -> np.ndarray:
-    """Sum of E rho E^dagger over the Kraus operators, each applied on its support.
-
-    Basis index (a, b) lists the support bits a, then the other qubits' bits
-    b. rho is gathered into [support, rest, support, rest] blocks in that
-    order, E acts on the first axis and E* on the third, and the sum is
-    scattered back.
+    In the (k, 2, ..., 2) view qubit q is axis n - q. The support axes move
+    last, highest qubit first, so their flat index is that of E's rows.
     """
-    n, support = channel.n, channel.support
-    _check_rho(n, rho)
-    rest = [q for q in range(n) if q not in support]
-    d, r = 1 << len(support), 1 << len(rest)
-    perm = (_scatter(support)[:, None] + _scatter(rest)[None, :]).ravel()
-    blocks = rho[np.ix_(perm, perm)].reshape(d, r * d * r)
-    acc = sum(e.conj() @ (e @ blocks).reshape(d * r, d, r) for e in channel.ops)
-    out = np.empty(rho.shape, dtype=complex)
-    out[np.ix_(perm, perm)] = acc.reshape(d * r, d * r)
-    return out
+    n, s = channel.n, channel.weight
+    axes, last = [n - q for q in reversed(channel.support)], list(range(-s, 0))
+    moved = np.moveaxis(_branches(n, states).reshape((-1,) + (2,) * n), axes, last)
+    ops_t = np.swapaxes(np.stack(channel.ops), 1, 2)[:, None]  # (m, 1, d, d)
+    out = moved.reshape(moved.shape[0], -1, 1 << s) @ ops_t    # (m, k, rest, d)
+    return np.moveaxis(out.reshape((-1,) + moved.shape[1:]), last, axes).reshape(-1, 1 << n)
 
 
 def random_weight_t_channel(n: int, t: int, seed: int) -> KrausChannel:
@@ -124,6 +114,8 @@ def random_weight_t_channel(n: int, t: int, seed: int) -> KrausChannel:
     through the inverse square root of their completeness sum, which enforces
     trace preservation exactly (up to rounding).
     """
+    if t > CHANNEL_MAX_T:
+        raise ValueError(f"t={t} above {CHANNEL_MAX_T}: the draw would hold up to 16^{t} entries")
     if not 0 <= t <= n:
         raise ValueError(f"t={t} outside 0..{n}")
     rng = np.random.default_rng(seed)
@@ -154,20 +146,21 @@ def depolarizing_channel(n: int, qubit: int, p: float) -> KrausChannel:
     return KrausChannel(n, (qubit,), ops)
 
 
-def _flipped_states(g: Graph, t: int) -> np.ndarray:
-    """One row per coverable set c: psi_c, the graph state with Z on every vertex of c."""
-    members = np.flatnonzero(coverable_set(g, t).indicator)
-    return phase_flip(members[:, None], build_graph_state(g))
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """In place along the last axis: a[..., c] becomes sum_b (-1)^|b & c| a[..., b]."""
+    h = 1
+    while h < a.shape[-1]:
+        pairs = a.reshape(a.shape[:-1] + (-1, 2, h))
+        lo, hi = pairs[..., 0, :], pairs[..., 1, :]
+        lo += hi           # a0 + a1
+        hi *= -2
+        hi += lo           # a0 - a1
+        h *= 2
+    return a
 
 
-def bell_expectation(g: Graph, t: int, rho: np.ndarray) -> float:
-    """Tr(B_t rho): the sum over coverable sets c of <psi_c| rho |psi_c>."""
-    flipped = _flipped_states(g, t)
-    _check_rho(g.n, rho)
-    return float(np.sum((flipped.conj() @ rho) * flipped).real)
-
-
-def bell_operator_matrix(g: Graph, t: int) -> np.ndarray:
-    """Dense B_t: the sum over coverable sets c of |psi_c><psi_c|."""
-    flipped = _flipped_states(g, t)
-    return flipped.T @ flipped.conj()
+def bell_expectation(g: Graph, t: int, states: np.ndarray) -> float:
+    """<B_t> on rho = sum_i psi_i psi_i^dagger: the sum over branches i and
+    coverable sets C of |<G|Z_C|psi_i>|^2."""
+    overlaps = _walsh_hadamard(_branches(g.n, states) * build_graph_state(g).conj())
+    return float(np.sum(np.abs(overlaps[:, coverable_set(g, t).indicator != 0]) ** 2))

@@ -591,7 +591,8 @@ def reproduce_table1(
     when present, otherwise the known optimal family is evaluated as an
     upper-bound spot check, and cells with neither are reported missing.
     A max_n outside 3..MAX_VERTICES or a census_dir that is not a directory
-    is rejected before any level is built.
+    is rejected before any level is built, and so is a census_dir given with
+    a max_n <= EXHAUSTIVE_MAX_N, which would never be read.
     """
     ts = _as_ts(ts)
     if max_n < 3:
@@ -599,6 +600,9 @@ def reproduce_table1(
     _check_vertex_count(max_n)
     if census_dir is not None and not os.path.isdir(census_dir):
         raise ValueError(f"census_dir {census_dir} is not a directory")
+    if census_dir is not None and max_n <= EXHAUSTIVE_MAX_N:
+        raise ValueError(f"census_dir is read only for n above {EXHAUSTIVE_MAX_N}; "
+                         f"max_n={max_n} never reaches it")
     cells: list[TableCell] = []
     codes = [0]
     for n in range(1, max_n + 1):

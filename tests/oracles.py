@@ -13,7 +13,11 @@ The exceptions are `transform_lhv_values`, `lhv_values_full` and
 `coefficient_operator_matrix`, which take the package's coefficient table
 (and, for the first two, its stabilizer table; both checked against the
 brute-force versions here) and replace only the LHV engine or the
-simulator's operator assembly. The package never imports this module.
+simulator's operator assembly, and `bell_operator_matrix`, which sums the
+package's graph state phase-flipped by its coverable sets into the dense
+4^n matrix the simulator's branch expectations are checked against
+(`apply_channel_dense` carries a density matrix through a channel for
+that check). The package never imports this module.
 """
 from __future__ import annotations
 
@@ -24,9 +28,11 @@ from typing import Iterator
 import numpy as np
 
 from bellgraph.bell import bell_coefficients, stabilizer_table
+from bellgraph.coverable import coverable_set
 from bellgraph.dyadic import Dyadic
 from bellgraph.graph6 import rows_of_code
 from bellgraph.graphs import Graph, bits_of, iter_bits, local_complement
+from bellgraph.quantum import KrausChannel, build_graph_state, phase_flip
 
 I2 = np.eye(2, dtype=complex)
 PX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -68,6 +74,20 @@ def embed_operator(small: np.ndarray, n: int, support: tuple[int, ...]) -> np.nd
     full = np.zeros((1 << n, 1 << n), dtype=complex)
     full[np.ix_(perm, perm)] = np.kron(small, np.eye(r))
     return full
+
+
+def apply_channel_dense(rho: np.ndarray, channel: KrausChannel) -> np.ndarray:
+    """Sum of E rho E^dagger, each Kraus operator embedded as a full matrix."""
+    full = (embed_operator(e, channel.n, channel.support) for e in channel.ops)
+    return sum(e @ rho @ e.conj().T for e in full)
+
+
+def bell_operator_matrix(g: Graph, t: int) -> np.ndarray:
+    """Dense B_t: the sum over coverable sets c of |psi_c><psi_c|, psi_c the
+    graph state with Z on every vertex of c."""
+    members = np.flatnonzero(coverable_set(g, t).indicator)
+    flipped = phase_flip(members[:, None], build_graph_state(g))
+    return flipped.T @ flipped.conj()
 
 
 def kron_chain(mats) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 from bellgraph.bell import bell_coefficients
 from bellgraph.cli import main
 from bellgraph.graph6 import emit_graph6
-from bellgraph.quantum import DENSE_MAX_N, EXPECTATION_TOL
+from bellgraph.quantum import EXPECTATION_TOL
 from oracles import random_graph, stabilizer_element, to_text
 
 
@@ -142,7 +142,7 @@ def test_verify_prop1_json(capsys):
     ("complete_join(3,3,4)", ["--channels", "5"]),  # 10 qubits
 ])
 def test_verify_prop1_double_error_constructions(capsys, family, channels):
-    # the paper's t = 2 constructions fit under the one dense cap
+    # the paper's t = 2 constructions on 9 and 10 qubits
     code, out = run(capsys, "verify-prop1", "--graph", f"family:{family}", "--t", "2",
                     *channels, "--json")
     obj = json.loads(out)
@@ -151,9 +151,25 @@ def test_verify_prop1_double_error_constructions(capsys, family, channels):
     assert obj["max_deviation"] < 1e-12
 
 
-def test_verify_prop1_rejects_graphs_past_the_dense_cap(capsys):
-    assert main(["verify-prop1", "--graph", "family:ring(11)", "--t", "2"]) == 2
-    assert f"error: dense statevector capped at n={DENSE_MAX_N}" in capsys.readouterr().err
+@pytest.mark.parametrize("m", [4, pytest.param(5, marks=pytest.mark.slow)])
+def test_verify_prop1_star_copies_past_ten_qubits(capsys, m):
+    # the t = m - 1 construction on 3m qubits: 12 qubits at t = 3, 15 at t = 4,
+    # each with the default 20 channels
+    code, out = run(capsys, "verify-prop1", "--graph", f"family:star_copies({m})",
+                    "--t", str(m - 1), "--json")
+    obj = json.loads(out)
+    assert code == 0 and obj["passed"] is True
+    assert (obj["n"], obj["channels"]) == (3 * m, 20)
+    assert obj["max_deviation"] < 1e-12
+
+
+def test_verify_prop1_rejects_channel_weights_past_four(capsys, monkeypatch):
+    # a weight-t draw holds up to 16^t entries; these exit before any
+    # generator is made, let alone a draw
+    monkeypatch.setattr(np.random, "default_rng", None)
+    for graph, t in (("family:star_copies(2)", "5"), ("family:ring(10)", "8")):
+        assert main(["verify-prop1", "--graph", graph, "--t", t]) == 2
+        assert f"error: t={t} above 4" in capsys.readouterr().err
 
 
 def test_search_all_labeled_json(capsys):
@@ -227,6 +243,8 @@ def test_reproduce_table1_rejects_bad_arguments(capsys, tmp_path):
     for argv, message in (
         (["--max-n", "17"], "error: vertex count 17 outside 1..16"),
         (["--max-n", "10", "--census-dir", missing], f"error: census_dir {missing} is not a directory"),
+        (["--max-n", "7", "--census-dir", str(tmp_path)],
+         "error: census_dir is read only for n above 9; max_n=7 never reaches it"),
     ):
         assert main(["reproduce-table1", *argv]) == 2
         assert message in capsys.readouterr().err

@@ -16,16 +16,16 @@ from bellgraph.quantum import (
     amplitude_damping_channel,
     apply_channel,
     bell_expectation,
-    bell_operator_matrix,
     build_graph_state,
-    density_matrix,
     depolarizing_channel,
     phase_flip,
     random_weight_t_channel,
 )
 from oracles import (
     PauliString,
+    apply_channel_dense,
     apply_pauli,
+    bell_operator_matrix,
     coefficient_operator_matrix,
     embed_operator,
     letters_matrix,
@@ -37,6 +37,11 @@ from oracles import (
 
 STATE_TOL = 1e-12
 EXPECT_TOL = 1e-9
+
+
+def density(stack: np.ndarray) -> np.ndarray:
+    """rho = sum_i psi_i psi_i^dagger of a branch stack."""
+    return stack.T @ stack.conj()
 
 
 def test_single_vertex_state():
@@ -110,49 +115,52 @@ def test_expectation_on_graph_state_is_one():
     for _ in range(10):
         g = random_graph(rng, int(rng.integers(1, 7)))
         t = int(rng.integers(0, min(3, g.n) + 1))
-        rho = density_matrix(build_graph_state(g))
-        assert abs(bell_expectation(g, t, rho) - 1.0) < EXPECT_TOL
+        assert abs(bell_expectation(g, t, build_graph_state(g)) - 1.0) < EXPECT_TOL
 
 
 def test_prop1_on_two_stars():
     g = star_copies(2)
-    rho = density_matrix(build_graph_state(g))
+    psi = build_graph_state(g)
     for seed in range(20):
         channel = random_weight_t_channel(6, 1, seed)
-        noisy = apply_channel(rho, channel)
-        assert abs(np.trace(noisy).real - 1.0) < 1e-10
+        noisy = apply_channel(psi, channel)
+        assert noisy.shape == (len(channel.ops), 1 << 6)
+        assert abs(np.vdot(noisy, noisy).real - 1.0) < 1e-10  # Tr rho
         assert abs(bell_expectation(g, 1, noisy) - 1.0) < EXPECT_TOL
 
 
 def test_straddling_weight2_error_escapes():
-    g = star_copies(2)
-    vec = build_graph_state(g)
-    hit = phase_flip(0b001001, vec)  # Z on one vertex of each copy
-    assert abs(bell_expectation(g, 1, density_matrix(hit))) < EXPECT_TOL
-    assert 0b001001 not in coverable_set(g, 1).members
+    # a weight-(t+1) error, Z on one vertex of each of the t+1 copies, is
+    # not coverable and takes <B_t> to 0: 6 qubits at t=1, 12 at t=3
+    for m in (2, 4):
+        g, t = star_copies(m), m - 1
+        straddle = sum(1 << 3 * i for i in range(m))
+        hit = phase_flip(straddle, build_graph_state(g))
+        assert abs(bell_expectation(g, t, hit)) < EXPECT_TOL
+        assert straddle not in coverable_set(g, t).members
 
 
 def test_amplitude_damping_tolerated():
     g = star_copies(2)
-    rho = density_matrix(build_graph_state(g))
     channel = amplitude_damping_channel(6, 4, 0.35)
-    assert abs(bell_expectation(g, 1, apply_channel(rho, channel)) - 1.0) < EXPECT_TOL
+    noisy = apply_channel(build_graph_state(g), channel)
+    assert abs(bell_expectation(g, 1, noisy) - 1.0) < EXPECT_TOL
 
 
 def test_depolarizing_tolerated():
     g = star_copies(2)
-    rho = density_matrix(build_graph_state(g))
     channel = depolarizing_channel(6, 1, 0.5)
-    assert abs(bell_expectation(g, 1, apply_channel(rho, channel)) - 1.0) < EXPECT_TOL
+    noisy = apply_channel(build_graph_state(g), channel)
+    assert abs(bell_expectation(g, 1, noisy) - 1.0) < EXPECT_TOL
 
 
 def test_weight0_channel_is_global_phase():
     rng = np.random.default_rng(5)
     g = random_graph(rng, 4)
-    rho = density_matrix(build_graph_state(g))
+    psi = build_graph_state(g)
     channel = random_weight_t_channel(4, 0, seed=7)
     assert channel.weight == 0
-    assert np.abs(apply_channel(rho, channel) - rho).max() < 1e-12
+    assert np.abs(density(apply_channel(psi, channel)) - np.outer(psi, psi.conj())).max() < 1e-12
 
 
 def test_channel_determinism_per_seed():
@@ -188,10 +196,14 @@ def test_support_must_be_distinct_qubits(support):
         KrausChannel(3, support, ops)
 
 
-def test_density_matrix_shape_is_checked():
-    # a 4-qubit rho under a 3-qubit channel would otherwise come back partly unset
-    with pytest.raises(ValueError, match="density matrix shape"):
-        apply_channel(np.eye(16) / 16, depolarizing_channel(3, 0, 0.1))
+def test_state_shape_is_checked():
+    # a 4-qubit state under a 3-qubit channel would otherwise be read as two
+    # 3-qubit branches
+    for states in (np.ones(16) / 4, np.ones((2, 16)) / 32 ** 0.5, np.ones((1, 1, 8))):
+        with pytest.raises(ValueError, match="state shape"):
+            apply_channel(states, depolarizing_channel(3, 0, 0.1))
+    with pytest.raises(ValueError, match="state shape"):
+        bell_expectation(star(3), 0, np.ones(16) / 4)
 
 
 def test_embed_operator_positions():
@@ -211,8 +223,8 @@ def test_embed_operator_positions():
 
 
 def test_apply_channel_matches_dense_oracle():
-    # support-local application against sum_E E_full rho E_full^dagger, with
-    # the operators embedded as full matrices by the oracle
+    # the branch stack's sum_i psi_i psi_i^dagger against
+    # sum_E E_full rho E_full^dagger, the operators embedded as full matrices
     rng = np.random.default_rng(6)
     channels = [random_weight_t_channel(int(n), min(int(n), 3), seed)
                 for seed, n in enumerate(rng.integers(1, 7, size=190))]
@@ -225,35 +237,28 @@ def test_apply_channel_matches_dense_oracle():
         channels.append(depolarizing_channel(n, n - 1, 0.3))
     assert sum(len(c.support) == 2 and c.support[1] - c.support[0] > 1 for c in channels) > 10
     for channel in channels:
-        n = channel.n
-        a = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho)
-        dense = sum(e @ rho @ e.conj().T
-                    for e in (embed_operator(op, n, channel.support) for op in channel.ops))
-        assert np.abs(apply_channel(rho, channel) - dense).max() < 1e-12, channel.support
+        n, k = channel.n, int(rng.integers(1, 4))
+        stack = rng.normal(size=(k, 1 << n)) + 1j * rng.normal(size=(k, 1 << n))
+        stack /= np.linalg.norm(stack)
+        branches = apply_channel(stack if k > 1 else stack[0], channel)
+        assert branches.shape == (k * len(channel.ops), 1 << n)
+        dense = apply_channel_dense(density(stack), channel)
+        assert np.abs(density(branches) - dense).max() < 1e-12, channel.support
 
 
-def test_dense_cap():
-    # one cap, DENSE_MAX_N = 10: the paper's 9- and 10-qubit constructions fit
-    for g in (ring(9), ring(10)):
-        rho = density_matrix(build_graph_state(g))
-        assert abs(bell_expectation(g, 0, rho) - 1.0) < EXPECT_TOL
-        assert bell_operator_matrix(g, 0).shape == rho.shape
-    g = complete(11)
-    with pytest.raises(ValueError, match="capped at n=10"):
-        build_graph_state(g)
-    with pytest.raises(ValueError, match="capped at n=10"):
-        bell_expectation(g, 0, np.zeros((1 << 11, 1 << 11)))
-    with pytest.raises(ValueError, match="capped at n=10"):
-        bell_operator_matrix(g, 0)
+def test_branch_path_reaches_max_vertices():
+    # no cap of its own: the graph's n <= MAX_VERTICES = 16 is the only one
+    for g, t in ((ring(11), 2), (complete(16), 1)):
+        psi = build_graph_state(g)
+        assert abs(bell_expectation(g, t, psi) - 1.0) < EXPECT_TOL
+        noisy = apply_channel(psi, depolarizing_channel(g.n, g.n - 1, 0.5))
+        assert abs(bell_expectation(g, t, noisy) - 1.0) < EXPECT_TOL
 
 
 def test_quantum_value_exceeds_lhv_bound():
     # the violation the construction is for: quantum 1 vs classical 15/16
     g = star_copies(2)
-    rho = density_matrix(build_graph_state(g))
-    assert bell_expectation(g, 1, rho) > float(lhv_bound(g, 1).bound)
+    assert bell_expectation(g, 1, build_graph_state(g)) > float(lhv_bound(g, 1).bound)
 
 
 def test_one_stabilizer_model():
@@ -264,8 +269,12 @@ def test_one_stabilizer_model():
                  "pauli_matrix", "apply_pauli", "embed_operator"):
         assert not hasattr(bellgraph, name), name
         assert not hasattr(quantum, name), name
-    # channels act on their support; no full 2^n x 2^n form is built
+    # channels act on their support and states are branch stacks; no full
+    # 2^n x 2^n form is built, and the dense B_t is a test oracle
     assert not hasattr(KrausChannel, "full_ops")
+    for name in ("density_matrix", "bell_operator_matrix", "DENSE_MAX_N"):
+        assert not hasattr(bellgraph, name), name
+        assert not hasattr(quantum, name), name
     tree = ast.parse(inspect.getsource(quantum))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -276,4 +285,3 @@ def test_one_stabilizer_model():
             continue
         for module in modules:
             assert module.split(".")[-1] not in ("bell", "pauli"), f"quantum imports {module}"
-    assert list(inspect.signature(bell_operator_matrix).parameters) == ["g", "t"]

@@ -450,7 +450,8 @@ def test_reproduce_table1_census_dir_checks_vertex_count(monkeypatch, tmp_path, 
 def test_reproduce_table1_rejects_bad_arguments(monkeypatch, tmp_path):
     # rejected before any level is built: no graph has 17 vertices, max_n=2
     # would give an empty grid, and a census_dir that is not a directory
-    # would turn its cells into spot checks and missing cells
+    # would turn its cells into spot checks and missing cells, while one
+    # given with max_n <= EXHAUSTIVE_MAX_N would never be read
     monkeypatch.setattr(search_module, "_level", None)
     (tmp_path / "file").write_text("")
     for kwargs, message in (
@@ -460,6 +461,8 @@ def test_reproduce_table1_rejects_bad_arguments(monkeypatch, tmp_path):
          f"census_dir {tmp_path / 'nonexistent'} is not a directory"),
         ({"max_n": 10, "census_dir": str(tmp_path / "file")},
          f"census_dir {tmp_path / 'file'} is not a directory"),
+        ({"max_n": 9, "census_dir": str(tmp_path)},
+         "census_dir is read only for n above 9; max_n=9 never reaches it"),
     ):
         with pytest.raises(ValueError) as err:
             reproduce_table1(**kwargs)
