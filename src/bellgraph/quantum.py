@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverable import coverable_set
+from .coverable import CoverableSet
 from .graphs import Graph
 
 STATE_TOL = 1e-12
@@ -57,6 +57,11 @@ def build_graph_state(g: Graph) -> np.ndarray:
     return vec
 
 
+def _completeness(ops: np.ndarray) -> np.ndarray:
+    """sum_E E^dagger E over a (m, d, d) stack of Kraus operators, in one einsum."""
+    return np.einsum("mki,mkj->ij", ops.conj(), ops)
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """Trace-preserving map given by Kraus operators on a small support.
@@ -76,7 +81,7 @@ class KrausChannel:
         for e in self.ops:
             if e.shape != (d, d):
                 raise ValueError(f"Kraus operator shape {e.shape}, expected {(d, d)}")
-        err = np.abs(sum(e.conj().T @ e for e in self.ops) - np.eye(d)).max()
+        err = np.abs(_completeness(np.reshape(self.ops, (-1, d, d))) - np.eye(d)).max()
         if err > CHANNEL_TOL:
             raise ValueError(f"channel is not trace preserving: residual {err:.3e}")
 
@@ -124,11 +129,9 @@ def random_weight_t_channel(n: int, t: int, seed: int) -> KrausChannel:
     d = 1 << s
     count = int(rng.integers(1, d * d + 1))
     raw = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
-    acc = sum(e.conj().T @ e for e in raw)
-    w, v = np.linalg.eigh(acc)
+    w, v = np.linalg.eigh(_completeness(raw))
     inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    ops = tuple(e @ inv_sqrt for e in raw)
-    return KrausChannel(n, support, ops)
+    return KrausChannel(n, support, tuple(raw @ inv_sqrt))
 
 
 def amplitude_damping_channel(n: int, qubit: int, gamma: float) -> KrausChannel:
@@ -159,8 +162,11 @@ def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def bell_expectation(g: Graph, t: int, states: np.ndarray) -> float:
-    """<B_t> on rho = sum_i psi_i psi_i^dagger: the sum over branches i and
-    coverable sets C of |<G|Z_C|psi_i>|^2."""
-    overlaps = _walsh_hadamard(_branches(g.n, states) * build_graph_state(g).conj())
-    return float(np.sum(np.abs(overlaps[:, coverable_set(g, t).indicator != 0]) ** 2))
+def bell_expectation(graph_state: np.ndarray, coverable: CoverableSet, states: np.ndarray) -> float:
+    """<B_t> on rho = sum_i psi_i psi_i^dagger, for the graph state |G> and
+    G's coverable sets C: the sum over branches i and C of |<G|Z_C|psi_i>|^2."""
+    n = coverable.n
+    if np.shape(graph_state) != (1 << n,):
+        raise ValueError(f"graph state shape {np.shape(graph_state)}, expected (2^{n},)")
+    overlaps = _walsh_hadamard(_branches(n, states) * graph_state.conj())
+    return float(np.sum(np.abs(overlaps[:, coverable.indicator != 0]) ** 2))

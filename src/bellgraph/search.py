@@ -13,9 +13,10 @@ from any iterable of graphs (`search`), decoded from a graph6 census file a
 chunk of lines at a time (`search_file`, with checkpoints that store the
 whole pipeline state, so an interrupted and resumed run reports the same),
 or broadcast as the one-vertex extensions of the classes on n - 1. One such
-level is one pipeline run; `class_reps` chains levels from the empty graph,
-and `search_labeled_all` and `reproduce_table1` have the runs evaluate the
-classes they find. The first two reject a record on another vertex count
+level is one pipeline run, and one walk of levels from the empty graph
+(`_levels`) serves `class_reps`, `search_labeled_all` and
+`reproduce_table1`; the last two have the runs evaluate the classes they
+find. `search` and `search_file` reject a record on another vertex count
 than the census's with its position, "record i" or "line L".
 
 Each chunk is canonicalized in one batch, and under "lc" the orbits of all
@@ -287,12 +288,16 @@ def _level(k: int, codes: Sequence[int], dedup: str, ts: tuple[int, ...] = ()) -
     return pipe
 
 
-def _class_codes(n: int, dedup: str) -> list[int]:
-    """Sorted canonical codes of the class representatives on n >= 0 vertices."""
+def _levels(n: int, dedup: str, ts: tuple[int, ...] = (), first: int = 1
+            ) -> Iterator[tuple[_Pipeline, float]]:
+    """Levels 1..n chained from the empty graph: each level's pipeline run
+    with its start time, the runs of levels first..n evaluating at each t in ts."""
     codes = [0]  # the empty graph on 0 vertices
     for k in range(1, n + 1):
-        codes = sorted(_level(k, codes, dedup).reps)
-    return codes
+        started = time.perf_counter()
+        pipe = _level(k, codes, dedup, ts if k >= first else ())
+        codes = sorted(pipe.reps)
+        yield pipe, started
 
 
 def class_reps(n: int, dedup: str = "lc") -> list[Graph]:
@@ -312,7 +317,9 @@ def class_reps(n: int, dedup: str = "lc") -> list[Graph]:
     the next level.
     """
     _check_vertex_count(n)
-    return [Graph(n, rows_of_code(n, code)) for code in _class_codes(n, dedup)]
+    for pipe, _ in _levels(n, dedup):
+        pass
+    return [Graph(n, rows_of_code(n, code)) for code in sorted(pipe.reps)]
 
 
 def iso_class_reps(n: int) -> list[Graph]:
@@ -336,7 +343,8 @@ def search_labeled_all(
     ts = _as_ts(t)
     _check_vertex_count(n)
     started = time.perf_counter()
-    pipe = _level(n, _class_codes(n - 1, dedup), dedup, ts)
+    for pipe, _ in _levels(n, dedup, ts, first=n):
+        pass
     pipe.records = 1 << (n * (n - 1) // 2)
     pipe.stages["dedup"] = time.perf_counter() - started - pipe.stages["evaluate"]
     reports = pipe.reports(started, max_witnesses)
@@ -577,58 +585,32 @@ class TableCell:
         }
 
 
-def reproduce_table1(
-    max_n: int = 7,
-    ts: Sequence[int] = (0, 1, 2),
-    census_dir: str | None = None,
-) -> list[TableCell]:
+def reproduce_table1(max_n: int = 7, ts: Sequence[int] = (0, 1, 2)) -> list[TableCell]:
     """Recompute the optimal-bound grid for 3 <= n <= max_n.
 
-    Levels 1..min(max_n, EXHAUSTIVE_MAX_N) are built once, as in
-    `class_reps`, and from n = 3 on each level's pipeline run evaluates its
-    classes and reports the exhaustive cells. Beyond EXHAUSTIVE_MAX_N a
-    census file `n<k>.g6` in census_dir (records on k vertices) is searched
-    when present, otherwise the known optimal family is evaluated as an
-    upper-bound spot check, and cells with neither are reported missing.
-    A max_n outside 3..MAX_VERTICES or a census_dir that is not a directory
-    is rejected before any level is built, and so is a census_dir given with
-    a max_n <= EXHAUSTIVE_MAX_N, which would never be read.
+    One walk of levels 1..min(max_n, EXHAUSTIVE_MAX_N), as in `class_reps`,
+    has each level's pipeline run from n = 3 on evaluate its classes and
+    report the exhaustive cells. Beyond EXHAUSTIVE_MAX_N the known optimal
+    family is evaluated as an upper-bound spot check, and cells without one
+    are reported missing. A max_n outside 3..MAX_VERTICES is rejected
+    before any level is built.
     """
     ts = _as_ts(ts)
     if max_n < 3:
         raise ValueError(f"max_n={max_n} below 3, the grid's first column")
     _check_vertex_count(max_n)
-    if census_dir is not None and not os.path.isdir(census_dir):
-        raise ValueError(f"census_dir {census_dir} is not a directory")
-    if census_dir is not None and max_n <= EXHAUSTIVE_MAX_N:
-        raise ValueError(f"census_dir is read only for n above {EXHAUSTIVE_MAX_N}; "
-                         f"max_n={max_n} never reaches it")
     cells: list[TableCell] = []
-    codes = [0]
-    for n in range(1, max_n + 1):
-        if n <= EXHAUSTIVE_MAX_N:
-            started = time.perf_counter()
-            pipe = _level(n, codes, "lc", ts if n >= 3 else ())  # t <= n
-            codes = sorted(pipe.reps)
-            if n < 3:
-                continue
+    for pipe, started in _levels(min(max_n, EXHAUSTIVE_MAX_N), "lc", ts, first=3):  # t <= 3 <= n
+        if pipe.n >= 3:
             reports = pipe.reports(started, DEFAULT_MAX_WITNESSES)
-        elif census_dir and os.path.exists(census := os.path.join(census_dir, f"n{n}.g6")):
-            reports = search_file(census, ts)
-            if (found := reports[ts[0]].n) != n:
-                raise ValueError(f"{census}: records have {found} vertices, expected {n}")
-        else:
-            for t in ts:
-                spec = SPOT_FAMILIES.get((t, n))
-                if spec is None:
-                    cells.append(TableCell(t, n, None, "missing", None, TABLE1.get((t, n))))
-                    continue
-                bound = lhv_bound(parse_family(spec), t).bound
-                cells.append(TableCell(t, n, bound, "family-bound", spec, TABLE1.get((t, n))))
-            continue
+            cells += [TableCell(t, pipe.n, reports[t].best_bound, "exhaustive", None,
+                                TABLE1.get((t, pipe.n))) for t in ts]
+    for n in range(EXHAUSTIVE_MAX_N + 1, max_n + 1):
         for t in ts:
-            cells.append(TableCell(t, n, reports[t].best_bound, "exhaustive",
-                                   None, TABLE1.get((t, n))))
+            spec = SPOT_FAMILIES.get((t, n))
+            bound = None if spec is None else lhv_bound(parse_family(spec), t).bound
+            mode = "missing" if spec is None else "family-bound"
+            cells.append(TableCell(t, n, bound, mode, spec, TABLE1.get((t, n))))
     return cells
 
 

@@ -146,14 +146,14 @@ def test_criterion_6_noise_sweep(census):
             for g in census[n]:
                 psi0 = None
                 for t in (1, 2):
-                    if t > n or coverable_set(g, t).is_full:
+                    if t > n or (cov := coverable_set(g, t)).is_full:
                         continue
                     if psi0 is None:
                         psi0 = build_graph_state(g)
                     for i in range(20):
                         seed = CHANNEL_SEED_BASE + 1000 * counter + i
                         channel = random_weight_t_channel(n, t, seed)
-                        value = bell_expectation(g, t, apply_channel(psi0, channel))
+                        value = bell_expectation(psi0, cov, apply_channel(psi0, channel))
                         worst = max(worst, abs(value - 1.0))
                         assert worst < 1e-9, f"n={n} t={t} seed={seed}: {value!r}"
                         if sample.random() < 1 / 40:

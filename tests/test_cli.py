@@ -239,15 +239,13 @@ def test_reproduce_table1_json(capsys):
 
 
 def test_reproduce_table1_rejects_bad_arguments(capsys, tmp_path):
-    missing = str(tmp_path / "nonexistent")
-    for argv, message in (
-        (["--max-n", "17"], "error: vertex count 17 outside 1..16"),
-        (["--max-n", "10", "--census-dir", missing], f"error: census_dir {missing} is not a directory"),
-        (["--max-n", "7", "--census-dir", str(tmp_path)],
-         "error: census_dir is read only for n above 9; max_n=7 never reaches it"),
-    ):
-        assert main(["reproduce-table1", *argv]) == 2
-        assert message in capsys.readouterr().err
+    assert main(["reproduce-table1", "--max-n", "17"]) == 2
+    assert "error: vertex count 17 outside 1..16" in capsys.readouterr().err
+    # the grid reads no census directory: the flag is an argparse error
+    with pytest.raises(SystemExit) as exit_:
+        main(["reproduce-table1", "--census-dir", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --census-dir" in capsys.readouterr().err
 
 
 def test_bad_graph_literal_is_reported(capsys):

@@ -115,18 +115,19 @@ def test_expectation_on_graph_state_is_one():
     for _ in range(10):
         g = random_graph(rng, int(rng.integers(1, 7)))
         t = int(rng.integers(0, min(3, g.n) + 1))
-        assert abs(bell_expectation(g, t, build_graph_state(g)) - 1.0) < EXPECT_TOL
+        psi = build_graph_state(g)
+        assert abs(bell_expectation(psi, coverable_set(g, t), psi) - 1.0) < EXPECT_TOL
 
 
 def test_prop1_on_two_stars():
     g = star_copies(2)
-    psi = build_graph_state(g)
+    psi, cov = build_graph_state(g), coverable_set(g, 1)
     for seed in range(20):
         channel = random_weight_t_channel(6, 1, seed)
         noisy = apply_channel(psi, channel)
         assert noisy.shape == (len(channel.ops), 1 << 6)
         assert abs(np.vdot(noisy, noisy).real - 1.0) < 1e-10  # Tr rho
-        assert abs(bell_expectation(g, 1, noisy) - 1.0) < EXPECT_TOL
+        assert abs(bell_expectation(psi, cov, noisy) - 1.0) < EXPECT_TOL
 
 
 def test_straddling_weight2_error_escapes():
@@ -135,23 +136,24 @@ def test_straddling_weight2_error_escapes():
     for m in (2, 4):
         g, t = star_copies(m), m - 1
         straddle = sum(1 << 3 * i for i in range(m))
-        hit = phase_flip(straddle, build_graph_state(g))
-        assert abs(bell_expectation(g, t, hit)) < EXPECT_TOL
+        psi = build_graph_state(g)
+        hit = phase_flip(straddle, psi)
+        assert abs(bell_expectation(psi, coverable_set(g, t), hit)) < EXPECT_TOL
         assert straddle not in coverable_set(g, t).members
 
 
 def test_amplitude_damping_tolerated():
     g = star_copies(2)
-    channel = amplitude_damping_channel(6, 4, 0.35)
-    noisy = apply_channel(build_graph_state(g), channel)
-    assert abs(bell_expectation(g, 1, noisy) - 1.0) < EXPECT_TOL
+    psi = build_graph_state(g)
+    noisy = apply_channel(psi, amplitude_damping_channel(6, 4, 0.35))
+    assert abs(bell_expectation(psi, coverable_set(g, 1), noisy) - 1.0) < EXPECT_TOL
 
 
 def test_depolarizing_tolerated():
     g = star_copies(2)
-    channel = depolarizing_channel(6, 1, 0.5)
-    noisy = apply_channel(build_graph_state(g), channel)
-    assert abs(bell_expectation(g, 1, noisy) - 1.0) < EXPECT_TOL
+    psi = build_graph_state(g)
+    noisy = apply_channel(psi, depolarizing_channel(6, 1, 0.5))
+    assert abs(bell_expectation(psi, coverable_set(g, 1), noisy) - 1.0) < EXPECT_TOL
 
 
 def test_weight0_channel_is_global_phase():
@@ -183,9 +185,12 @@ def test_channel_trace_preservation_residuals():
 
 
 def test_non_trace_preserving_rejected():
-    bad = (np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex),)
-    with pytest.raises(ValueError):
-        KrausChannel(3, (1,), bad)
+    for ops in (
+        (np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex),),
+        (),  # no operators: the completeness sum is 0
+    ):
+        with pytest.raises(ValueError, match="not trace preserving"):
+            KrausChannel(3, (1,), ops)
 
 
 @pytest.mark.parametrize("support", [(1, 1), (5,), (-1,), (0, 3)])
@@ -202,8 +207,14 @@ def test_state_shape_is_checked():
     for states in (np.ones(16) / 4, np.ones((2, 16)) / 32 ** 0.5, np.ones((1, 1, 8))):
         with pytest.raises(ValueError, match="state shape"):
             apply_channel(states, depolarizing_channel(3, 0, 0.1))
+    g = star(3)
+    psi, cov = build_graph_state(g), coverable_set(g, 0)
     with pytest.raises(ValueError, match="state shape"):
-        bell_expectation(star(3), 0, np.ones(16) / 4)
+        bell_expectation(psi, cov, np.ones(16) / 4)
+    # a graph state on another n than the coverable sets' is rejected alike
+    for graph_state in (np.ones(16) / 4, np.ones((1, 8)) / 8 ** 0.5):
+        with pytest.raises(ValueError, match="graph state shape"):
+            bell_expectation(graph_state, cov, psi)
 
 
 def test_embed_operator_positions():
@@ -249,16 +260,17 @@ def test_apply_channel_matches_dense_oracle():
 def test_branch_path_reaches_max_vertices():
     # no cap of its own: the graph's n <= MAX_VERTICES = 16 is the only one
     for g, t in ((ring(11), 2), (complete(16), 1)):
-        psi = build_graph_state(g)
-        assert abs(bell_expectation(g, t, psi) - 1.0) < EXPECT_TOL
+        psi, cov = build_graph_state(g), coverable_set(g, t)
+        assert abs(bell_expectation(psi, cov, psi) - 1.0) < EXPECT_TOL
         noisy = apply_channel(psi, depolarizing_channel(g.n, g.n - 1, 0.5))
-        assert abs(bell_expectation(g, t, noisy) - 1.0) < EXPECT_TOL
+        assert abs(bell_expectation(psi, cov, noisy) - 1.0) < EXPECT_TOL
 
 
 def test_quantum_value_exceeds_lhv_bound():
     # the violation the construction is for: quantum 1 vs classical 15/16
     g = star_copies(2)
-    assert bell_expectation(g, 1, build_graph_state(g)) > float(lhv_bound(g, 1).bound)
+    psi = build_graph_state(g)
+    assert bell_expectation(psi, coverable_set(g, 1), psi) > float(lhv_bound(g, 1).bound)
 
 
 def test_one_stabilizer_model():

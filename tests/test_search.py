@@ -3,8 +3,6 @@ import importlib
 import inspect
 import json
 import random
-import re
-import shutil
 
 import numpy as np
 import pytest
@@ -423,50 +421,19 @@ def test_reproduce_table1_exhaustive_band():
     assert all(c.matches for c in cells)
 
 
-def test_reproduce_table1_census_dir(monkeypatch, tmp_path):
-    # a supplied census file takes precedence over family spot checks
-    from bellgraph.search import SPOT_FAMILIES
-
-    monkeypatch.setattr(search_module, "EXHAUSTIVE_MAX_N", 4)
-    lines = [emit_graph6(parse_family(spec)) for (t, n), spec in SPOT_FAMILIES.items()
-             if n == 8] + [emit_graph6(complete_join(8)), emit_graph6(star(8))]
-    (tmp_path / "n8.g6").write_text("\n".join(lines) + "\n")
-    cells = reproduce_table1(max_n=8, census_dir=str(tmp_path))
-    by_key = {(c.t, c.n): c for c in cells}
-    assert by_key[(1, 8)].mode == "exhaustive"
-    assert by_key[(1, 8)].value == Dyadic(29, 5)
-    assert by_key[(1, 7)].mode == "family-bound"
-
-
-def test_reproduce_table1_census_dir_checks_vertex_count(monkeypatch, tmp_path, census5_path):
-    # a census whose records are on 5 vertices is not reported as cells of 6
-    monkeypatch.setattr(search_module, "EXHAUSTIVE_MAX_N", 4)
-    shutil.copy(census5_path, tmp_path / "n6.g6")
-    census = str(tmp_path / "n6.g6")
-    with pytest.raises(ValueError, match=f"{re.escape(census)}: records have 5 vertices, expected 6"):
-        reproduce_table1(max_n=6, census_dir=str(tmp_path))
-
-
-def test_reproduce_table1_rejects_bad_arguments(monkeypatch, tmp_path):
-    # rejected before any level is built: no graph has 17 vertices, max_n=2
-    # would give an empty grid, and a census_dir that is not a directory
-    # would turn its cells into spot checks and missing cells, while one
-    # given with max_n <= EXHAUSTIVE_MAX_N would never be read
+def test_reproduce_table1_rejects_bad_arguments(monkeypatch):
+    # rejected before any level is built: no graph has 17 vertices, and
+    # max_n=2 would give an empty grid
     monkeypatch.setattr(search_module, "_level", None)
-    (tmp_path / "file").write_text("")
     for kwargs, message in (
         ({"max_n": 17}, "vertex count 17 outside 1..16"),
         ({"max_n": 2}, "max_n=2 below 3"),
-        ({"max_n": 10, "census_dir": str(tmp_path / "nonexistent")},
-         f"census_dir {tmp_path / 'nonexistent'} is not a directory"),
-        ({"max_n": 10, "census_dir": str(tmp_path / "file")},
-         f"census_dir {tmp_path / 'file'} is not a directory"),
-        ({"max_n": 9, "census_dir": str(tmp_path)},
-         "census_dir is read only for n above 9; max_n=9 never reaches it"),
     ):
         with pytest.raises(ValueError) as err:
             reproduce_table1(**kwargs)
         assert str(err.value).startswith(message), kwargs
+    # the grid's cells come from the level walk and the named families alone
+    assert list(inspect.signature(reproduce_table1).parameters) == ["max_n", "ts"]
 
 
 def test_reproduce_table1_spot_checks(monkeypatch):
@@ -487,7 +454,8 @@ def test_reproduce_table1_spot_checks(monkeypatch):
 
 def test_exhaustive_levels_are_built_once(monkeypatch):
     # every level is one pipeline run on the extensions of the level below;
-    # the grid walks levels 1..6 once, feeding what class_reps(6) feeds
+    # the grid and the search walk levels 1..6 once, feeding what
+    # class_reps(6) feeds
     real = search_module.canonical_codes
     fed = []
 
@@ -502,7 +470,9 @@ def test_exhaustive_levels_are_built_once(monkeypatch):
     by_class_reps, fed[:] = list(fed), []
     reproduce_table1(max_n=6)
     assert fed == by_class_reps
+    fed[:] = []
     report = search_labeled_all(6, (0, 1, 2))[0]
+    assert fed == by_class_reps
     assert report.graphs_examined == 2 ** 15
     assert all(report.stages[stage] > 0 for stage in ("dedup", "evaluate", "verify"))
 
