@@ -33,7 +33,6 @@ from .search import (
     class_reps,
     iso_class_reps,
     reproduce_table1,
-    search,
     search_file,
     search_labeled_all,
 )

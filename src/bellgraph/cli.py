@@ -24,6 +24,7 @@ from .quantum import (
     random_weight_t_channel,
 )
 from .search import (
+    DEFAULT_MAX_WITNESSES,
     minimal_violating_n,
     reproduce_table1,
     search_file,
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dedup", choices=("lc", "iso"), default="lc")
     p.add_argument("--lenient", action="store_true",
                    help="skip malformed census lines instead of aborting")
-    p.add_argument("--max-witnesses", type=_int_at_least(0), default=32)
+    p.add_argument("--max-witnesses", type=_int_at_least(0), default=DEFAULT_MAX_WITNESSES)
     p.add_argument("--checkpoint",
                    help="checkpoint file; rerunning with it resumes exactly")
     p.add_argument("--json", action="store_true")

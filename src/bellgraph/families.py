@@ -18,19 +18,19 @@ def star(n: int) -> Graph:
     """Center 0 joined to every other vertex."""
     if n < 2:
         raise ValueError("star needs at least 2 vertices")
-    return Graph.from_edges(n, [(0, v) for v in range(1, n)])
+    return Graph.from_edges(n, ((0, v) for v in range(1, n)))
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs at least 1 vertex")
-    return Graph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+    return Graph.from_edges(n, ((a, b) for a in range(n) for b in range(a + 1, n)))
 
 
 def ring(n: int) -> Graph:
     if n < 3:
         raise ValueError("ring needs at least 3 vertices")
-    return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+    return Graph.from_edges(n, ((v, (v + 1) % n) for v in range(n)))
 
 
 def star_copies(m: int) -> Graph:

@@ -33,6 +33,11 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def check_vertex_count(n: int) -> None:
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph: vertex count and per-vertex adjacency rows."""
@@ -41,8 +46,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
+        check_vertex_count(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count does not match vertex count")
         full = (1 << self.n) - 1
@@ -58,6 +62,9 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """The graph on n vertices with the given edges; n is checked before
+        any edge is read, so a generator on a bad n is never consumed."""
+        check_vertex_count(n)
         rows = [0] * n
         for a, b in edges:
             if a == b:
@@ -78,6 +85,8 @@ class Graph:
     def relabel(self, perm: Iterable[int]) -> "Graph":
         """Image under the permutation sending old vertex v to perm[v]."""
         perm = tuple(int(p) for p in perm)
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"relabeling {perm} is not a permutation of 0..{self.n - 1}")
         rows = [0] * self.n
         for a in range(self.n):
             row = 0

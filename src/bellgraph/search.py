@@ -8,16 +8,16 @@ class, so reports do not depend on the order of the records or on how they
 are cut into chunks. Bounds are constant on classes, which the test suite
 checks against every labeled graph.
 
-The pipeline takes records as (B, n) arrays of adjacency rows: stacked
-from any iterable of graphs (`search`), decoded from a graph6 census file a
-chunk of lines at a time (`search_file`, with checkpoints that store the
-whole pipeline state, so an interrupted and resumed run reports the same),
-or broadcast as the one-vertex extensions of the classes on n - 1. One such
-level is one pipeline run, and one walk of levels from the empty graph
-(`_levels`) serves `class_reps`, `search_labeled_all` and
-`reproduce_table1`; the last two have the runs evaluate the classes they
-find. `search` and `search_file` reject a record on another vertex count
-than the census's with its position, "record i" or "line L".
+The pipeline takes records as (B, n) arrays of adjacency rows from two
+sources: a graph6 census file, decoded a chunk of lines at a time
+(`search_file`, with checkpoints that store the whole pipeline state, so an
+interrupted and resumed run reports the same), or the one-vertex extensions
+of the classes on n - 1, broadcast. One such level is one pipeline run, and
+one walk of levels from the empty graph (`_levels`) serves `class_reps`,
+`search_labeled_all` and `reproduce_table1`; the last two have the runs
+evaluate the classes they find. `search_file` rejects a record on another
+vertex count than the census's with its line number. Graphs held in memory
+are searched by writing them out with `emit_graph6`.
 
 Each chunk is canonicalized in one batch, and under "lc" the orbits of all
 its unseen classes are walked in one breadth-first search (`lc_orbits`):
@@ -32,7 +32,7 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .bell import bell_coefficients, lhv_bound, lhv_value
 from .canon import CanonicalForm, OrbitCapExceeded, canonical_codes, lc_orbits
 from .dyadic import Dyadic
 from .graph6 import code_of_rows, parse_graph6, read_graph6, rows_of_code
-from .graphs import MAX_VERTICES, Graph
+from .graphs import Graph, check_vertex_count
 from .families import parse_family
 
 EXHAUSTIVE_MAX_N = 9  # class_reps(9, "lc") takes about 25 s on 2 cores
@@ -133,30 +133,18 @@ class _Pipeline:
         if self.dedup not in ("lc", "iso"):
             raise ValueError(f"unknown dedup mode {self.dedup!r}")
 
-    def feed(
-        self,
-        blocks: Iterable[np.ndarray],
-        on_chunk: Callable[["_Pipeline"], None] | None = None,
-    ) -> None:
-        """Take records as (B, n) arrays of adjacency rows, all on one n.
+    def feed(self, rows: np.ndarray) -> None:
+        """Take records as a (B, n) array of adjacency rows.
 
-        Each array is cut into chunks of at most CHUNK_SIZE records, and
-        on_chunk runs after each chunk. Reports do not depend on where the
-        cuts fall. The sources check the vertex count, since they know the
-        position of a record on another one.
+        The array is cut into chunks of at most CHUNK_SIZE records. Reports
+        do not depend on where the cuts fall. The sources check the vertex
+        count, since they know the position of a record on another one.
         """
-        blocks = iter(blocks)
-        while True:
-            started = time.perf_counter()
-            rows = next(blocks, None)
-            self.stages["read"] += time.perf_counter() - started
-            if rows is None:
-                return
-            for at in range(0, len(rows), CHUNK_SIZE):
-                self._take(rows[at:at + CHUNK_SIZE], on_chunk)
+        for at in range(0, len(rows), CHUNK_SIZE):
+            self._take(rows[at:at + CHUNK_SIZE])
 
-    def _take(self, chunk: np.ndarray, on_chunk: Callable[["_Pipeline"], None] | None) -> None:
-        """Count the records, evaluate each new class's representative, run on_chunk.
+    def _take(self, chunk: np.ndarray) -> None:
+        """Count the records and evaluate each new class's representative.
 
         The representative is the least canonical code of the class: the LC
         orbit's minimum under "lc", the canonical code under "iso". The
@@ -188,8 +176,6 @@ class _Pipeline:
         self.stages["dedup"] += time.perf_counter() - started
         for code in new:
             self.evaluate(code)
-        if on_chunk:
-            on_chunk(self)
 
     def evaluate(self, code: int) -> None:
         """Keep a canonical code as a class representative, with its LHV bound per t."""
@@ -255,6 +241,8 @@ def _as_ts(t) -> tuple[int, ...]:
     ts = (t,) if isinstance(t, int) else tuple(t)
     if not ts:
         raise ValueError("no t given; pass one or more of 0..3")
+    if len(set(ts)) < len(ts):
+        raise ValueError(f"t repeated in {ts}; pass each t once")
     for one in ts:
         if not 0 <= one <= 3:
             raise ValueError(f"t={one} outside 0..3")
@@ -263,11 +251,6 @@ def _as_ts(t) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # every class on n vertices, by one-vertex extension
-
-def _check_vertex_count(n: int) -> None:
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
-
 
 def _level(k: int, codes: Sequence[int], dedup: str, ts: tuple[int, ...] = ()) -> _Pipeline:
     """One pipeline run, evaluating at each t in ts, on every level k - 1
@@ -279,7 +262,7 @@ def _level(k: int, codes: Sequence[int], dedup: str, ts: tuple[int, ...] = ()) -
     ext[:, :, :-1] = adj[:, None, :] | (nb[:, None] >> np.arange(k - 1) & 1) << (k - 1)
     ext[:, :, -1] = nb
     pipe = _Pipeline(ts, dedup)
-    pipe.feed([ext.reshape(-1, k)])
+    pipe.feed(ext.reshape(-1, k))
     if pipe.orbit_cap_fallbacks:
         raise OrbitCapExceeded(
             f"{pipe.orbit_cap_fallbacks} LC orbits on {k} vertices exceed "
@@ -316,7 +299,7 @@ def class_reps(n: int, dedup: str = "lc") -> list[Graph]:
     representative, and carries the sorted codes of its representatives to
     the next level.
     """
-    _check_vertex_count(n)
+    check_vertex_count(n)
     for pipe, _ in _levels(n, dedup):
         pass
     return [Graph(n, rows_of_code(n, code)) for code in sorted(pipe.reps)]
@@ -341,50 +324,12 @@ def search_labeled_all(
     graphs the classes cover; the dedup stage is building levels 1..n.
     """
     ts = _as_ts(t)
-    _check_vertex_count(n)
+    check_vertex_count(n)
     started = time.perf_counter()
     for pipe, _ in _levels(n, dedup, ts, first=n):
         pass
     pipe.records = 1 << (n * (n - 1) // 2)
     pipe.stages["dedup"] = time.perf_counter() - started - pipe.stages["evaluate"]
-    reports = pipe.reports(started, max_witnesses)
-    return reports[ts[0]] if isinstance(t, int) else reports
-
-
-# ---------------------------------------------------------------------------
-# search over arbitrary graph streams (census files)
-
-def _stacked(census: Iterable[Graph]) -> Iterator[np.ndarray]:
-    """The graphs' adjacency rows, stacked in blocks of at most CHUNK_SIZE.
-
-    A graph on another vertex count than the first fails with its position.
-    """
-    rows: list[tuple[int, ...]] = []
-    n = None
-    for i, g in enumerate(census, start=1):
-        n = n or g.n
-        if g.n != n:
-            raise ValueError(f"record {i}: census mixes vertex counts {n} and {g.n}")
-        rows.append(g.adj)
-        if len(rows) == CHUNK_SIZE:
-            yield np.array(rows, dtype=np.int64)
-            rows = []
-    if rows:
-        yield np.array(rows, dtype=np.int64)
-
-
-def search(
-    census: Iterable[Graph],
-    t,
-    *,
-    dedup: str = "lc",
-    max_witnesses: int = DEFAULT_MAX_WITNESSES,
-):
-    """Search a stream of graphs; dedup via canonical LC-orbit seen-sets."""
-    ts = _as_ts(t)
-    started = time.perf_counter()
-    pipe = _Pipeline(ts, dedup)
-    pipe.feed(_stacked(census))
     reports = pipe.reports(started, max_witnesses)
     return reports[ts[0]] if isinstance(t, int) else reports
 
@@ -500,11 +445,12 @@ def search_file(
 
     Malformed records abort with their line number unless lenient, in which
     case they are skipped and counted in `records_skipped`. The census is
-    read CHUNK_SIZE lines at a time, their good records are canonicalized
-    together, and with a checkpoint path the pipeline state is saved after
-    every such chunk. A saved state resumes after the records it covers and
-    yields the report of an uninterrupted run; one written for another
-    census, ts, dedup or `canon.ORBIT_CAP` is rejected.
+    read CHUNK_SIZE lines at a time and their good records are canonicalized
+    together. With a checkpoint path the pipeline state is saved after each
+    such block that added records, so a rerun whose checkpoint covers the
+    whole census writes nothing. A saved state resumes after the records it
+    covers and yields the report of an uninterrupted run; one written for
+    another census, ts, dedup or `canon.ORBIT_CAP` is rejected.
     """
     ts = _as_ts(t)
     started = time.perf_counter()
@@ -514,19 +460,19 @@ def search_file(
         checkpoint = Checkpoint(checkpoint_path, _file_sha256(path))
         if os.path.exists(checkpoint_path):
             pipe = checkpoint.restore(pipe)
-    resume_at = pipe.records
+    covered = pipe.records  # records the restored state already holds
     skipped = 0
-
-    def blocks():
-        nonlocal skipped
-        good = 0
-        for rows, bad in read_graph6(path, CHUNK_SIZE, lenient=lenient):
-            skipped += bad
-            drop = max(resume_at - good, 0)
-            good += len(rows)
-            yield rows[drop:]
-
-    pipe.feed(blocks(), checkpoint.write if checkpoint else None)
+    read_started = time.perf_counter()
+    for rows, bad in read_graph6(path, CHUNK_SIZE, lenient=lenient):
+        pipe.stages["read"] += time.perf_counter() - read_started
+        skipped += bad
+        rows, covered = rows[covered:], max(covered - len(rows), 0)
+        if len(rows):
+            pipe.feed(rows)
+            if checkpoint:
+                checkpoint.write(pipe)
+        read_started = time.perf_counter()
+    pipe.stages["read"] += time.perf_counter() - read_started
     reports = pipe.reports(started, max_witnesses, records_skipped=skipped)
     return reports[ts[0]] if isinstance(t, int) else reports
 
@@ -598,7 +544,7 @@ def reproduce_table1(max_n: int = 7, ts: Sequence[int] = (0, 1, 2)) -> list[Tabl
     ts = _as_ts(ts)
     if max_n < 3:
         raise ValueError(f"max_n={max_n} below 3, the grid's first column")
-    _check_vertex_count(max_n)
+    check_vertex_count(max_n)
     cells: list[TableCell] = []
     for pipe, started in _levels(min(max_n, EXHAUSTIVE_MAX_N), "lc", ts, first=3):  # t <= 3 <= n
         if pipe.n >= 3:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from bellgraph.bell import bell_coefficients
-from bellgraph.cli import main
+from bellgraph.cli import build_parser, main
 from bellgraph.graph6 import emit_graph6
 from bellgraph.quantum import EXPECTATION_TOL
+from bellgraph.search import DEFAULT_MAX_WITNESSES
 from oracles import random_graph, stabilizer_element, to_text
 
 
@@ -178,6 +179,11 @@ def test_search_all_labeled_json(capsys):
     assert obj["best_bound"] == {"num": 3, "log2_den": 2}
     assert obj["graphs_examined"] == 64
     assert set(obj["stages_s"]) == {"read", "dedup", "evaluate", "verify"}
+
+
+def test_search_max_witnesses_default_is_the_library_default():
+    args = build_parser().parse_args(["search", "--all-labeled", "4", "--t", "0"])
+    assert args.max_witnesses == DEFAULT_MAX_WITNESSES
 
 
 def test_search_census_file(capsys, census5_path):

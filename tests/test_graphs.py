@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bellgraph.families import complete, ring, star, star_copies
+from bellgraph.families import complete, parse_family, ring, star, star_copies
 from bellgraph.graphs import (
     Graph,
     bits_of,
@@ -28,6 +28,23 @@ def test_graph_validation():
         Graph(17, tuple([0] * 17))
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(1, 1)])
+
+
+def test_vertex_count_checked_before_edges_are_read():
+    def unread():
+        raise AssertionError("edges read before the vertex count was checked")
+        yield
+
+    for n in (0, 17):
+        with pytest.raises(ValueError) as err:
+            Graph.from_edges(n, unread())
+        assert str(err.value) == f"vertex count {n} outside 1..16"
+    # the families hand their edges over as generators: building the
+    # 5 * 10^9 pairs of complete(100000) would take hours
+    for name, n in (("complete", 100000), ("ring", 200000), ("star", 100000)):
+        with pytest.raises(ValueError) as err:
+            parse_family(f"{name}({n})")
+        assert str(err.value) == f"vertex count {n} outside 1..16"
 
 
 def test_star_adjacency():
@@ -101,6 +118,15 @@ def test_relabel_roundtrip():
     for i, p in enumerate(perm):
         inverse[p] = i
     assert g.relabel(perm).relabel(inverse) == g
+
+
+def test_relabel_rejects_non_permutations():
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert path.relabel((2, 1, 0)) == path
+    for perm in ((0, 0, 0), (0, 1), (0, 1, 3)):
+        with pytest.raises(ValueError) as err:
+            path.relabel(perm)
+        assert str(err.value) == f"relabeling {perm} is not a permutation of 0..2"
 
 
 def test_ring_degrees():

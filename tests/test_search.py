@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 import inspect
 import json
 import random
@@ -23,14 +22,19 @@ from bellgraph.search import (
     iso_class_reps,
     minimal_violating_n,
     reproduce_table1,
-    search,
     search_file,
     search_labeled_all,
 )
 from oracles import enumerate_labeled, reference_dedup
 
-# the package re-exports the function `search`, which shadows the module
-search_module = importlib.import_module("bellgraph.search")
+search_module = bellgraph.search
+
+
+def search_graphs(tmp_path, graphs, t, **kwargs):
+    """search_file on the graphs, written in order as one graph6 census."""
+    path = tmp_path / "graphs.g6"
+    path.write_text("".join(emit_graph6(g) + "\n" for g in graphs))
+    return search_file(str(path), t, **kwargs)
 
 
 def test_enumerate_labeled_counts():
@@ -44,13 +48,18 @@ def test_enumerate_labeled_counts():
 def test_orbit_cap_and_chunk_size_are_constants():
     # no call takes the cap or the chunk size; tests set canon.ORBIT_CAP and
     # search.CHUNK_SIZE instead
-    for fn, name in ((search, "orbit_cap"), (search_file, "orbit_cap"), (search_file, "chunk_size"),
+    for fn, name in ((search_file, "orbit_cap"), (search_file, "chunk_size"),
                      (lc_orbits, "max_size"), (lc_orbit, "max_size")):
         assert name not in inspect.signature(fn).parameters, (fn.__name__, name)
     assert (ORBIT_CAP, search_module.CHUNK_SIZE) == (100_000, 4096)
     for alias in ("canonicalize_many", "lc_class_reps"):
         assert not hasattr(bellgraph, alias)
         assert not hasattr(canon, alias) and not hasattr(search_module, alias)
+    # a census file and a class level are the only ways into the pipeline,
+    # and it takes one array of records at a time
+    assert inspect.ismodule(bellgraph.search)  # no function of that name shadows the module
+    assert not hasattr(search_module, "search") and not hasattr(search_module, "_stacked")
+    assert list(inspect.signature(search_module._Pipeline.feed).parameters) == ["self", "rows"]
 
 
 def test_enumerate_labeled_cap():
@@ -84,19 +93,19 @@ def test_search_accepts_single_t():
     assert report.best_bound == Dyadic(3, 2)
 
 
-def test_stream_search_matches_labeled_fast_path():
+def test_stream_search_matches_labeled_fast_path(tmp_path):
     fast = search_labeled_all(5, (0, 1, 2))
-    slow = search(enumerate_labeled(5), (0, 1, 2))
+    slow = search_graphs(tmp_path, enumerate_labeled(5), (0, 1, 2))
     for t in (0, 1, 2):
         assert fast[t].best_bound == slow[t].best_bound
         assert fast[t].witnesses == slow[t].witnesses
         assert fast[t].lc_classes_examined == slow[t].lc_classes_examined
 
 
-def test_stream_order_does_not_change_bound():
+def test_stream_order_does_not_change_bound(tmp_path):
     graphs = list(enumerate_labeled(4))
-    fwd = search(graphs, 0)
-    rev = search(list(reversed(graphs)), 0)
+    fwd = search_graphs(tmp_path, graphs, 0)
+    rev = search_graphs(tmp_path, reversed(graphs), 0)
     assert fwd.best_bound == rev.best_bound
     assert fwd.lc_classes_examined == rev.lc_classes_examined
     assert [f for f, _ in fwd.witnesses] == sorted(f for f, _ in fwd.witnesses)
@@ -131,11 +140,11 @@ def test_dedup_modes_agree_on_n5():
 def test_mixed_sizes_rejected(monkeypatch, tmp_path):
     for dedup in ("lc", "iso"):
         with pytest.raises(ValueError) as err:
-            search([star(3), star(4)], 0, dedup=dedup)
-        assert str(err.value) == "record 2: census mixes vertex counts 3 and 4"
+            search_graphs(tmp_path, [star(3), star(4)], 0, dedup=dedup)
+        assert str(err.value) == "line 2: census mixes vertex counts 3 and 4"
     with pytest.raises(ValueError) as err:  # past the first chunk
-        search([complete(3)] * 4100 + [star(4)], 0)
-    assert str(err.value).startswith("record 4101: ")
+        search_graphs(tmp_path, [complete(3)] * 4100 + [star(4)], 0)
+    assert str(err.value) == "line 4101: census mixes vertex counts 3 and 4"
     path = tmp_path / "mixed.g6"
     path.write_text("Bw\nBo\n\nBw\n" + emit_graph6(star(4)) + "\n")
     # chunks of 2 lines end before the n=4 record; 3 and 4096 decode it
@@ -154,9 +163,14 @@ def test_mixed_sizes_rejected(monkeypatch, tmp_path):
         assert str(err.value) == "line 42: census mixes vertex counts 5 and 4"
 
 
-def test_empty_census_rejected():
-    with pytest.raises(ValueError):
-        search([], 0)
+def test_empty_census_rejected(tmp_path):
+    path = tmp_path / "empty.g6"
+    for text in ("", "\n\n\n"):
+        path.write_text(text)
+        for lenient in (False, True):
+            with pytest.raises(ValueError) as err:
+                search_file(str(path), 0, lenient=lenient)
+            assert str(err.value) == "empty census"
 
 
 def test_census_vertex_count_is_the_first_well_formed_records(monkeypatch, tmp_path):
@@ -178,15 +192,18 @@ def test_census_vertex_count_is_the_first_well_formed_records(monkeypatch, tmp_p
 
 def test_empty_t_rejected(census5_path):
     calls = [
-        lambda: search_file(census5_path, ()),
-        lambda: search([star(3)], ()),
-        lambda: search_labeled_all(4, []),
-        lambda: reproduce_table1(max_n=4, ts=()),
+        (lambda: search_file(census5_path, ()), "no t given"),
+        (lambda: search_labeled_all(4, []), "no t given"),
+        (lambda: reproduce_table1(max_n=4, ts=()), "no t given"),
+        # a repeated t would evaluate every class twice for one report
+        (lambda: search_file(census5_path, (0, 0)), "t repeated in (0, 0)"),
+        (lambda: search_labeled_all(4, [2, 1, 2]), "t repeated in (2, 1, 2)"),
+        (lambda: reproduce_table1(max_n=4, ts=(1, 1)), "t repeated in (1, 1)"),
     ]
-    for call in calls:
+    for call, message in calls:
         with pytest.raises(ValueError) as err:
             call()
-        assert "no t given" in str(err.value)
+        assert str(err.value).startswith(message)
 
 
 def test_search_file_reference_census(monkeypatch, census5_path):
@@ -196,6 +213,7 @@ def test_search_file_reference_census(monkeypatch, census5_path):
     assert report.best_bound == Dyadic(5, 3)
     assert report.graphs_examined == 34
     assert report.lc_classes_examined == 11
+    assert report.to_json()["stages_s"]["read"] > 0
 
 
 # malformed census lines: each one aborts a strict search with parse_graph6's
@@ -317,6 +335,25 @@ def test_resume_matches_uninterrupted_run(monkeypatch, tmp_path, census5_path,
                 assert resumed[t].comparable() == full[t].comparable()
         k += 1
     assert k - 1 == -(-34 // chunk_size)  # every write was interrupted once
+
+
+def test_resume_writes_only_the_remaining_chunks(monkeypatch, tmp_path, census5_path):
+    monkeypatch.setattr(search_module, "CHUNK_SIZE", 10)
+    ck = str(tmp_path / "writes.ck")
+    assert interrupted_run(monkeypatch, 2, census5_path, 0, checkpoint_path=ck) == [10, 20]
+    real, writes = Checkpoint.write, []
+
+    def write(self, state):
+        real(self, state)
+        writes.append(state.records)
+
+    monkeypatch.setattr(Checkpoint, "write", write)
+    search_file(census5_path, 0, checkpoint_path=ck)
+    assert writes == [30, 34]
+    # a rerun with the completed checkpoint skips every record, and writes nothing
+    writes.clear()
+    assert search_file(census5_path, 0, checkpoint_path=ck).graphs_examined == 34
+    assert writes == []
 
 
 def test_resume_after_three_chunks(monkeypatch, tmp_path, census5_path):
@@ -539,7 +576,8 @@ def test_batched_dedup_equals_per_record_reference(monkeypatch, census5_path, or
         for blocks, chunk_size in (([rows], 7), ([rows], 4096), (np.split(rows, [1, 4, 5, 19]), 6)):
             monkeypatch.setattr(search_module, "CHUNK_SIZE", chunk_size)
             pipe = search_module._Pipeline((), "lc")
-            pipe.feed(blocks)
+            for block in blocks:
+                pipe.feed(block)
             assert pipe.reps == reps
             assert pipe.seen == seen
             assert pipe.orbit_cap_fallbacks == fallbacks
@@ -563,9 +601,9 @@ def test_reports_do_not_depend_on_record_order(tmp_path, census5_path):
         as_labeled = dataclasses.replace(full[t], graphs_examined=1 << 10)
         assert as_labeled.comparable() == labeled5[t].comparable()
     universe = list(enumerate_labeled(6))
-    ascending = search(universe, ts)
+    ascending = search_graphs(tmp_path, universe, ts)
     random.Random(4).shuffle(universe)
-    shuffled = search(universe, ts)
+    shuffled = search_graphs(tmp_path, universe, ts)
     labeled6 = search_labeled_all(6, ts)
     for t in ts:
         assert shuffled[t].comparable() == ascending[t].comparable() == labeled6[t].comparable()
