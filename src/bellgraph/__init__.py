@@ -10,6 +10,7 @@ from .bell import (
     family_oracle_complete,
     family_oracle_star_copies,
     lhv_bound,
+    lhv_bounds,
     lhv_value,
     lhv_value_table,
 )

@@ -38,29 +38,36 @@ class CoverableSet:
         return self.count == 1 << self.n
 
 
-def coverable_set(g: Graph, t: int) -> CoverableSet:
-    """All sets delta ^ N(omega) over pairs with |omega u delta| <= t.
+def coverable_indicators(n: int, adj: np.ndarray, t: int) -> np.ndarray:
+    """0/1 coverable indicator of each graph given as a (B, n) adjacency
+    array, shape (B, 2^n): all sets delta ^ N(omega) over pairs with
+    |omega u delta| <= t.
 
     A pair inside a support smaller than t also lies inside one of size
     exactly t, so the supports U with |U| = t cover every pair. For each U
-    the subsets omega, delta of U and the neighborhoods N(omega) are built
-    by doubling over U's vertices, and all 4^t sums land in the indicator
-    at once; duplicates collapse there.
+    the subsets omega, delta of U and each graph's neighborhoods N(omega)
+    are built by doubling over U's vertices, and all 4^t sums land in the
+    indicators at once; duplicates collapse there.
     """
-    if not 0 <= t <= g.n:
-        raise ValueError(f"t={t} outside 0..{g.n}")
-    indicator = np.zeros(1 << g.n, dtype=np.int64)
-    adj = np.array(g.adj, dtype=np.int64)
+    if not 0 <= t <= n:
+        raise ValueError(f"t={t} outside 0..{n}")
+    indicator = np.zeros((len(adj), 1 << n), dtype=np.int64)
+    graph = np.arange(len(adj), dtype=np.int64)[:, None, None, None] << n
     supports = np.fromiter(
-        chain.from_iterable(combinations(range(g.n), t)), dtype=np.int64,
-    ).reshape(comb(g.n, t), t)
-    step = max(1, PAIR_CHUNK >> 2 * t)
+        chain.from_iterable(combinations(range(n), t)), dtype=np.int64,
+    ).reshape(comb(n, t), t)
+    step = max(1, (PAIR_CHUNK >> 2 * t) // max(1, len(adj)))
     for start in range(0, len(supports), step):
         part = supports[start:start + step]
-        subs = np.zeros((len(part), 1), dtype=np.int64)  # subsets of each support
-        nbhd = np.zeros_like(subs)                      # and their neighborhoods
-        for v in part.T[:, :, None]:
-            subs = np.concatenate((subs, subs | 1 << v), axis=1)
-            nbhd = np.concatenate((nbhd, nbhd ^ adj[v]), axis=1)
-        indicator[subs[:, :, None] ^ nbhd[:, None, :]] = 1
-    return CoverableSet(g.n, t, indicator)
+        subs = np.zeros((len(part), 1), dtype=np.int64)          # subsets of each support
+        nbhd = np.zeros((len(adj), len(part), 1), dtype=np.int64)  # and their neighborhoods
+        for v in part.T:
+            subs = np.concatenate((subs, subs | (1 << v)[:, None]), axis=1)
+            nbhd = np.concatenate((nbhd, nbhd ^ adj[:, v, None]), axis=2)
+        indicator.ravel()[graph | subs[:, :, None] ^ nbhd[:, :, None, :]] = 1
+    return indicator
+
+
+def coverable_set(g: Graph, t: int) -> CoverableSet:
+    """The coverable set of one graph."""
+    return CoverableSet(g.n, t, coverable_indicators(g.n, np.array([g.adj], dtype=np.int64), t)[0])

@@ -23,8 +23,12 @@ Each chunk is canonicalized in one batch, and under "lc" the orbits of all
 its unseen classes are walked in one breadth-first search (`lc_orbits`):
 walks that meet are merged, since they lie in one orbit, and every level is
 canonicalized `canon.SLICE` graphs at a time, so memory stays bounded by the
-slice and the seen-set, not by the chunk or the orbit. A `Graph` is built
-from a code only to compute a bound or to read or write graph6.
+slice and the seen-set, not by the chunk or the orbit. A chunk's new
+representatives are evaluated straight from their codes, one `lhv_bounds`
+call per t on their adjacency rows, and each t's witnesses are re-verified
+in one more such call. A `Graph` is built from a code only for the
+per-assignment check of a witness, to return `class_reps`, or to read or
+write graph6.
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import canon
-from .bell import bell_coefficients, lhv_bound, lhv_value
+from .bell import bell_coefficients, lhv_bound, lhv_bounds, lhv_value
 from .canon import CanonicalForm, OrbitCapExceeded, canonical_codes, lc_orbits
 from .dyadic import Dyadic
 from .graph6 import code_of_rows, parse_graph6, read_graph6, rows_of_code
@@ -174,15 +178,19 @@ class _Pipeline:
             self.seen |= orbit
             new.append(min(orbit))
         self.stages["dedup"] += time.perf_counter() - started
-        for code in new:
-            self.evaluate(code)
+        self.evaluate(new)
 
-    def evaluate(self, code: int) -> None:
-        """Keep a canonical code as a class representative, with its LHV bound per t."""
+    def evaluate(self, codes: list[int]) -> None:
+        """Keep canonical codes as class representatives, with their LHV
+        bounds per t: one `lhv_bounds` call per t on their adjacency rows."""
         started = time.perf_counter()
-        g = Graph(self.n, rows_of_code(self.n, code))
-        self.reps.append(code)
-        self.results.append({t: lhv_bound(g, t).bound for t in self.ts})
+        rows = [rows_of_code(self.n, code) for code in codes]
+        results = [{} for _ in codes]
+        for t in self.ts:
+            for res, one in zip(results, lhv_bounds(self.n, rows, t)):
+                res[t] = one.bound
+        self.reps += codes
+        self.results += results
         self.stages["evaluate"] += time.perf_counter() - started
 
     def reports(
@@ -193,9 +201,9 @@ class _Pipeline:
         The witnesses are the codes of the representatives that attain the
         bound, sorted. Each is rebuilt with its vertex order reversed, not the
         canonical labelling it was evaluated in, so the engine recomputes
-        table, coefficients and transform; and the separate per-assignment
-        formula `lhv_value` must give the bound at the argmax the engine
-        reports.
+        table, coefficients and transform, in one `lhv_bounds` call per t;
+        and the separate per-assignment formula `lhv_value` must give each
+        witness's bound at the argmax the engine reports for it.
         """
         if self.n is None:
             raise ValueError("empty census")
@@ -204,19 +212,16 @@ class _Pipeline:
         for t in self.ts:
             best = min(res[t] for res in self.results)
             witnesses = sorted(code for code, res in zip(self.reps, self.results) if res[t] == best)
-            emitted = []
-            for code in witnesses[:max_witnesses]:
-                form = CanonicalForm(self.n, code)
-                g = form.to_graph().relabel(range(self.n - 1, -1, -1))
-                check = lhv_bound(g, t)
+            forms = [CanonicalForm(self.n, code) for code in witnesses[:max_witnesses]]
+            graphs = [form.to_graph().relabel(range(self.n - 1, -1, -1)) for form in forms]
+            for g, check in zip(graphs, lhv_bounds(self.n, [g.adj for g in graphs], t)):
                 value = lhv_value(g, bell_coefficients(g, t), check.argmax)
                 if not check.bound == value == best:
                     raise AssertionError(
                         f"witness re-verification failed: bound {check.bound}, "
                         f"value at argmax {value}, search minimum {best}"
                     )
-                emitted.append((form, form.to_graph6()))
-            found[t] = best, tuple(emitted), len(witnesses)
+            found[t] = best, tuple((form, form.to_graph6()) for form in forms), len(witnesses)
         self.stages["verify"] += time.perf_counter() - verify_started
         wall_time = time.perf_counter() - started
         return {

@@ -14,13 +14,19 @@ from contextlib import contextmanager, redirect_stdout
 import numpy as np
 import pytest
 
-from bellgraph.bell import bell_coefficients, family_oracle_star_copies, lhv_bound, lhv_value_table
+from bellgraph.bell import (
+    bell_coefficients,
+    family_oracle_star_copies,
+    lhv_bound,
+    lhv_bounds,
+    lhv_value_table,
+)
 from bellgraph.canon import lc_orbit
 from bellgraph.cli import main
 from bellgraph.coverable import coverable_set
 from bellgraph.dyadic import Dyadic
 from bellgraph.families import complete, complete_join, star, star_copies
-from bellgraph.graph6 import emit_graph6, parse_graph6
+from bellgraph.graph6 import emit_graph6, parse_graph6, rows_of_code
 from bellgraph.graphs import local_complement
 from bellgraph.quantum import (
     apply_channel,
@@ -37,7 +43,6 @@ from bellgraph.search import (
 from oracles import (
     apply_channel_dense,
     bell_operator_matrix,
-    enumerate_labeled,
     identity_table,
     lhv_bound_full,
     random_graph,
@@ -224,17 +229,15 @@ def test_criterion_8_property_suite(census5_path):
             assert parse_graph6(emit_graph6(g)) == g
 
         # LC-dedup soundness on the full n=6 labeled census: the deduplicated
-        # search sees exactly the bound values the raw census produces. Graphs
-        # outer and t inner, so each stabilizer table is built once
-        ts = (0, 1, 2)
-        with_dedup = {t: set() for t in ts}
-        without = {t: set() for t in ts}
-        for graphs, seen in ((class_reps(6), with_dedup), (enumerate_labeled(6), without)):
-            for g in graphs:
-                for t in ts:
-                    seen[t].add(lhv_bound(g, t).bound)
-        for t in ts:
-            assert with_dedup[t] == without[t], f"t={t}"
+        # search sees exactly the bound values the raw census produces, from
+        # one batched call per t over the classes and one over all 32,768
+        # labeled graphs
+        reps = np.array([g.adj for g in class_reps(6)], dtype=np.int64)
+        labeled = np.array([rows_of_code(6, code) for code in range(1 << 15)], dtype=np.int64)
+        for t in (0, 1, 2):
+            with_dedup = {res.bound for res in lhv_bounds(6, reps, t)}
+            without = {res.bound for res in lhv_bounds(6, labeled, t)}
+            assert with_dedup == without, f"t={t}"
 
 
 @pytest.mark.slow

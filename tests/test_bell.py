@@ -14,6 +14,7 @@ from bellgraph.bell import (
     family_oracle_star_copies,
     fwht_inplace,
     lhv_bound,
+    lhv_bounds,
     lhv_value,
     lhv_value_table,
     stabilizer_table,
@@ -25,6 +26,7 @@ from bellgraph.graphs import Graph, local_complement
 from oracles import (
     brute_lhv_values,
     brute_wht,
+    enumerate_labeled,
     identity_table,
     lhv_bound_full,
     lhv_values_full,
@@ -165,18 +167,23 @@ def test_engines_agree_on_argmax():
         assert lhv_bound(g, t) == _oracle_result(g, t)
 
 
+def _rows(graphs):
+    return np.array([g.adj for g in graphs], dtype=np.int64).reshape(len(graphs), -1)
+
+
 def _block_dtype_of(g, t):
-    return next(bell._value_blocks(g, t))[1].dtype
+    return next(bell._value_blocks(g.n, _rows([g]), t))[2].dtype
 
 
 def _first_max_over_blocks(g, t):
     # the least (x_neg << n) | y_neg attaining the maximum, found by two plain
     # passes over the blocks rather than by lhv_bound's running maximum
-    best = max(int(block.max()) for _, block in bell._value_blocks(g, t))
+    blocks = lambda: bell._value_blocks(g.n, _rows([g]), t)
+    best = max(int(block.max()) for _, _, block in blocks())
     idx = min(
         ((x0 + int(c)) << g.n) | int(r)
-        for x0, block in bell._value_blocks(g, t)
-        for r, c in np.argwhere(block == best)
+        for _, x0, block in blocks()
+        for r, _, c in np.argwhere(block == best)
     )
     return best, LhvAssignment(idx >> g.n, idx & ((1 << g.n) - 1))
 
@@ -320,21 +327,100 @@ def test_int32_blocks_match_closed_form():
 
 def test_values_beyond_int16_stay_exact(monkeypatch):
     # weights scaled by 2^11 push the values themselves past int16; sums that
-    # wrap modulo 2^16 would then give wrong values, not only a wrong dtype
+    # wrap modulo 2^16 would then give wrong values, not only a wrong dtype.
+    # Only the graphs in `scaled` are scaled, so a block holding several
+    # graphs must take its width from its widest one, wherever it sits
     scale = 1 << 11
+    scaled = set()
     weights = bell._weights
-    monkeypatch.setattr(bell, "_weights", lambda g, bc: weights(g, bc) * scale)
+
+    def scaled_weights(n, adj, t):
+        table, w = weights(n, adj, t)
+        factor = [scale if tuple(row) in scaled else 1 for row in adj.tolist()]
+        return table, w * np.array(factor, dtype=np.int64)[:, None]
+
+    def values_of(g, t):
+        return transform_lhv_values(g, t) * (scale if g.adj in scaled else 1)
+
+    monkeypatch.setattr(bell, "_weights", scaled_weights)
     rng = np.random.default_rng(26)
     for n in (5, 6, 7):
         g = random_graph(rng, n)
+        scaled.add(g.adj)
+        batch = [random_graph(rng, n), g, random_graph(rng, n)]
         for t in (0, 1, 2):
-            values = transform_lhv_values(g, t) * scale
+            values = values_of(g, t)
             assert np.abs(values).max() >= 1 << 15
             assert np.array_equal(lhv_value_table(g, t), values)
             idx = int(values.argmax())
             res = lhv_bound(g, t)
             assert res.bound == Dyadic(int(values[idx]), n)
             assert res.argmax == LhvAssignment(idx >> n, idx & ((1 << n) - 1))
+            # the scaled graph between two unscaled ones, all in one block
+            widths = [block.dtype for _, _, block in bell._value_blocks(n, _rows(batch), t)]
+            assert widths == [np.int32]
+            for h, res in zip(batch, lhv_bounds(n, _rows(batch), t)):
+                values = values_of(h, t)
+                idx = int(values.argmax())
+                assert res.bound == Dyadic(int(values[idx]), n)
+                assert res.argmax == LhvAssignment(idx >> n, idx & ((1 << n) - 1))
+
+
+def _check_batch(graphs, t):
+    # element by element: the batch against one-graph calls and the oracle
+    results = lhv_bounds(graphs[0].n, _rows(graphs), t)
+    assert len(results) == len(graphs)
+    for g, res in zip(graphs, results):
+        assert res == lhv_bound(g, t) == _oracle_result(g, t), (g, t)
+
+
+def test_lhv_bounds_match_one_graph_calls_and_oracle():
+    for n in range(1, 5):
+        labeled = list(enumerate_labeled(n))
+        for t in range(min(3, n) + 1):
+            _check_batch(labeled, t)
+    rng = np.random.default_rng(27)
+    for n in range(1, 11):
+        graphs = [random_graph(rng, n) for _ in range(6 if n < 9 else 2)]
+        graphs.insert(1, graphs[-1])  # a graph that repeats
+        for t in range(min(3, n) + 1):
+            _check_batch(graphs, t)
+    # ten graphs at n = 8 straddle three blocks of four (4 * 4^8 entries)
+    assert bell.BLOCK_ELEMENTS >> 16 == 4
+    graphs = [random_graph(rng, 8) for _ in range(10)]
+    blocks = [(j0, block.shape[1]) for j0, _, block in bell._value_blocks(8, _rows(graphs), 1)]
+    assert blocks == [(0, 4), (4, 4), (8, 2)]
+    _check_batch(graphs, 1)
+
+
+def test_lhv_bounds_across_small_blocks(monkeypatch):
+    # 2^8-entry blocks: four graphs per block at n = 3, one graph per block
+    # at n = 4, and one graph over several blocks from n = 5 on
+    monkeypatch.setattr(bell, "BLOCK_ELEMENTS", 1 << 8)
+    rng = np.random.default_rng(28)
+    for n in (3, 4, 5, 6):
+        graphs = [random_graph(rng, n) for _ in range(9)] + [complete(n)]
+        graphs.append(graphs[2])
+        for t in range(3):
+            _check_batch(graphs, t)
+
+
+def test_lhv_bounds_empty_batch_and_bad_shapes():
+    assert lhv_bounds(4, np.zeros((0, 4), dtype=np.int64), 1) == []
+    assert lhv_bounds(4, [], 1) == []
+    assert lhv_bounds(3, [(0b110, 0b001, 0b001)], 0) == [lhv_bound(star(3), 0)]
+    for bad in (np.zeros(4, dtype=np.int64), np.zeros((2, 5), dtype=np.int64),
+                np.zeros((2, 4, 1), dtype=np.int64)):
+        with pytest.raises(ValueError, match="shape"):
+            lhv_bounds(4, bad, 1)
+    for rows in ([(1, 0, 0)],               # self-loop
+                 [(0b010, 0, 0)],           # asymmetric
+                 [(0b1000, 0, 0)],          # vertex 3 of 3
+                 [(-1, 0, 0)]):
+        with pytest.raises(ValueError, match="simple graphs"):
+            lhv_bounds(3, rows, 0)
+    with pytest.raises(ValueError):
+        lhv_bounds(17, np.zeros((1, 17), dtype=np.int64), 0)
 
 
 @pytest.mark.slow
