@@ -271,14 +271,14 @@ def lhv_bounds(n: int, adj, t: int) -> list[LhvResult]:
         # later blocks (n > 9) replace its running best only when strictly
         # larger, which is tested on the whole block first: numpy reduces
         # their narrow rows slowly by columns
-        if block.shape[1] == 1 and block.max() <= best[j0]:
-            continue
-        col_max = block.max(axis=0)  # (graph, column)
-        value = col_max.max(axis=1)
-        r = (col_max == value[:, None]).argmax(axis=1)
-        y = (block[:, np.arange(len(r)), r] == value).argmax(axis=0)
-        best[j0:j0 + len(value)] = value
-        best_idx[j0:j0 + len(value)] = (x0 + r) << n | y
+        if block.shape[1] > 1 or block.max() > best[j0]:
+            col_max = block.max(axis=0)  # (graph, column)
+            value = col_max.max(axis=1)
+            r = (col_max == value[:, None]).argmax(axis=1)
+            y = (block[:, np.arange(len(r)), r] == value).argmax(axis=0)
+            best[j0:j0 + len(value)] = value
+            best_idx[j0:j0 + len(value)] = (x0 + r) << n | y
+        del block  # or it lives on while the next block is built
     mask = (1 << n) - 1
     results = []
     for value, idx in zip(best.tolist(), best_idx.tolist()):

@@ -24,9 +24,22 @@ of their graph. Of twin candidates u, v (N(u)-{v} == N(v)-{u}, so the
 transposition (u v) is an automorphism fixing the prefix) only the lower one
 is expanded, since both subtrees realize identical codes.
 
+A state holds one int32 key per vertex, row << 4 | degree while the vertex
+is unplaced. For n <= 16 the degree is at most 15 and a row placed at depth
+k < n has k <= 15 bits, so keys stay below 2^19. The greatest key of a state
+is its greatest row and, among those, the greatest degree, so the admitted
+vertices are exactly those holding it. Placing vertex v updates every key in
+place: key += (key & ~15) + (adjacent to v) << 4 shifts the row left by one
+bit and appends v's. The placed vertex itself gets -1, and a negative key,
+16q + r with q <= -1 and 0 <= r < 16, becomes 16(2q + b) + r with
+2q + b <= -1: it stays negative, above -2^20, and is never admitted again.
+
 LC orbits are walked many at once, breadth-first over isomorphism classes
 (`lc_orbits`): walks that meet are merged, and each level is canonicalized
-SLICE graphs at a time, so memory does not grow with the number of walks.
+SLICE graphs at a time, so memory does not grow with the number of walks. A
+graph reached by LC at vertex a is kept in the labeling of the graph it was
+reached from, so LC at a, an involution, leads straight back to that graph,
+whose class the same walk already owns: that image is never formed.
 """
 from __future__ import annotations
 
@@ -39,11 +52,17 @@ from .graph6 import emit_graph6, rows_of_code
 from .graphs import Graph
 
 # graphs canonicalized together; bounds the state arrays, and so peak memory
-# (1024 was 7-15% faster on table1 and census8, at 2.1-2.7 MB more peak RSS)
-SLICE = 256
+# (against 512, 1024 ran census8 as fast at 0.4 MB more peak RSS and
+# class_reps(9) 10% faster at 3.4 MB more; 2048 added 2.5 MB to census8)
+SLICE = 1024
 # isomorphism classes an LC orbit may reach before `lc_orbits` gives up on
 # it; read at call time, so a test can lower it on this module alone
 ORBIT_CAP = 100_000
+_BIT = np.int32(1) << np.arange(16, dtype=np.int32)
+# the vertex pairs u < v in graph6 order; those on n vertices come first
+_PAIR_V, _PAIR_U = np.nonzero(np.tri(16, k=-1, dtype=bool))
+_PAIR_RUNS = np.cumsum(np.arange(15))  # v = 1, 2, ...: first pair v(v-1)/2
+_NO_KEY = np.iinfo(np.int32).max  # equals no key
 
 
 class OrbitCapExceeded(RuntimeError):
@@ -67,56 +86,60 @@ class CanonicalForm:
 
 def _lower_twins(n: int, adj: np.ndarray) -> np.ndarray:
     """[b, v]: bitmask of the vertices u < v that are twins of v."""
-    bit = np.int64(1) << np.arange(n, dtype=np.int64)
-    rest = adj[:, :, None] & ~bit  # [b, u, v] = N(u) - {v}
-    twin = (rest == rest.transpose(0, 2, 1)) & np.triu(np.ones((n, n), bool), 1)
-    return np.where(twin, bit[:, None], 0).sum(axis=1)
-
-
-def _adjacency_bits(n: int, adj: np.ndarray) -> np.ndarray:
-    """[b, v, w] = 1 iff v and w are adjacent."""
-    return adj[:, :, None] >> np.arange(n, dtype=np.int64) & 1
+    m = n * (n - 1) // 2
+    u, v = _PAIR_U[:m], _PAIR_V[:m]
+    twin = (adj[:, u] ^ adj[:, v]) & ~(_BIT[u] | _BIT[v]) == 0
+    out = np.zeros((len(adj), n), dtype=np.int32)
+    # the pairs of each v > 0 are one run
+    out[:, 1:] = np.add.reduceat(np.where(twin, _BIT[u], 0), _PAIR_RUNS[:n - 1], axis=1)
+    return out
 
 
 def _slice_rows(n: int, adj: np.ndarray) -> np.ndarray:
-    """[b, k]: the k-bit row placed at depth k by the canonical placement."""
+    """[b, k]: the k-bit row placed at depth k by the canonical placement of
+    each graph, given as int32 adjacency rows."""
     b = len(adj)
-    bits = _adjacency_bits(n, adj)
-    deg = bits.sum(axis=2)
-    twins = _lower_twins(n, adj)
-    out = np.zeros((b, n), dtype=np.int64)
-    # one state per placed prefix: its graph, the placed set, and every
-    # vertex's row against the prefix (negative once placed)
+    # [g * n + v, w]: what placing v adds to the key of w, the row's new bit
+    rise = ((adj[:, :, None] >> np.arange(n, dtype=np.int32) & 1) << 4).reshape(b * n, n)
+    twins = _lower_twins(n, adj).ravel()
+    out = np.zeros((b, n), dtype=np.int32)
+    # one state per placed prefix: its graph, the placed set and the keys
     gid = graphs = np.arange(b)
-    placed = np.zeros(b, dtype=np.int64)
-    rows = np.zeros((b, n), dtype=np.int64)
+    placed = np.zeros(b, dtype=np.int32)
+    key = np.bitwise_count(adj).astype(np.int32)
     for k in range(n):
-        best = rows.max(axis=1)
+        # numpy reduces short rows slowly; a pass per column is much faster
+        best = key[:, 0].copy()
+        for w in range(1, n):
+            np.maximum(best, key[:, w], out=best)
         # states stay sorted by graph, and every graph keeps at least one
         top = np.maximum.reduceat(best, np.searchsorted(gid, graphs))
-        out[:, k] = top
+        out[:, k] = top >> 4
         if k == n - 1:
             break
-        keep = best == top[gid]
-        gid, placed, rows, best = gid[keep], placed[keep], rows[keep], best[keep]
-        cand = rows == best[:, None]
-        d = np.where(cand, deg[gid], -1)
-        cand &= d == d.max(axis=1, keepdims=True)
+        # a state whose greatest row is below its graph's expands nothing;
+        # the others expand every vertex of their greatest key
+        best[best >> 4 != top[gid] >> 4] = _NO_KEY
+        at = np.flatnonzero(key == best[:, None])  # s * n + v, faster than 2-D
+        s = at // n
+        v = at - s * n
         # an unplaced twin of a candidate is a candidate too: keep the lowest
-        cand &= twins[gid] & ~placed[:, None] == 0
-        s, v = np.nonzero(cand)
+        gv = gid[s] * n + v
+        lowest = twins[gv] & ~placed[s] == 0
+        s, v, gv = s[lowest], v[lowest], gv[lowest]
         gid = gid[s]
-        placed = placed[s] | np.int64(1) << v
-        rows = rows[s] << 1 | bits[gid, v]
-        rows[np.arange(len(s)), v] = -1
+        placed = placed[s] | _BIT[v]
+        key = key[s]
+        key += (key & ~15) + rise[gv]
+        key[np.arange(len(s)), v] = -1
     return out
 
 
 def _placed_rows(n: int, adj: np.ndarray) -> np.ndarray:
     """Depth rows of the canonical placement of each graph, in slices."""
-    adj = np.asarray(adj, dtype=np.int64).reshape(-1, n)
+    adj = np.asarray(adj, dtype=np.int32).reshape(-1, n)
     if not len(adj):
-        return np.zeros((0, n), dtype=np.int64)
+        return np.zeros((0, n), dtype=np.int32)
     return np.concatenate(
         [_slice_rows(n, adj[i:i + SLICE]) for i in range(0, len(adj), SLICE)]
     )
@@ -147,18 +170,22 @@ def canonicalize(g: Graph) -> CanonicalForm:
     return CanonicalForm(g.n, canonical_codes(g.n, [g.adj])[0])
 
 
-def _lc_images(n: int, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Local complements of each graph at every vertex where LC can matter.
+def _lc_images(
+    n: int, adj: np.ndarray, arrival: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Local complements of each graph at every vertex where LC can lead to a new class.
 
-    Returns the index of each image's graph and the images. LC at a vertex
-    of degree <= 1 is the identity, and LC at twins gives isomorphic images
-    (the transposition is an automorphism), so only vertices of degree >= 2
-    without a lower twin are used.
+    Returns the index of each image's graph, the vertex complemented and the
+    images. LC at a vertex of degree <= 1 is the identity, and LC at twins
+    gives isomorphic images (the transposition is an automorphism), so only
+    vertices of degree >= 2 without a lower twin are used. Graph i skips
+    vertex arrival[i] (-1 skips none): LC is an involution, so LC there
+    gives back the graph that graph i was reached from.
     """
-    bits = _adjacency_bits(n, adj)
-    f, a = np.nonzero((bits.sum(axis=2) >= 2) & (_lower_twins(n, adj) == 0))
-    na = adj[f, a]
-    return f, adj[f] ^ bits[f, a] * (na[:, None] & ~(np.int64(1) << np.arange(n, dtype=np.int64)))
+    f, a = np.nonzero((np.bitwise_count(adj) >= 2) & (_lower_twins(n, adj) == 0)
+                      & (np.arange(n) != arrival[:, None]))
+    na = adj[f, a][:, None]
+    return f, a, adj[f] ^ (na >> np.arange(n, dtype=np.int32) & 1) * (na & ~_BIT[:n])
 
 
 def lc_orbits(n: int, codes: Sequence[int], adj) -> list[frozenset[int] | None]:
@@ -168,7 +195,9 @@ def lc_orbits(n: int, codes: Sequence[int], adj) -> list[frozenset[int] | None]:
     orbits are walked together, breadth-first over isomorphism classes:
     complementing one member per class, in the labeling of the image that
     reached it, at every vertex where LC can matter reaches every neighboring
-    class (LC commutes with relabeling), so each walk's closure is complete.
+    class (LC commutes with relabeling), so each walk's closure is complete;
+    the vertex that reached it leads back to a class the walk owns, and is
+    skipped.
     Every class is claimed by the first walk that meets it and expanded
     once; a walk that meets a class claimed by another walk is merged with
     it by union-find, since both lie in one orbit. A level is expanded,
@@ -178,7 +207,7 @@ def lc_orbits(n: int, codes: Sequence[int], adj) -> list[frozenset[int] | None]:
     cap whichever graph the walk starts from.
     """
     cap = ORBIT_CAP
-    adj = np.asarray(adj, dtype=np.int64).reshape(-1, n)
+    adj = np.asarray(adj, dtype=np.int32).reshape(-1, n)
     parent = list(range(len(codes)))
     size = [1] * len(codes)
     capped = [False] * len(codes)  # read at roots only
@@ -208,13 +237,15 @@ def lc_orbits(n: int, codes: Sequence[int], adj) -> list[frozenset[int] | None]:
         else:
             owner[code] = w
             start.append(w)
-    front, walks = adj[start], start
+    # a fresh graph is kept in the labeling of the graph it was reached
+    # from, with the vertex complemented to reach it; roots have none
+    front, arrival, walks = adj[start], np.full(len(start), -1), start
     while len(front):
         live = [i for i, w in enumerate(walks) if not capped[find(w)]]
-        front, walks = front[live], [walks[i] for i in live]
-        nxt, nxt_walks = [np.zeros((0, n), dtype=np.int64)], []
+        front, arrival, walks = front[live], arrival[live], [walks[i] for i in live]
+        nxt, nxt_arrival, nxt_walks = [np.zeros((0, n), dtype=np.int32)], [arrival[:0]], []
         for i in range(0, len(front), SLICE):
-            src, images = _lc_images(n, front[i:i + SLICE])
+            src, a, images = _lc_images(n, front[i:i + SLICE], arrival[i:i + SLICE])
             rows = _placed_rows(n, images)
             fresh = []
             for j, (s, code) in enumerate(zip(src.tolist(), _pack(n, rows))):
@@ -232,7 +263,8 @@ def lc_orbits(n: int, codes: Sequence[int], adj) -> list[frozenset[int] | None]:
                 elif v != w:
                     merge(w, v)
             nxt.append(images[fresh])
-        front, walks = np.concatenate(nxt), nxt_walks
+            nxt_arrival.append(a[fresh])
+        front, arrival, walks = np.concatenate(nxt), np.concatenate(nxt_arrival), nxt_walks
     members: dict[int, list[int]] = {}
     for code, w in owner.items():
         members.setdefault(find(w), []).append(code)
@@ -247,7 +279,7 @@ def lc_orbit(g: Graph) -> frozenset[CanonicalForm]:
     deterministic orbit representative. An orbit past ORBIT_CAP isomorphism
     classes raises OrbitCapExceeded.
     """
-    adj = np.array([g.adj], dtype=np.int64)
+    adj = np.array([g.adj], dtype=np.int32)
     (orbit,) = lc_orbits(g.n, canonical_codes(g.n, adj), adj)
     if orbit is None:
         raise OrbitCapExceeded(f"orbit exceeds {ORBIT_CAP} isomorphism classes")

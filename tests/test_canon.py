@@ -185,7 +185,11 @@ def test_codes_equal_reference_on_random_graphs(n):
 @pytest.mark.parametrize("g", [
     complete(12), Graph(10, (0,) * 10), star(10), complete_join(3, 5),
     _petersen(), _cube(4), _ring_copies(3, 5),
-], ids=["K12", "edgeless10", "star10", "K3+K5", "petersen", "Q4", "3xC5"])
+    # rows near 2^15 at degree 15: packed keys near their 2^19 bound
+    complete(16), Graph.from_edges(16, [(a, b) for b in range(16) for a in range(b)
+                                        if (a, b) != (0, 1)]), star(16),
+], ids=["K12", "edgeless10", "star10", "K3+K5", "petersen", "Q4", "3xC5",
+        "K16", "K16-e", "star16"])
 def test_codes_equal_reference_on_symmetric_shapes(g):
     want = reference_canonical_code(g)
     rng = np.random.default_rng(g.n)
@@ -206,13 +210,18 @@ def test_degree_rule_excludes_maximum_on_8_n6_classes(census):
 
 
 def test_lc_orbits_equal_reference_orbits():
-    # one representative per LC class at n = 6 reaches all 156 classes
-    covered = set()
-    for g in class_reps(6):
-        orbit = lc_orbit(g)
-        assert {form.code for form in orbit} == reference_lc_orbit(g)
-        covered |= orbit
-    assert len(covered) == 156
+    # one representative per LC class reaches every class: 26 reach all 156
+    # at n = 6, and 59 all 1044 at n = 7. The reference complements at every
+    # vertex, the arrival vertex included
+    for n, reps, classes in ((6, 26, 156), (7, 59, 1044)):
+        covered = set()
+        graphs = class_reps(n)
+        assert len(graphs) == reps
+        for g in graphs:
+            orbit = lc_orbit(g)
+            assert {form.code for form in orbit} == reference_lc_orbit(g)
+            covered |= orbit
+        assert len(covered) == classes
 
 
 def test_merging_walks_give_every_source_its_reference_orbit(monkeypatch, census):
