@@ -234,6 +234,7 @@ def lhv_value_table(g: Graph, t: int) -> np.ndarray:
     out = np.empty((size, size), dtype=np.int64)
     for _, x0, block in _value_blocks(g.n, _one(g), t):
         out[x0:x0 + block.shape[2]] = block[:, 0].T
+        del block  # or it lives on while the next block is built
     return out.ravel()
 
 

@@ -193,35 +193,24 @@ def cmd_search(args) -> int:
 
 def cmd_reproduce_table1(args) -> int:
     cells = reproduce_table1(max_n=args.max_n)
+    minima = minimal_violating_n(cells)
     if args.json:
         print(json.dumps({
             "cells": [c.to_json() for c in cells],
-            "minimal_violating_n": {
-                str(t): {"n": n, "exact": exact}
-                for t, (n, exact) in minimal_violating_n(cells).items()
-            },
+            "minimal_violating_n": {str(t): n for t, n in minima.items()},
         }))
     else:
         ns = sorted({c.n for c in cells})
-        print("optimal LHV bounds D_t(n)  [* = family upper bound, ? = not computed]")
-        header = "t\\n " + "".join(f"{n:>10}" for n in ns)
-        print(header)
+        print("optimal LHV bounds D_t(n)")
+        print("t\\n " + "".join(f"{n:>10}" for n in ns))
         for t in sorted({c.t for c in cells}):
-            row = [f"t={t} "]
-            for n in ns:
-                cell = next(c for c in cells if c.t == t and c.n == n)
-                if cell.value is None:
-                    row.append(f"{'?':>10}")
-                else:
-                    mark = "*" if cell.mode == "family-bound" else ""
-                    row.append(f"{str(cell.value) + mark:>10}")
-            print("".join(row))
-        for t, (n, exact) in sorted(minimal_violating_n(cells).items()):
-            rel = "=" if exact else "<="
-            print(f"smallest qubit count with a valid t={t} inequality: {rel} {n}")
-        bad = [c for c in cells if c.matches is False]
-        for c in bad:
-            print(f"MISMATCH t={c.t} n={c.n}: computed {c.value}, expected {c.expected}")
+            values = {c.n: c.value for c in cells if c.t == t}
+            print(f"t={t} " + "".join(f"{str(values[n]):>10}" for n in ns))
+        for t, n in sorted(minima.items()):
+            print(f"smallest qubit count with a valid t={t} inequality: {n}")
+        for c in cells:
+            if c.matches is False:
+                print(f"MISMATCH t={c.t} n={c.n}: computed {c.value}, expected {c.expected}")
     return 0 if all(c.matches is not False for c in cells) else 1
 
 
@@ -273,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--census", help="graph6 census file, one record per line")
     src.add_argument("--all-labeled", type=int, metavar="N",
                      help="every graph on N vertices, one per class "
-                          "(N = 9 takes about 25 s on 2 cores)")
+                          "(N = 9 takes about 4 s on 2 cores)")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--dedup", choices=("lc", "iso"), default="lc")
     p.add_argument("--lenient", action="store_true",

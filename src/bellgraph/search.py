@@ -36,19 +36,18 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import canon
-from .bell import bell_coefficients, lhv_bound, lhv_bounds, lhv_value
+from .bell import bell_coefficients, lhv_bounds, lhv_value
 from .canon import CanonicalForm, OrbitCapExceeded, canonical_codes, lc_orbits
 from .dyadic import Dyadic
 from .graph6 import code_of_rows, parse_graph6, read_graph6, rows_of_code
 from .graphs import Graph, check_vertex_count
-from .families import parse_family
 
-EXHAUSTIVE_MAX_N = 9  # class_reps(9, "lc") takes about 25 s on 2 cores
+EXHAUSTIVE_MAX_N = 10  # the level-10 walk takes about 5 min and 1.25 GB on 2 cores
 DEFAULT_MAX_WITNESSES = 32
 # records canonicalized in one batch, and census lines read between two
 # checkpoints; read at call time, so a test can change it on this module alone
@@ -499,86 +498,54 @@ TABLE1: dict[tuple[int, int], Dyadic] = {
     (2, 7): Dyadic(1), (2, 8): Dyadic(1), (2, 9): _d(63, 64), (2, 10): _d(63, 64),
 }
 
-# named graphs known to attain grid cells, for spot checks beyond the
-# exhaustive band (upper bounds only: they certify <=, not minimality)
-SPOT_FAMILIES: dict[tuple[int, int], str] = {
-    (0, 3): "ring(3)", (0, 4): "ring(4)", (0, 5): "ring(5)", (0, 6): "ring(6)",
-    (1, 6): "complete_join(3,3)", (1, 7): "complete_join(3,4)",
-    (1, 8): "complete_join(3,5)", (1, 9): "complete_join(3,3,3)",
-    (2, 9): "complete_join(3,3,3)", (2, 10): "complete_join(3,3,4)",
-}
-
 
 @dataclass(frozen=True)
 class TableCell:
     t: int
     n: int
-    value: Dyadic | None
-    mode: str  # "exhaustive" | "family-bound" | "missing"
-    family: str | None
+    value: Dyadic
     expected: Dyadic | None
+    mode: ClassVar[str] = "exhaustive"  # perfbench/workloads.py reads it
 
     @property
     def matches(self) -> bool | None:
-        if self.value is None or self.expected is None:
-            return None
-        return self.value == self.expected
+        return None if self.expected is None else self.value == self.expected
 
     def to_json(self) -> dict:
         return {
             "t": self.t,
             "n": self.n,
-            "value": None if self.value is None else self.value.to_json(),
-            "mode": self.mode,
-            "family": self.family,
+            "value": self.value.to_json(),
             "expected": None if self.expected is None else self.expected.to_json(),
             "matches": self.matches,
         }
 
 
 def reproduce_table1(max_n: int = 7, ts: Sequence[int] = (0, 1, 2)) -> list[TableCell]:
-    """Recompute the optimal-bound grid for 3 <= n <= max_n.
+    """Recompute the optimal-bound grid for 3 <= n <= max_n, every cell exhaustive.
 
-    One walk of levels 1..min(max_n, EXHAUSTIVE_MAX_N), as in `class_reps`,
-    has each level's pipeline run from n = 3 on evaluate its classes and
-    report the exhaustive cells. Beyond EXHAUSTIVE_MAX_N the known optimal
-    family is evaluated as an upper-bound spot check, and cells without one
-    are reported missing. A max_n outside 3..MAX_VERTICES is rejected
-    before any level is built.
+    One walk of levels 1..max_n, as in `class_reps`, has each level's
+    pipeline run from n = 3 on evaluate its classes, and the cell (t, n) is
+    the least bound over the classes on n vertices. A max_n outside
+    3..EXHAUSTIVE_MAX_N is rejected before any level is built.
     """
     ts = _as_ts(ts)
-    if max_n < 3:
-        raise ValueError(f"max_n={max_n} below 3, the grid's first column")
-    check_vertex_count(max_n)
+    if not 3 <= max_n <= EXHAUSTIVE_MAX_N:
+        raise ValueError(f"max_n={max_n} outside 3..{EXHAUSTIVE_MAX_N}, "
+                         "the grid's exhaustive columns")
     cells: list[TableCell] = []
-    for pipe, started in _levels(min(max_n, EXHAUSTIVE_MAX_N), "lc", ts, first=3):  # t <= 3 <= n
+    for pipe, started in _levels(max_n, "lc", ts, first=3):  # t <= 3 <= n
         if pipe.n >= 3:
             reports = pipe.reports(started, DEFAULT_MAX_WITNESSES)
-            cells += [TableCell(t, pipe.n, reports[t].best_bound, "exhaustive", None,
-                                TABLE1.get((t, pipe.n))) for t in ts]
-    for n in range(EXHAUSTIVE_MAX_N + 1, max_n + 1):
-        for t in ts:
-            spec = SPOT_FAMILIES.get((t, n))
-            bound = None if spec is None else lhv_bound(parse_family(spec), t).bound
-            mode = "missing" if spec is None else "family-bound"
-            cells.append(TableCell(t, n, bound, mode, spec, TABLE1.get((t, n))))
+            cells += [TableCell(t, pipe.n, reports[t].best_bound, TABLE1.get((t, pipe.n)))
+                      for t in ts]
     return cells
 
 
-def minimal_violating_n(cells: Iterable[TableCell]) -> dict[int, tuple[int, bool]]:
-    """Per t: smallest n with a bound < 1, and whether smaller n were all
-    exhaustively confirmed at 1 (making the minimum exact rather than <=)."""
-    by_t: dict[int, tuple[int, bool]] = {}
-    grouped: dict[int, list[TableCell]] = {}
-    for cell in cells:
-        grouped.setdefault(cell.t, []).append(cell)
-    for t, group in grouped.items():
-        group.sort(key=lambda c: c.n)
-        exact = True
-        for cell in group:
-            if cell.value is not None and cell.value < 1:
-                by_t[t] = (cell.n, exact)
-                break
-            if cell.mode != "exhaustive":
-                exact = False
+def minimal_violating_n(cells: Iterable[TableCell]) -> dict[int, int]:
+    """Per t: the smallest n whose cell is below 1, for the t that have one."""
+    by_t: dict[int, int] = {}
+    for cell in sorted(cells, key=lambda c: c.n):
+        if cell.value < 1:
+            by_t.setdefault(cell.t, cell.n)
     return by_t

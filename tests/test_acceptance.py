@@ -265,3 +265,32 @@ def test_criterion_9_exhaustive_n9(monkeypatch):
         k333 = min(lc_orbit(complete_join(3, 3, 3)))
         for t in (1, 2):
             assert k333 in {form for form, _ in reports[t].witnesses}
+
+
+@pytest.mark.slow
+def test_criterion_10_exhaustive_n10(monkeypatch):
+    # the paper's "exhaustive search on no more than 10 qubits": one walk of
+    # levels 1..10, whose level-10 run also yields the class count, the
+    # fallbacks and the number of classes attaining each cell
+    search_module = importlib.import_module("bellgraph.search")
+    real_level, levels = search_module._level, {}
+
+    def level(k, *args, **kwargs):
+        levels[k] = real_level(k, *args, **kwargs)
+        return levels[k]
+
+    monkeypatch.setattr(search_module, "_level", level)
+    with criterion(10, "all 3990 LC classes on 10 vertices reproduce the n=10 column"):
+        cells = reproduce_table1(max_n=10, ts=(0, 1, 2, 3))
+        by_key = {(c.t, c.n): c for c in cells}
+        assert set(by_key) == {(t, n) for t in range(4) for n in range(3, 11)}
+        assert all(c.matches is not False for c in cells)
+        for t in (0, 1, 2):
+            assert by_key[(t, 10)].value == TABLE1[(t, 10)]
+        assert by_key[(3, 10)].value == Dyadic(1)
+        # the witness counts are read before truncation, so none is re-verified here
+        reports = levels[10].reports(time.perf_counter(), 0)
+        assert reports[0].lc_classes_examined == 3990
+        assert reports[0].orbit_cap_fallbacks == 0
+        counts = {t: reports[t].witness_classes_total for t in range(4)}
+        assert counts == {0: 14, 1: 1, 2: 2, 3: 283}

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import bellgraph.search as search_module
 from bellgraph.bell import bell_coefficients
 from bellgraph.cli import build_parser, main
 from bellgraph.graph6 import emit_graph6
@@ -241,12 +242,16 @@ def test_reproduce_table1_json(capsys):
     obj = json.loads(out)
     cells = {(c["t"], c["n"]): c for c in obj["cells"]}
     assert cells[(0, 3)]["value"] == {"num": 3, "log2_den": 2}
-    assert obj["minimal_violating_n"]["0"] == {"n": 3, "exact": True}
+    assert obj["minimal_violating_n"] == {"0": 3}
+    assert set(cells[(0, 3)]) == {"t", "n", "value", "expected", "matches"}
 
 
-def test_reproduce_table1_rejects_bad_arguments(capsys, tmp_path):
-    assert main(["reproduce-table1", "--max-n", "17"]) == 2
-    assert "error: vertex count 17 outside 1..16" in capsys.readouterr().err
+def test_reproduce_table1_rejects_bad_arguments(capsys, tmp_path, monkeypatch):
+    # rejected before any level is built
+    monkeypatch.setattr(search_module, "_level", None)
+    for max_n in ("11", "17"):
+        assert main(["reproduce-table1", "--max-n", max_n]) == 2
+        assert f"error: max_n={max_n} outside 3..10" in capsys.readouterr().err
     # the grid reads no census directory: the flag is an argparse error
     with pytest.raises(SystemExit) as exit_:
         main(["reproduce-table1", "--census-dir", str(tmp_path)])

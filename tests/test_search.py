@@ -453,40 +453,29 @@ def test_witness_graph6_parses_back():
 
 
 def test_reproduce_table1_exhaustive_band():
-    cells = reproduce_table1(max_n=5)
-    assert all(c.mode == "exhaustive" for c in cells)
+    cells = reproduce_table1(max_n=6)
+    assert all(c.mode == "exhaustive" for c in cells)  # the benchmark reads it
     assert all(c.matches for c in cells)
+    # every cell is exhaustive, so each minimum is exact; t=2 has no cell
+    # below 1 before n = 9
+    assert minimal_violating_n(cells) == {0: 3, 1: 6}
 
 
 def test_reproduce_table1_rejects_bad_arguments(monkeypatch):
-    # rejected before any level is built: no graph has 17 vertices, and
-    # max_n=2 would give an empty grid
+    # rejected before any level is built: the grid's columns are the
+    # exhaustive levels 3..EXHAUSTIVE_MAX_N = 10, and max_n=2 would give an
+    # empty grid
     monkeypatch.setattr(search_module, "_level", None)
     for kwargs, message in (
-        ({"max_n": 17}, "vertex count 17 outside 1..16"),
-        ({"max_n": 2}, "max_n=2 below 3"),
+        ({"max_n": 11}, "max_n=11 outside 3..10"),
+        ({"max_n": 17}, "max_n=17 outside 3..10"),
+        ({"max_n": 2}, "max_n=2 outside 3..10"),
     ):
         with pytest.raises(ValueError) as err:
             reproduce_table1(**kwargs)
         assert str(err.value).startswith(message), kwargs
-    # the grid's cells come from the level walk and the named families alone
+    # the grid's cells come from the level walk alone
     assert list(inspect.signature(reproduce_table1).parameters) == ["max_n", "ts"]
-
-
-def test_reproduce_table1_spot_checks(monkeypatch):
-    monkeypatch.setattr(search_module, "EXHAUSTIVE_MAX_N", 4)
-    cells = reproduce_table1(max_n=10)
-    by_key = {(c.t, c.n): c for c in cells}
-    assert by_key[(1, 8)].mode == "family-bound"
-    assert by_key[(1, 8)].value == Dyadic(29, 5)
-    assert by_key[(2, 10)].value == Dyadic(63, 6)
-    assert by_key[(1, 10)].mode == "missing"
-    assert by_key[(0, 9)].mode == "missing"
-    assert all(c.matches is not False for c in cells)
-    minima = minimal_violating_n(cells)
-    assert minima[0] == (3, True)
-    assert minima[1] == (6, False)  # n=5 exhausted, n=6 known by family bound
-    assert minima[2] == (9, False)
 
 
 def test_exhaustive_levels_are_built_once(monkeypatch):
