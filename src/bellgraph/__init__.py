@@ -12,7 +12,6 @@ from .bell import (
     lhv_bound,
     lhv_bounds,
     lhv_value,
-    lhv_value_table,
 )
 from .canon import CanonicalForm, OrbitCapExceeded, canonicalize, lc_orbit
 from .coverable import CoverableSet, coverable_set

@@ -15,10 +15,17 @@ Y letters on S_Y, the assignment value is
     (1/2^n) * sum_S k[S] sign(S) (-1)^(|S_X & x_neg| + |S_Y & y_neg|)
 
 The maximum over all 4^n assignments is one more Walsh-Hadamard transform
-over the 2n sign variables. One engine (`_value_blocks`) runs it for a batch
-of graphs given as a (B, n) array of adjacency rows, in blocks whose columns
-are (graph, x_neg) pairs: for n <= 9 a block holds all 4^n values of each of
-up to 4^(9-n) graphs, beyond that one graph's values span several blocks of
+over the 2n sign variables. Every G_S has an even number of Y letters: S_Y
+is the set of vertices of S with an odd number of neighbours in S, the
+odd-degree vertices of the subgraph S induces, and there is an even number
+of those. So flipping every Y sign changes no value, V(x_neg, y_neg) =
+V(x_neg, y_neg ^ (2^n - 1)), and only the 2^(n-1) rows y_neg < 2^(n-1) are
+transformed: an S_Y sits at the row of its low n-1 bits, its top bit being
+their parity, so no two supports share a row. One engine (`_value_blocks`)
+runs the transform for a batch of graphs given as a (B, n) array of
+adjacency rows, in blocks whose columns are (graph, x_neg) pairs: for
+n <= 9 a block holds those rows at every x_neg of each of up to
+2 * 4^(9-n) graphs, beyond that one graph's values span several blocks of
 consecutive x_neg. Per block, flip the weights by the x parity the block
 fixes, sum them onto a grid of (low X bits, graph and Y support) cells,
 transform the grid over the low x_neg bits and the block over y_neg; both
@@ -27,8 +34,7 @@ and coefficients are built with a leading batch axis, one block's graphs at
 a time, so memory stays at about BLOCK_ELEMENTS entries whatever n and B
 are. A block's entries are int16 when the sum|w| of its widest graph is
 below 2^15 (every table at n <= 9) and int32 otherwise. `lhv_bounds` is the
-batched call, and `lhv_bound` and `lhv_value_table` are one-graph calls
-into the same engine.
+batched call, and `lhv_bound` is the one-graph call into the same engine.
 
 All LHV values are integers over 2^n and are returned as exact `Dyadic`s.
 """
@@ -185,17 +191,19 @@ def _weights(n: int, adj: np.ndarray, t: int) -> tuple[StabilizerTable, np.ndarr
 
 def _value_blocks(n: int, adj: np.ndarray, t: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield (j0, x0, values) with values[y_neg, j, r] the numerator of graph
-    j0 + j at x_neg = x0 + r.
+    j0 + j at x_neg = x0 + r, for the 2^(n-1) rows y_neg < 2^(n-1).
 
-    Once n > 9 a block holds one graph and 2^n * cols = BLOCK_ELEMENTS
-    entries, and blocks come in ascending x0; below that a block holds all
-    4^n values of each of up to BLOCK_ELEMENTS / 4^n graphs (x0 = 0), and
+    The other rows are their mirrors: every Y support has even popcount, so
+    the value at y_neg equals the value at y_neg ^ (2^n - 1). Once n > 9 a
+    block holds one graph and 2^(n-1) * cols = BLOCK_ELEMENTS entries, and
+    blocks come in ascending x0; below that a block holds the 2^(2n-1)
+    values of each of up to BLOCK_ELEMENTS / 2^(2n-1) graphs (x0 = 0), and
     blocks come in ascending j0. Tables and weights are built for one
     block's graphs at a time, and a block's entries are of the `_block_dtype`
     of its widest graph.
     """
-    cols = min(1 << n, max(1, BLOCK_ELEMENTS >> n))  # x_neg values per block
-    per_block = max(1, BLOCK_ELEMENTS >> 2 * n)       # graphs per block
+    cols = min(1 << n, max(1, BLOCK_ELEMENTS >> n - 1))  # x_neg values per block
+    per_block = max(1, BLOCK_ELEMENTS >> 2 * n - 1)       # graphs per block
     for j0 in range(0, len(adj), per_block):
         table, w = _weights(n, adj[j0:j0 + per_block], t)
         dtype = _block_dtype(int(np.abs(w).sum(axis=1).max()))
@@ -215,27 +223,15 @@ def _value_blocks(n: int, adj: np.ndarray, t: int) -> Iterator[tuple[int, int, n
         new_col = np.concatenate(([True], key[1:] != key[:-1]))
         starts = np.flatnonzero(new_col | np.concatenate(([True], low[1:] != low[:-1])))
         cells = (low[starts], np.cumsum(new_col)[starts] - 1)
-        col_graph, col_support = key[new_col] >> n, key[new_col] & ((1 << n) - 1)
+        # an even Y support sits at the row of its low n - 1 bits
+        col_graph, col_support = key[new_col] >> n, key[new_col] & ((1 << n - 1) - 1)
         for x0 in range(0, 1 << n, cols):
             w_x0 = w * (1 - 2 * (np.bitwise_count(sx & x0) & 1).view(np.int8))
             grid = np.zeros((cols, len(col_graph)), dtype=dtype)
             grid[cells] = np.add.reduceat(w_x0, starts, dtype=dtype)
-            block = np.zeros((1 << n, len(table.sx), cols), dtype=dtype)
+            block = np.zeros((1 << n - 1, len(table.sx), cols), dtype=dtype)
             block[col_support, col_graph] = fwht_inplace(grid).T
             yield j0, x0, fwht_inplace(block)
-
-
-def lhv_value_table(g: Graph, t: int) -> np.ndarray:
-    """Numerators of all 4^n assignment values, indexed (x_neg << n) | y_neg.
-
-    Always int64, whatever width the engine blocks used.
-    """
-    size = 1 << g.n
-    out = np.empty((size, size), dtype=np.int64)
-    for _, x0, block in _value_blocks(g.n, _one(g), t):
-        out[x0:x0 + block.shape[2]] = block[:, 0].T
-        del block  # or it lives on while the next block is built
-    return out.ravel()
 
 
 def _adjacency(n: int, adj) -> np.ndarray:
@@ -260,9 +256,13 @@ def lhv_bounds(n: int, adj, t: int) -> list[LhvResult]:
     ties go to the least (x_neg << n) | y_neg. A graph's blocks arrive in
     ascending x_neg, a later block replaces its running best only when
     strictly larger, and inside that block the first column (x_neg) holding
-    its maximum wins and then that column's first row (y_neg). An empty
-    batch gives []; an array of another shape, or rows that are not the
-    adjacency rows of a simple graph on n vertices, raise ValueError.
+    its maximum wins and then that column's first row (y_neg). Blocks hold
+    only the rows y_neg < 2^(n-1), and that changes no tie-break: a value at
+    a higher y_neg recurs at its complement y_neg ^ (2^n - 1), which is
+    lower, so a value's first attainer in the full table always lies in the
+    rows held. An empty batch gives []; an array of another shape, or rows
+    that are not the adjacency rows of a simple graph on n vertices, raise
+    ValueError.
     """
     rows = _adjacency(n, adj)
     best = np.full(len(rows), np.iinfo(np.int64).min)

@@ -17,17 +17,20 @@ simulator's operator assembly, and `bell_operator_matrix`, which sums the
 package's graph state phase-flipped by its coverable sets into the dense
 4^n matrix the simulator's branch expectations are checked against
 (`apply_channel_dense` carries a density matrix through a channel for
-that check). The package never imports this module.
+that check). `lhv_value_table` is not an oracle but the side under test:
+the engine's blocks assembled into the full table that the oracles give.
+The package never imports this module.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from bellgraph.bell import bell_coefficients, stabilizer_table
+from bellgraph.bell import _value_blocks, bell_coefficients, stabilizer_table
 from bellgraph.coverable import coverable_set
 from bellgraph.dyadic import Dyadic
 from bellgraph.graph6 import rows_of_code
@@ -272,6 +275,14 @@ def coefficient_operator_matrix(g: Graph, t: int) -> np.ndarray:
     return out / size
 
 
+@functools.cache
+def _letter_strings(n: int) -> tuple[list[str], np.ndarray]:
+    """Every letter string on n qubits, in product order, and their dense
+    matrices stacked on a leading axis."""
+    strings = ["".join(c) for c in itertools.product("IXYZ", repeat=n)]
+    return strings, np.stack([letters_matrix(c) for c in strings])
+
+
 def stabilizer_letters(g: Graph, s: int) -> tuple[int, str]:
     """(sign, letters) of the product of vertex stabilizers over s.
 
@@ -285,12 +296,14 @@ def stabilizer_letters(g: Graph, s: int) -> tuple[int, str]:
             "X" if v == a else ("Z" if g.adj[a] >> v & 1 else "I") for v in range(g.n)
         )
         m = m @ letters_matrix(letters)
-    for cand in itertools.product("IXYZ", repeat=g.n):
-        cm = letters_matrix("".join(cand))
-        if np.allclose(m, cm):
-            return 1, "".join(cand)
-        if np.allclose(m, -cm):
-            return -1, "".join(cand)
+    strings, mats = _letter_strings(g.n)
+    plus = np.isclose(mats, m).all(axis=(1, 2))
+    minus = np.isclose(mats, -m).all(axis=(1, 2))
+    for letters, p, q in zip(strings, plus, minus):
+        if p:
+            return 1, letters
+        if q:
+            return -1, letters
     raise AssertionError("stabilizer product is not a signed letter string")
 
 
@@ -367,6 +380,22 @@ def transform_lhv_values(g: Graph, t: int) -> np.ndarray:
     h = np.zeros(1 << (2 * n), dtype=np.int64)
     h[(table.sx << n) | table.sy] = bell_coefficients(g, t).k * table.signs
     return stage_wht(h)
+
+
+def lhv_value_table(g: Graph, t: int) -> np.ndarray:
+    """The engine's numerators of all 4^n assignment values, int64, indexed
+    (x_neg << n) | y_neg.
+
+    The engine's blocks hold the rows y_neg < 2^(n-1). The value at
+    y_neg = 2^(n-1) + k is the value at its complement 2^(n-1) - 1 - k, so
+    the upper half of each x_neg row is the lower half reversed.
+    """
+    size, half = 1 << g.n, 1 << g.n - 1
+    out = np.empty((size, size), dtype=np.int64)
+    for _, x0, block in _value_blocks(g.n, np.array([g.adj], dtype=np.int64), t):
+        out[x0:x0 + block.shape[2], :half] = block[:, 0].T
+    out[:, half:] = out[:, half - 1::-1]
+    return out.ravel()
 
 
 def lhv_values_full(g: Graph, t: int) -> np.ndarray:

@@ -19,7 +19,6 @@ from bellgraph.bell import (
     family_oracle_star_copies,
     lhv_bound,
     lhv_bounds,
-    lhv_value_table,
 )
 from bellgraph.canon import lc_orbit
 from bellgraph.cli import main
@@ -45,6 +44,7 @@ from oracles import (
     bell_operator_matrix,
     identity_table,
     lhv_bound_full,
+    lhv_value_table,
     random_graph,
     tensor_tables,
     transform_lhv_values,

@@ -16,7 +16,6 @@ from bellgraph.bell import (
     lhv_bound,
     lhv_bounds,
     lhv_value,
-    lhv_value_table,
     stabilizer_table,
 )
 from bellgraph.coverable import coverable_set
@@ -29,6 +28,7 @@ from oracles import (
     enumerate_labeled,
     identity_table,
     lhv_bound_full,
+    lhv_value_table,
     lhv_values_full,
     random_graph,
     stabilizer_element,
@@ -167,6 +167,46 @@ def test_engines_agree_on_argmax():
         assert lhv_bound(g, t) == _oracle_result(g, t)
 
 
+def _mirrored(values, n):
+    # V(x, y) == V(x, y ^ (2^n - 1)): each x_neg row reads the same reversed
+    rows = np.asarray(values).reshape(1 << n, 1 << n)
+    return np.array_equal(rows, rows[:, ::-1])
+
+
+def test_values_are_symmetric_under_flipping_every_y(census):
+    # the engine transforms only y_neg < 2^(n-1) because of this symmetry;
+    # it is pinned here without the engine: term by term where the
+    # brute-force letters reach (n <= 4), then by the single-transform oracle
+    for n in range(1, 6):
+        for g in census[n]:
+            for t in range(min(2, n) + 1):
+                values = brute_lhv_values(g, t) if n <= 4 else transform_lhv_values(g, t)
+                assert _mirrored(values, n), (g, t)
+    rng = np.random.default_rng(29)
+    for n in (6, 7, 8):
+        for _ in range(3):
+            g = random_graph(rng, n)
+            for t in range(3):
+                assert _mirrored(transform_lhv_values(g, t), n), (g, t)
+
+
+def test_y_supports_have_even_popcount():
+    # why the symmetry holds: S_Y is the set of vertices of S with an odd
+    # number of neighbours in S, and a graph has an even number of those
+    rng = np.random.default_rng(30)
+    for n in range(1, 17):
+        graphs = [random_graph(rng, n) for _ in range(3)]
+        sy = bell._stabilizer_tables(n, _rows(graphs)).sy
+        assert not (np.bitwise_count(sy) & 1).any(), n
+
+
+def test_blocks_hold_half_the_y_rows():
+    rng = np.random.default_rng(31)
+    for n in range(1, 17):
+        _, _, block = next(bell._value_blocks(n, _rows([random_graph(rng, n)]), 0))
+        assert block.shape[0] == 1 << n - 1, n
+
+
 def _rows(graphs):
     return np.array([g.adj for g in graphs], dtype=np.int64).reshape(len(graphs), -1)
 
@@ -199,8 +239,9 @@ def test_blocks_keep_values_and_first_argmax(monkeypatch):
         for t in range(0, min(2, g.n) + 1):
             assert np.array_equal(lhv_value_table(g, t), transform_lhv_values(g, t))
             assert lhv_bound(g, t) == _oracle_result(g, t)
-    # int32 path (sum|w| = 74086): its maxima sit at y_neg = 0 and 4095 of
-    # x_neg = 1755, 2925 and 3510, three different blocks of 16 columns
+    # int32 path (sum|w| = 74086): its maxima sit at y_neg = 0 of x_neg =
+    # 1755, 2925 and 3510, three different blocks of 32 columns (and at
+    # y_neg = 4095, the mirror of 0 that the blocks do not hold)
     monkeypatch.setattr(bell, "BLOCK_ELEMENTS", 1 << 16)
     g = ring(12)
     assert _block_dtype_of(g, 3) == np.int32
@@ -385,17 +426,17 @@ def test_lhv_bounds_match_one_graph_calls_and_oracle():
         graphs.insert(1, graphs[-1])  # a graph that repeats
         for t in range(min(3, n) + 1):
             _check_batch(graphs, t)
-    # ten graphs at n = 8 straddle three blocks of four (4 * 4^8 entries)
-    assert bell.BLOCK_ELEMENTS >> 16 == 4
-    graphs = [random_graph(rng, 8) for _ in range(10)]
+    # twenty graphs at n = 8 straddle three blocks of eight (8 * 2^15 entries)
+    assert bell.BLOCK_ELEMENTS >> 15 == 8
+    graphs = [random_graph(rng, 8) for _ in range(20)]
     blocks = [(j0, block.shape[1]) for j0, _, block in bell._value_blocks(8, _rows(graphs), 1)]
-    assert blocks == [(0, 4), (4, 4), (8, 2)]
+    assert blocks == [(0, 8), (8, 8), (16, 4)]
     _check_batch(graphs, 1)
 
 
 def test_lhv_bounds_across_small_blocks(monkeypatch):
-    # 2^8-entry blocks: four graphs per block at n = 3, one graph per block
-    # at n = 4, and one graph over several blocks from n = 5 on
+    # 2^8-entry blocks: eight graphs per block at n = 3, two at n = 4, and
+    # one graph over several blocks from n = 5 on
     monkeypatch.setattr(bell, "BLOCK_ELEMENTS", 1 << 8)
     rng = np.random.default_rng(28)
     for n in (3, 4, 5, 6):
