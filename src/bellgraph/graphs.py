@@ -96,18 +96,6 @@ class Graph:
         return Graph(self.n, tuple(rows))
 
 
-def neighborhood_of_set(g: Graph, omega: int) -> int:
-    """Symmetric difference of the neighborhoods of all vertices in omega.
-
-    Vertex v lands in the result iff it has an odd number of neighbors
-    inside omega.
-    """
-    out = 0
-    for v in iter_bits(omega):
-        out ^= g.adj[v]
-    return out
-
-
 def local_complement(g: Graph, a: int) -> Graph:
     """Complement the induced subgraph on the neighborhood of a.
 

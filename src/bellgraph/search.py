@@ -10,10 +10,11 @@ checks against every labeled graph.
 
 The pipeline takes records as (B, n) arrays of adjacency rows from two
 sources: a graph6 census file, decoded a chunk of lines at a time
-(`search_file`, with checkpoints that store the whole pipeline state, so an
-interrupted and resumed run reports the same), or the one-vertex extensions
-of the classes on n - 1, broadcast. One such level is one pipeline run, and
-one walk of levels from the empty graph (`_levels`) serves `class_reps`,
+(`search_file`, with checkpoints that store the representatives and their
+bounds; a resumed run rebuilds the rest by replaying them through dedup,
+and reports the same), or the one-vertex extensions of the classes on
+n - 1, broadcast. One such level is one pipeline run, and one walk of
+levels from the empty graph (`_levels`) serves `class_reps`,
 `search_labeled_all` and `reproduce_table1`; the last two have the runs
 evaluate the classes they find. `search_file` rejects a record on another
 vertex count than the census's with its line number. Graphs held in memory
@@ -44,7 +45,7 @@ from . import canon
 from .bell import bell_coefficients, lhv_bounds, lhv_value
 from .canon import CanonicalForm, OrbitCapExceeded, canonical_codes, lc_orbits
 from .dyadic import Dyadic
-from .graph6 import code_of_rows, parse_graph6, read_graph6, rows_of_code
+from .graph6 import read_graph6, rows_of_code
 from .graphs import Graph, check_vertex_count
 
 EXHAUSTIVE_MAX_N = 10  # the level-10 walk takes about 5 min and 1.25 GB on 2 cores
@@ -115,11 +116,12 @@ class _Pipeline:
     """State of one search, fed one chunk of records at a time.
 
     A chunk is canonicalized in one batch, the LC orbits of its unseen
-    classes are walked together (`lc_orbits`), its new classes are picked
-    out in stream order and their representatives evaluated, so the state
-    after any chunk holds everything the final reports depend on;
-    `Checkpoint` saves and restores exactly this. `stages` holds the
-    seconds this process spent per stage; it is not saved.
+    classes are walked together (`lc_orbits`), and its new classes are
+    picked out in stream order (`new_classes`) and evaluated, so the state
+    after any chunk holds everything the final reports depend on. The
+    seen-set and fallback count follow from the representatives, which is
+    all `Checkpoint` saves besides the bounds and the record count.
+    `stages` holds the seconds this process spent per stage; it is not saved.
     """
 
     ts: tuple[int, ...]
@@ -144,10 +146,12 @@ class _Pipeline:
         count, since they know the position of a record on another one.
         """
         for at in range(0, len(rows), CHUNK_SIZE):
-            self._take(rows[at:at + CHUNK_SIZE])
+            chunk = rows[at:at + CHUNK_SIZE]
+            self.records += len(chunk)
+            self.evaluate(self.new_classes(chunk))
 
-    def _take(self, chunk: np.ndarray) -> None:
-        """Count the records and evaluate each new class's representative.
+    def new_classes(self, chunk: np.ndarray) -> list[int]:
+        """The representatives of the chunk's unseen classes, in stream order.
 
         The representative is the least canonical code of the class: the LC
         orbit's minimum under "lc", the canonical code under "iso". The
@@ -158,7 +162,6 @@ class _Pipeline:
         """
         started = time.perf_counter()
         n = self.n = chunk.shape[1]
-        self.records += len(chunk)
         first: dict[int, int] = {}
         for i, code in enumerate(canonical_codes(n, chunk)):
             if code not in self.seen:
@@ -177,7 +180,7 @@ class _Pipeline:
             self.seen |= orbit
             new.append(min(orbit))
         self.stages["dedup"] += time.perf_counter() - started
-        self.evaluate(new)
+        return new
 
     def evaluate(self, codes: list[int]) -> None:
         """Keep canonical codes as class representatives, with their LHV
@@ -349,19 +352,22 @@ def _file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-CHECKPOINT_HEADER = "bellgraph-checkpoint v3"
+CHECKPOINT_HEADER = "bellgraph-checkpoint v4"
 
 
 @dataclass
 class Checkpoint:
-    """A census search's whole pipeline state in one plain-text file.
+    """A census search's representatives and their bounds in one plain-text file.
 
     After the header come `key=value` lines for the census hash, ts, dedup,
-    orbit cap, n, the number of good records consumed and the orbit-cap
-    fallbacks so far; then one `rep=<graph6> <bound per t>` line per
-    representative in stream order, the graph6 of its canonically labeled
-    graph; then one `seen=<hex code>` line per canonical form in the
-    seen-set, sorted by code.
+    orbit cap, n and the number of good records consumed; then one
+    `rep=<hex code> <bound per t>` line per representative, in stream order.
+    A class's LC orbit, and whether it passes the cap, do not depend on
+    where the walk starts, so the seen-set and the fallback count are not
+    stored: `restore` rebuilds them by replaying the representatives through
+    `_Pipeline.new_classes` in one call, which must give back exactly the
+    stored codes. That validates the file, at the price of redoing the orbit
+    walks of the classes found so far.
     """
 
     path: str
@@ -379,19 +385,17 @@ class Checkpoint:
     def write(self, state: _Pipeline) -> None:
         lines = [CHECKPOINT_HEADER]
         lines += [f"{key}={val}" for key, val in self._settings(state).items()]
-        lines += [f"n={state.n}", f"records={state.records}",
-                  f"orbit_cap_fallbacks={state.orbit_cap_fallbacks}"]
+        lines += [f"n={state.n}", f"records={state.records}"]
         for code, res in zip(state.reps, state.results):
-            lines.append(f"rep={CanonicalForm(state.n, code).to_graph6()} "
-                         + " ".join(str(res[t]) for t in state.ts))
-        lines += [f"seen={code:x}" for code in sorted(state.seen)]
+            lines.append(f"rep={code:x} " + " ".join(str(res[t]) for t in state.ts))
         tmp = self.path + ".tmp"
         with open(tmp, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
         os.replace(tmp, self.path)
 
     def restore(self, fresh: _Pipeline) -> _Pipeline:
-        """The saved state; rejected unless written with fresh's settings."""
+        """The saved state, rejected unless written with fresh's settings;
+        the replay's time opens its dedup stage."""
         with open(self.path, "r", encoding="ascii") as fh:
             lines = fh.read().splitlines()
         header = lines[0] if lines else ""
@@ -402,17 +406,9 @@ class Checkpoint:
                     "delete the file and rerun"
                 )
             raise ValueError(f"{self.path}: not a checkpoint file")
-        kv: dict[str, str] = {}
-        reps: list[str] = []
-        seen: list[str] = []
-        for line in lines[1:]:
-            key, _, val = line.partition("=")
-            if key == "rep":
-                reps.append(val)
-            elif key == "seen":
-                seen.append(val)
-            else:
-                kv[key] = val
+        pairs = [line.partition("=")[::2] for line in lines[1:]]
+        kv = {key: val for key, val in pairs if key != "rep"}
+        reps = [val for key, val in pairs if key == "rep"]
         for key, want in self._settings(fresh).items():
             if kv.get(key) != want:
                 raise ValueError(
@@ -420,17 +416,18 @@ class Checkpoint:
                     f"has {key}={want}; delete the file to start over"
                 )
         try:
-            state = _Pipeline(fresh.ts, fresh.dedup,
-                              n=int(kv["n"]), records=int(kv["records"]),
-                              orbit_cap_fallbacks=int(kv["orbit_cap_fallbacks"]))
+            state = _Pipeline(fresh.ts, fresh.dedup, records=int(kv["records"]))
+            n = int(kv["n"])
+            check_vertex_count(n)
             for line in reps:
-                g6, *bounds = line.split(" ")
+                code, *bounds = line.split(" ")
                 if len(bounds) != len(state.ts):
-                    raise ValueError(f"rep {g6} has {len(bounds)} bounds")
-                g = parse_graph6(g6)
-                state.reps.append(code_of_rows(g.n, g.adj))
+                    raise ValueError(f"rep {code} has {len(bounds)} bounds")
+                state.reps.append(int(code, 16))
                 state.results.append(dict(zip(state.ts, map(Dyadic.parse, bounds))))
-            state.seen = {int(code, 16) for code in seen}
+            rows = np.array([rows_of_code(n, code) for code in state.reps], dtype=np.int64)
+            if state.new_classes(rows.reshape(-1, n)) != state.reps:
+                raise ValueError("its representatives are not the classes a replay finds")
         except (KeyError, ValueError) as err:
             raise ValueError(f"{self.path}: corrupt checkpoint: {err}") from None
         return state
@@ -450,11 +447,13 @@ def search_file(
     Malformed records abort with their line number unless lenient, in which
     case they are skipped and counted in `records_skipped`. The census is
     read CHUNK_SIZE lines at a time and their good records are canonicalized
-    together. With a checkpoint path the pipeline state is saved after each
-    such block that added records, so a rerun whose checkpoint covers the
-    whole census writes nothing. A saved state resumes after the records it
-    covers and yields the report of an uninterrupted run; one written for
-    another census, ts, dedup or `canon.ORBIT_CAP` is rejected.
+    together. With a checkpoint path the representatives found so far and
+    their bounds are saved after each such block that added records. A
+    resumed run replays them through dedup to rebuild its seen-set, goes on
+    after the records the file covers and yields the report of an
+    uninterrupted run; a rerun with a completed file writes nothing. A file
+    written for another census, ts, dedup or `canon.ORBIT_CAP`, or in an
+    older format, is rejected.
     """
     ts = _as_ts(t)
     started = time.perf_counter()

@@ -5,10 +5,10 @@ the package's fast paths: coverable sets by full pair enumeration, LHV
 values by evaluating letter strings term by term, Pauli matrices by
 explicit Kronecker products, support-local operators by embedding them as
 full 2^n x 2^n matrices, stabilizer elements by per-element products of
-phase-tracked Pauli strings, transforms by the character-sum definition,
-canonical codes by a per-graph recursive search and by all n! relabelings,
-LC dedup by one orbit walk per record, and the labeled universe on n
-vertices by every edge set.
+phase-tracked Pauli strings, set neighborhoods by XOR of adjacency rows,
+transforms by the character-sum definition, canonical codes by a per-graph
+recursive search and by all n! relabelings, LC dedup by one orbit walk per
+record, and the labeled universe on n vertices by every edge set.
 The exceptions are `transform_lhv_values`, `lhv_values_full` and
 `coefficient_operator_matrix`, which take the package's coefficient table
 (and, for the first two, its stabilizer table; both checked against the
@@ -183,6 +183,18 @@ def single(n: int, v: int, letter: str) -> PauliString:
     if letter == "I":
         return identity(n)
     raise ValueError(f"unknown letter {letter!r}")
+
+
+def neighborhood_of_set(g: Graph, omega: int) -> int:
+    """Symmetric difference of the neighborhoods of all vertices in omega.
+
+    Vertex v lands in the result iff it has an odd number of neighbors
+    inside omega.
+    """
+    out = 0
+    for v in iter_bits(omega):
+        out ^= g.adj[v]
+    return out
 
 
 def vertex_stabilizer(g: Graph, a: int) -> PauliString:

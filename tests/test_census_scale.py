@@ -4,16 +4,20 @@ Builds the complete 8-vertex isomorphism census in-process by augmenting
 every 7-vertex class with every possible new-vertex neighborhood (every
 8-vertex graph contains a 7-vertex induced subgraph, so this covers all
 classes), then runs the file-search path over it. Pins the known census
-size, the known LC-class count, and the optimal bounds of the n=8 column.
+size, the known LC-class count, and the optimal bounds of the n=8 column,
+and checks that a run interrupted midway and resumed from its checkpoint
+reports the same.
 """
 import time
 
 import numpy as np
 import pytest
 
+import bellgraph.search as search_module
 from bellgraph.canon import CanonicalForm, canonical_codes
 from bellgraph.dyadic import Dyadic
 from bellgraph.search import iso_class_reps, search_file
+from test_search import interrupted_run
 
 
 @pytest.fixture(scope="module")
@@ -44,3 +48,19 @@ def test_n8_column(census8_path):
     # the t=1 optimum is attained by a single class: K_3 + K_5's
     assert reports[1].witness_classes_total == 1
     print(f"\n  n=8 census search: {time.perf_counter() - started:.1f}s", end="")
+
+
+def test_n8_resume_matches_uninterrupted_run(monkeypatch, tmp_path, census8_path):
+    ts = (0, 1, 2)
+    full = search_file(census8_path, ts)
+    monkeypatch.setattr(search_module, "CHUNK_SIZE", 1024)  # 13 chunks
+    ck = tmp_path / "n8.ck"
+    calls = interrupted_run(monkeypatch, 7, census8_path, ts, checkpoint_path=str(ck))
+    assert calls[-1] == 7 * 1024
+    # the file holds the representatives found so far, and no seen-set
+    lines = ck.read_text().splitlines()
+    assert sum(line.startswith("rep=") for line in lines) <= 182
+    assert not any(line.startswith("seen=") for line in lines)
+    resumed = search_file(census8_path, ts, checkpoint_path=str(ck))
+    for t in ts:
+        assert resumed[t].comparable() == full[t].comparable()

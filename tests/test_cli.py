@@ -207,6 +207,27 @@ def test_search_dedup_flag(capsys):
     assert "argument --dedup: invalid choice: 'none'" in capsys.readouterr().err
 
 
+def test_search_census_checkpoint_reports_the_same_twice(capsys, tmp_path, census5_path):
+    # the second run resumes from the completed file
+    ck = tmp_path / "n5.ck"
+    runs = []
+    for _ in range(2):
+        code, out = run(capsys, "search", "--census", census5_path, "--t", "0",
+                        "--checkpoint", str(ck), "--json")
+        assert code == 0
+        runs.append({key: val for key, val in json.loads(out).items()
+                     if key not in ("wall_time_s", "stages_s")})
+    assert runs[0] == runs[1] and runs[0]["graphs_examined"] == 34
+
+
+def test_search_census_rejects_v3_checkpoint(capsys, tmp_path, census5_path):
+    # a file in an older format is rejected, with the advice to delete it
+    ck = tmp_path / "v3.ck"
+    ck.write_text("bellgraph-checkpoint v3\nn=5\nrecords=1\norbit_cap_fallbacks=0\nseen=0\n")
+    assert main(["search", "--census", census5_path, "--t", "0", "--checkpoint", str(ck)]) == 2
+    assert "delete the file" in capsys.readouterr().err
+
+
 def test_search_all_labeled_rejects_vertex_count(capsys):
     # rejected before any level is built; 17 would otherwise walk for hours
     for n in ("0", "17"):

@@ -8,9 +8,8 @@ from bellgraph.graphs import (
     disjoint_union,
     iter_bits,
     local_complement,
-    neighborhood_of_set,
 )
-from oracles import random_graph
+from oracles import neighborhood_of_set, random_graph
 
 
 def test_bits_helpers():

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from bellgraph.families import complete, star
-from bellgraph.graphs import Graph, neighborhood_of_set
+from bellgraph.graphs import Graph
 from oracles import (
     LETTER_MATRIX,
     PauliString,
     from_text,
     identity,
     multiply,
+    neighborhood_of_set,
     random_graph,
     single,
     stabilizer_element,

@@ -13,7 +13,7 @@ from bellgraph.canon import ORBIT_CAP, canonicalize, lc_orbit, lc_orbits
 from bellgraph.cli import main
 from bellgraph.dyadic import Dyadic
 from bellgraph.families import complete, complete_join, parse_family, ring, star, star_copies
-from bellgraph.graph6 import Graph6Error, emit_graph6, parse_graph6
+from bellgraph.graph6 import Graph6Error, code_of_rows, emit_graph6, parse_graph6, rows_of_code
 from bellgraph.graphs import Graph
 from bellgraph.search import (
     TABLE1,
@@ -276,11 +276,11 @@ def test_search_file_checkpointing(monkeypatch, tmp_path, census5_path):
     ck = tmp_path / "resume.ck"
     full = search_file(census5_path, (0, 1), checkpoint_path=str(ck))
     text = ck.read_text().splitlines()
-    assert text[0] == "bellgraph-checkpoint v3"
-    assert "records=34" in text and "ts=0,1" in text and "orbit_cap_fallbacks=0" in text
+    assert text[0] == "bellgraph-checkpoint v4"
+    assert "records=34" in text and "ts=0,1" in text
     assert sum(line.startswith("rep=") for line in text) == 11
-    # all 34 graphs on 5 vertices lie in the seen-set of the LC orbits
-    assert sum(line.startswith("seen=") for line in text) == 34
+    # the seen-set and the fallback count are rebuilt on resume, not stored
+    assert not any(line.startswith(("seen=", "orbit_cap_fallbacks=")) for line in text)
     # rerunning with the completed checkpoint returns the same reports
     again = search_file(census5_path, (0, 1), checkpoint_path=str(ck))
     for t in (0, 1):
@@ -318,23 +318,32 @@ def interrupted_run(monkeypatch, k, *args, **kwargs):
 @pytest.mark.parametrize("chunk_size", [10, 7])
 def test_resume_matches_uninterrupted_run(monkeypatch, tmp_path, census5_path,
                                           chunk_size, dedup):
+    # under "lc" also past the orbit cap, where a resumed run must rebuild the
+    # fallback count: (fallbacks, representatives) per cap on census5
     ts = (0, 1, 2)
-    full = search_file(census5_path, ts, dedup=dedup)
-    monkeypatch.setattr(search_module, "CHUNK_SIZE", chunk_size)
-    k = 1
-    while True:
-        ck = str(tmp_path / f"k{k}.ck")
-        calls = interrupted_run(monkeypatch, k, census5_path, ts, dedup=dedup,
-                                checkpoint_path=ck)
-        if calls is None:
-            break
-        assert calls[-1] == min(k * chunk_size, 34)
-        for _ in range(2):  # resume, then rerun with the completed checkpoint
-            resumed = search_file(census5_path, ts, dedup=dedup, checkpoint_path=ck)
-            for t in ts:
-                assert resumed[t].comparable() == full[t].comparable()
-        k += 1
-    assert k - 1 == -(-34 // chunk_size)  # every write was interrupted once
+    caps = {ORBIT_CAP: (0, 11), 2: (23, 30), 1: (31, 34)}
+    if dedup == "iso":
+        caps = {ORBIT_CAP: (0, 34)}
+    for orbit_cap, counts in caps.items():
+        monkeypatch.setattr(canon, "ORBIT_CAP", orbit_cap)
+        monkeypatch.setattr(search_module, "CHUNK_SIZE", 4096)
+        full = search_file(census5_path, ts, dedup=dedup)
+        assert (full[0].orbit_cap_fallbacks, full[0].lc_classes_examined) == counts
+        monkeypatch.setattr(search_module, "CHUNK_SIZE", chunk_size)
+        k = 1
+        while True:
+            ck = str(tmp_path / f"cap{orbit_cap}-k{k}.ck")
+            calls = interrupted_run(monkeypatch, k, census5_path, ts, dedup=dedup,
+                                    checkpoint_path=ck)
+            if calls is None:
+                break
+            assert calls[-1] == min(k * chunk_size, 34)
+            for _ in range(2):  # resume, then rerun with the completed checkpoint
+                resumed = search_file(census5_path, ts, dedup=dedup, checkpoint_path=ck)
+                for t in ts:
+                    assert resumed[t].comparable() == full[t].comparable()
+            k += 1
+        assert k - 1 == -(-34 // chunk_size)  # every write was interrupted once
 
 
 def test_resume_writes_only_the_remaining_chunks(monkeypatch, tmp_path, census5_path):
@@ -403,13 +412,46 @@ def test_checkpoint_rejects_changed_census(tmp_path, census5_path):
     "bellgraph-checkpoint v1\ncensus_sha256=0\nchunk_size=8\nchunks_done=1\n",
     "bellgraph-checkpoint v2\ncensus_sha256=0\nts=0\ndedup=lc\norbit_cap=100000\n"
     "n=5\nrecords=0\n",
-], ids=["v1", "v2"])
+    "bellgraph-checkpoint v3\ncensus_sha256=0\nts=0\ndedup=lc\norbit_cap=100000\n"
+    "n=5\nrecords=1\norbit_cap_fallbacks=0\nrep=D?? 1\nseen=0\n",
+], ids=["v1", "v2", "v3"])
 def test_checkpoint_rejects_old_versions(tmp_path, census5_path, old):
     ck = tmp_path / "old.ck"
     ck.write_text(old)
     with pytest.raises(ValueError) as err:
         search_file(census5_path, 0, checkpoint_path=str(ck))
     assert "delete the file" in str(err.value)
+
+
+@pytest.mark.parametrize("corrupt", ["not canonical", "not least", "duplicated", "not hex"])
+def test_checkpoint_rejects_corrupt_representatives(tmp_path, census5_path, corrupt):
+    # each edit keeps the settings and the line format; replaying the
+    # representatives through dedup finds the first three, parsing the last
+    ck = tmp_path / "corrupt.ck"
+    search_file(census5_path, 0, checkpoint_path=str(ck))
+    lines = ck.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("rep="))
+    codes = [int(line[4:].split(" ")[0], 16) for line in lines[first:]]
+    graphs = [Graph(5, rows_of_code(5, code)) for code in codes]
+
+    def replace(i, code):
+        lines[first + i] = f"rep={code} " + lines[first + i].split(" ")[1]
+
+    if corrupt == "not canonical":  # a representative with its vertex order reversed
+        reversed_ = [code_of_rows(5, g.relabel(range(4, -1, -1)).adj) for g in graphs]
+        i = next(i for i, code in enumerate(codes) if reversed_[i] != code)
+        replace(i, f"{reversed_[i]:x}")
+    elif corrupt == "not least":  # another canonical code of the representative's orbit
+        i = next(i for i, g in enumerate(graphs) if len(lc_orbit(g)) > 1)
+        replace(i, f"{max(lc_orbit(graphs[i])).code:x}")
+    elif corrupt == "duplicated":
+        lines.insert(first + 3, lines[first + 3])
+    else:
+        replace(0, "xyz")
+    ck.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        search_file(census5_path, 0, checkpoint_path=str(ck))
+    assert "corrupt checkpoint" in str(err.value)
 
 
 def test_witness_cap():
