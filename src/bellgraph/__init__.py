@@ -18,7 +18,7 @@ from .coverable import CoverableSet, coverable_set
 from .dyadic import Dyadic
 from .families import complete, complete_join, parse_family, ring, star, star_copies
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
-from .graphs import Graph, bits_of, disjoint_union, iter_bits, local_complement
+from .graphs import Graph, disjoint_union, iter_bits
 from .quantum import (
     KrausChannel,
     amplitude_damping_channel,

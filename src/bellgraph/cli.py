@@ -261,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--census", help="graph6 census file, one record per line")
     src.add_argument("--all-labeled", type=int, metavar="N",
-                     help="every graph on N vertices, one per class "
-                          "(N = 9 takes about 4 s on 2 cores)")
+                     help="every graph on N vertices, one per class, N in 1..10 "
+                          "(N = 9 takes about 4 s on 2 cores, N = 10 about 4 min)")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--dedup", choices=("lc", "iso"), default="lc")
     p.add_argument("--lenient", action="store_true",

@@ -76,15 +76,3 @@ class Dyadic(Fraction):
     @classmethod
     def from_json(cls, obj: dict) -> "Dyadic":
         return cls(int(obj["num"]), int(obj["log2_den"]))
-
-    @classmethod
-    def parse(cls, text: str) -> "Dyadic":
-        """Parse 'p/q' or 'p' with q a power of two."""
-        text = text.strip()
-        if "/" in text:
-            p, q = text.split("/", 1)
-            den = int(q)
-            if den <= 0 or den & (den - 1):
-                raise ValueError(f"denominator {q} is not a power of two")
-            return cls(int(p), den.bit_length() - 1)
-        return cls(int(text))

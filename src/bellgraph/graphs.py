@@ -17,14 +17,6 @@ from typing import Iterable, Iterator
 MAX_VERTICES = 16
 
 
-def bits_of(vertices: Iterable[int]) -> int:
-    """Pack an iterable of vertex indices into a vertex-set word."""
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the vertex indices of a vertex-set word, ascending."""
     while mask:
@@ -94,18 +86,6 @@ class Graph:
                 row |= 1 << perm[b]
             rows[perm[a]] = row
         return Graph(self.n, tuple(rows))
-
-
-def local_complement(g: Graph, a: int) -> Graph:
-    """Complement the induced subgraph on the neighborhood of a.
-
-    An involution: applying it twice at the same vertex restores the graph.
-    """
-    na = g.adj[a]
-    rows = list(g.adj)
-    for b in iter_bits(na):
-        rows[b] ^= na & ~(1 << b)
-    return Graph(g.n, tuple(rows))
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:

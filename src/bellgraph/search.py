@@ -1,35 +1,34 @@
 """Census search for the graphs whose Bell operators violate hardest.
 
-One pipeline deduplicates a stream of graphs and evaluates one
-representative per class, held as a canonical code. Under "lc" dedup it is
-the least canonical code of the class's local-complementation orbit, under
-"iso" the class's canonical code. A representative depends only on its
-class, so reports do not depend on the order of the records or on how they
-are cut into chunks. Bounds are constant on classes, which the test suite
-checks against every labeled graph.
+A search deduplicates a stream of graphs into one representative per class,
+held as a canonical code: under "lc" dedup the least canonical code of the
+class's local-complementation orbit, under "iso" the class's canonical code.
+A representative depends only on its class, so reports do not depend on the
+order of the records or on how they are cut into chunks. Bounds are
+constant on classes, which the test suite checks against every labeled
+graph.
 
-The pipeline takes records as (B, n) arrays of adjacency rows from two
-sources: a graph6 census file, decoded a chunk of lines at a time
-(`search_file`, with checkpoints that store the representatives and their
-bounds; a resumed run rebuilds the rest by replaying them through dedup,
-and reports the same), or the one-vertex extensions of the classes on
-n - 1, broadcast. One such level is one pipeline run, and one walk of
+The pipeline (`_Pipeline`) only deduplicates. It takes records as (B, n)
+arrays of adjacency rows from two sources: a graph6 census file, decoded a
+chunk of lines at a time (`search_file`, with checkpoints that store the
+representatives; a resumed run rebuilds the rest by replaying them through
+dedup, and reports the same), or the one-vertex extensions of the classes
+on n - 1, broadcast. One such level is one pipeline run, and one walk of
 levels from the empty graph (`_levels`) serves `class_reps`,
-`search_labeled_all` and `reproduce_table1`; the last two have the runs
-evaluate the classes they find. `search_file` rejects a record on another
-vertex count than the census's with its line number. Graphs held in memory
-are searched by writing them out with `emit_graph6`.
+`search_labeled_all` and `reproduce_table1`. `search_file` rejects a record
+on another vertex count than the census's with its line number. Graphs held
+in memory are searched by writing them out with `emit_graph6`.
 
 Each chunk is canonicalized in one batch, and under "lc" the orbits of all
 its unseen classes are walked in one breadth-first search (`lc_orbits`):
 walks that meet are merged, since they lie in one orbit, and every level is
 canonicalized `canon.SLICE` graphs at a time, so memory stays bounded by the
-slice and the seen-set, not by the chunk or the orbit. A chunk's new
-representatives are evaluated straight from their codes, one `lhv_bounds`
-call per t on their adjacency rows, and each t's witnesses are re-verified
-in one more such call. A `Graph` is built from a code only for the
-per-assignment check of a witness, to return `class_reps`, or to read or
-write graph6.
+slice and the seen-set, not by the chunk or the orbit. Evaluation happens
+once, when the reports are made (`_Pipeline.reports`): every representative
+is bounded straight from its code, one `lhv_bounds` call per t on their
+adjacency rows, and each t's witnesses are re-verified in one more such
+call. A `Graph` is built from a code only for the per-assignment check of a
+witness, to return `class_reps`, or to read or write graph6.
 """
 from __future__ import annotations
 
@@ -106,31 +105,29 @@ class SearchReport:
 
 
 # ---------------------------------------------------------------------------
-# the search pipeline: records -> n check and count -> dedup -> evaluate -> reduce
+# the search pipeline: records -> n check and count -> dedup; reports -> evaluate -> reduce
 
 STAGES = ("read", "dedup", "evaluate", "verify")
 
 
 @dataclass
 class _Pipeline:
-    """State of one search, fed one chunk of records at a time.
+    """Dedup state of one search, fed one chunk of records at a time.
 
     A chunk is canonicalized in one batch, the LC orbits of its unseen
     classes are walked together (`lc_orbits`), and its new classes are
-    picked out in stream order (`new_classes`) and evaluated, so the state
-    after any chunk holds everything the final reports depend on. The
-    seen-set and fallback count follow from the representatives, which is
-    all `Checkpoint` saves besides the bounds and the record count.
+    picked out in stream order (`new_classes`). Nothing is evaluated until
+    `reports`, so the state after any chunk is the record count and the
+    representatives; the seen-set and fallback count follow from the
+    representatives, which with the record count is all `Checkpoint` saves.
     `stages` holds the seconds this process spent per stage; it is not saved.
     """
 
-    ts: tuple[int, ...]
     dedup: str
     n: int | None = None
     records: int = 0
     orbit_cap_fallbacks: int = 0
     reps: list[int] = field(default_factory=list)  # canonical codes, in stream order
-    results: list[dict[int, Dyadic]] = field(default_factory=list)  # bound per t, per rep
     seen: set[int] = field(default_factory=set)  # canonical codes
     stages: dict[str, float] = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
 
@@ -148,7 +145,7 @@ class _Pipeline:
         for at in range(0, len(rows), CHUNK_SIZE):
             chunk = rows[at:at + CHUNK_SIZE]
             self.records += len(chunk)
-            self.evaluate(self.new_classes(chunk))
+            self.reps += self.new_classes(chunk)
 
     def new_classes(self, chunk: np.ndarray) -> list[int]:
         """The representatives of the chunk's unseen classes, in stream order.
@@ -182,38 +179,31 @@ class _Pipeline:
         self.stages["dedup"] += time.perf_counter() - started
         return new
 
-    def evaluate(self, codes: list[int]) -> None:
-        """Keep canonical codes as class representatives, with their LHV
-        bounds per t: one `lhv_bounds` call per t on their adjacency rows."""
-        started = time.perf_counter()
-        rows = [rows_of_code(self.n, code) for code in codes]
-        results = [{} for _ in codes]
-        for t in self.ts:
-            for res, one in zip(results, lhv_bounds(self.n, rows, t)):
-                res[t] = one.bound
-        self.reps += codes
-        self.results += results
-        self.stages["evaluate"] += time.perf_counter() - started
-
     def reports(
-        self, started: float, max_witnesses: int, records_skipped: int = 0
+        self, ts: tuple[int, ...], started: float, max_witnesses: int, records_skipped: int = 0
     ) -> dict[int, SearchReport]:
         """Per-t reports; each emitted witness is checked twice before emission.
 
-        The witnesses are the codes of the representatives that attain the
-        bound, sorted. Each is rebuilt with its vertex order reversed, not the
-        canonical labelling it was evaluated in, so the engine recomputes
-        table, coefficients and transform, in one `lhv_bounds` call per t;
-        and the separate per-assignment formula `lhv_value` must give each
-        witness's bound at the argmax the engine reports for it.
+        Every representative is evaluated here, one `lhv_bounds` call per t
+        on their adjacency rows. The witnesses are the codes of the
+        representatives that attain the bound, sorted. Each is rebuilt with
+        its vertex order reversed, not the canonical labelling it was
+        evaluated in, so the engine recomputes table, coefficients and
+        transform, in one `lhv_bounds` call per t; and the separate
+        per-assignment formula `lhv_value` must give each witness's bound at
+        the argmax the engine reports for it.
         """
-        if self.n is None:
+        if not self.reps:
             raise ValueError("empty census")
+        evaluate_started = time.perf_counter()
+        rows = np.array([rows_of_code(self.n, code) for code in self.reps], dtype=np.int64)
+        bounds = {t: [one.bound for one in lhv_bounds(self.n, rows, t)] for t in ts}
         verify_started = time.perf_counter()
+        self.stages["evaluate"] += verify_started - evaluate_started
         found = {}
-        for t in self.ts:
-            best = min(res[t] for res in self.results)
-            witnesses = sorted(code for code, res in zip(self.reps, self.results) if res[t] == best)
+        for t in ts:
+            best = min(bounds[t])
+            witnesses = sorted(code for code, bound in zip(self.reps, bounds[t]) if bound == best)
             forms = [CanonicalForm(self.n, code) for code in witnesses[:max_witnesses]]
             graphs = [form.to_graph().relabel(range(self.n - 1, -1, -1)) for form in forms]
             for g, check in zip(graphs, lhv_bounds(self.n, [g.adj for g in graphs], t)):
@@ -259,16 +249,15 @@ def _as_ts(t) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # every class on n vertices, by one-vertex extension
 
-def _level(k: int, codes: Sequence[int], dedup: str, ts: tuple[int, ...] = ()) -> _Pipeline:
-    """One pipeline run, evaluating at each t in ts, on every level k - 1
-    representative (sorted codes) joined by a new last vertex with each of
-    the 2^(k-1) neighborhoods."""
+def _level(k: int, codes: Sequence[int], dedup: str) -> _Pipeline:
+    """One pipeline run on every level k - 1 representative (sorted codes)
+    joined by a new last vertex with each of the 2^(k-1) neighborhoods."""
     adj = np.array([rows_of_code(k - 1, code) for code in codes], dtype=np.int64)
     nb = np.arange(1 << (k - 1), dtype=np.int64)
     ext = np.empty((len(codes), len(nb), k), dtype=np.int64)
     ext[:, :, :-1] = adj[:, None, :] | (nb[:, None] >> np.arange(k - 1) & 1) << (k - 1)
     ext[:, :, -1] = nb
-    pipe = _Pipeline(ts, dedup)
+    pipe = _Pipeline(dedup)
     pipe.feed(ext.reshape(-1, k))
     if pipe.orbit_cap_fallbacks:
         raise OrbitCapExceeded(
@@ -278,14 +267,18 @@ def _level(k: int, codes: Sequence[int], dedup: str, ts: tuple[int, ...] = ()) -
     return pipe
 
 
-def _levels(n: int, dedup: str, ts: tuple[int, ...] = (), first: int = 1
-            ) -> Iterator[tuple[_Pipeline, float]]:
+def _levels(n: int, dedup: str) -> Iterator[tuple[_Pipeline, float]]:
     """Levels 1..n chained from the empty graph: each level's pipeline run
-    with its start time, the runs of levels first..n evaluating at each t in ts."""
+    with its start time. An n outside 1..EXHAUSTIVE_MAX_N is rejected before
+    any level is built."""
+    check_vertex_count(n)
+    if n > EXHAUSTIVE_MAX_N:
+        raise ValueError(f"n={n} above {EXHAUSTIVE_MAX_N}, the largest vertex count "
+                         "searched exhaustively; search a census file instead")
     codes = [0]  # the empty graph on 0 vertices
     for k in range(1, n + 1):
         started = time.perf_counter()
-        pipe = _level(k, codes, dedup, ts if k >= first else ())
+        pipe = _level(k, codes, dedup)
         codes = sorted(pipe.reps)
         yield pipe, started
 
@@ -306,7 +299,6 @@ def class_reps(n: int, dedup: str = "lc") -> list[Graph]:
     representative, and carries the sorted codes of its representatives to
     the next level.
     """
-    check_vertex_count(n)
     for pipe, _ in _levels(n, dedup):
         pass
     return [Graph(n, rows_of_code(n, code)) for code in sorted(pipe.reps)]
@@ -326,18 +318,17 @@ def search_labeled_all(
 ):
     """Exhaustive search over all labeled graphs on n vertices.
 
-    Level n of `class_reps` is one pipeline run that evaluates each of its
-    classes as it finds it. graphs_examined counts the 2^(n(n-1)/2) labeled
-    graphs the classes cover; the dedup stage is building levels 1..n.
+    The classes of level n of `class_reps` are evaluated once, by its
+    reports. graphs_examined counts the 2^(n(n-1)/2) labeled graphs the
+    classes cover; the dedup stage is building levels 1..n.
     """
     ts = _as_ts(t)
-    check_vertex_count(n)
     started = time.perf_counter()
-    for pipe, _ in _levels(n, dedup, ts, first=n):
+    for pipe, _ in _levels(n, dedup):
         pass
     pipe.records = 1 << (n * (n - 1) // 2)
-    pipe.stages["dedup"] = time.perf_counter() - started - pipe.stages["evaluate"]
-    reports = pipe.reports(started, max_witnesses)
+    pipe.stages["dedup"] = time.perf_counter() - started
+    reports = pipe.reports(ts, started, max_witnesses)
     return reports[ts[0]] if isinstance(t, int) else reports
 
 
@@ -352,22 +343,23 @@ def _file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-CHECKPOINT_HEADER = "bellgraph-checkpoint v4"
+CHECKPOINT_HEADER = "bellgraph-checkpoint v5"
 
 
 @dataclass
 class Checkpoint:
-    """A census search's representatives and their bounds in one plain-text file.
+    """A census search's representatives in one plain-text file.
 
-    After the header come `key=value` lines for the census hash, ts, dedup,
+    After the header come `key=value` lines for the census hash, dedup,
     orbit cap, n and the number of good records consumed; then one
-    `rep=<hex code> <bound per t>` line per representative, in stream order.
-    A class's LC orbit, and whether it passes the cap, do not depend on
-    where the walk starts, so the seen-set and the fallback count are not
-    stored: `restore` rebuilds them by replaying the representatives through
-    `_Pipeline.new_classes` in one call, which must give back exactly the
-    stored codes. That validates the file, at the price of redoing the orbit
-    walks of the classes found so far.
+    `rep=<hex code>` line per representative, in stream order. No bound is
+    stored: the reports evaluate every representative, so a resumed run may
+    ask for other t. A class's LC orbit, and whether it passes the cap, do
+    not depend on where the walk starts, so the seen-set and the fallback
+    count are not stored either: `restore` rebuilds them by replaying the
+    representatives through `_Pipeline.new_classes` in one call, which must
+    give back exactly the stored codes. That validates the file, at the
+    price of redoing the orbit walks of the classes found so far.
     """
 
     path: str
@@ -377,7 +369,6 @@ class Checkpoint:
         """What a resumed run must share with the run that wrote the file."""
         return {
             "census_sha256": self.census_sha256,
-            "ts": ",".join(map(str, state.ts)),
             "dedup": state.dedup,
             "orbit_cap": str(canon.ORBIT_CAP),
         }
@@ -386,8 +377,7 @@ class Checkpoint:
         lines = [CHECKPOINT_HEADER]
         lines += [f"{key}={val}" for key, val in self._settings(state).items()]
         lines += [f"n={state.n}", f"records={state.records}"]
-        for code, res in zip(state.reps, state.results):
-            lines.append(f"rep={code:x} " + " ".join(str(res[t]) for t in state.ts))
+        lines += [f"rep={code:x}" for code in state.reps]
         tmp = self.path + ".tmp"
         with open(tmp, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -408,7 +398,6 @@ class Checkpoint:
             raise ValueError(f"{self.path}: not a checkpoint file")
         pairs = [line.partition("=")[::2] for line in lines[1:]]
         kv = {key: val for key, val in pairs if key != "rep"}
-        reps = [val for key, val in pairs if key == "rep"]
         for key, want in self._settings(fresh).items():
             if kv.get(key) != want:
                 raise ValueError(
@@ -416,15 +405,13 @@ class Checkpoint:
                     f"has {key}={want}; delete the file to start over"
                 )
         try:
-            state = _Pipeline(fresh.ts, fresh.dedup, records=int(kv["records"]))
+            state = _Pipeline(fresh.dedup, records=int(kv["records"]))
+            state.reps = [int(val, 16) for key, val in pairs if key == "rep"]
+            if state.records < len(state.reps):
+                raise ValueError(f"records={state.records} is below its "
+                                 f"{len(state.reps)} representatives")
             n = int(kv["n"])
             check_vertex_count(n)
-            for line in reps:
-                code, *bounds = line.split(" ")
-                if len(bounds) != len(state.ts):
-                    raise ValueError(f"rep {code} has {len(bounds)} bounds")
-                state.reps.append(int(code, 16))
-                state.results.append(dict(zip(state.ts, map(Dyadic.parse, bounds))))
             rows = np.array([rows_of_code(n, code) for code in state.reps], dtype=np.int64)
             if state.new_classes(rows.reshape(-1, n)) != state.reps:
                 raise ValueError("its representatives are not the classes a replay finds")
@@ -447,17 +434,19 @@ def search_file(
     Malformed records abort with their line number unless lenient, in which
     case they are skipped and counted in `records_skipped`. The census is
     read CHUNK_SIZE lines at a time and their good records are canonicalized
-    together. With a checkpoint path the representatives found so far and
-    their bounds are saved after each such block that added records. A
-    resumed run replays them through dedup to rebuild its seen-set, goes on
-    after the records the file covers and yields the report of an
-    uninterrupted run; a rerun with a completed file writes nothing. A file
-    written for another census, ts, dedup or `canon.ORBIT_CAP`, or in an
-    older format, is rejected.
+    together. With a checkpoint path the record count and the
+    representatives found so far are saved after each such block that added
+    records. A resumed run replays them through dedup to rebuild its
+    seen-set, goes on after the records the file covers and, since the
+    reports evaluate every representative, yields the report of an
+    uninterrupted run at any t; a rerun with a completed file writes
+    nothing. A file written for another census, dedup or `canon.ORBIT_CAP`,
+    or in an older format, is rejected, and so is one that covers more
+    records than the census holds.
     """
     ts = _as_ts(t)
     started = time.perf_counter()
-    pipe = _Pipeline(ts, dedup)
+    pipe = _Pipeline(dedup)
     checkpoint = None
     if checkpoint_path:
         checkpoint = Checkpoint(checkpoint_path, _file_sha256(path))
@@ -476,7 +465,10 @@ def search_file(
                 checkpoint.write(pipe)
         read_started = time.perf_counter()
     pipe.stages["read"] += time.perf_counter() - read_started
-    reports = pipe.reports(started, max_witnesses, records_skipped=skipped)
+    if covered:
+        raise ValueError(f"{checkpoint_path}: corrupt checkpoint: records={pipe.records} "
+                         f"but the census holds {pipe.records - covered}")
+    reports = pipe.reports(ts, started, max_witnesses, records_skipped=skipped)
     return reports[ts[0]] if isinstance(t, int) else reports
 
 
@@ -523,19 +515,19 @@ class TableCell:
 def reproduce_table1(max_n: int = 7, ts: Sequence[int] = (0, 1, 2)) -> list[TableCell]:
     """Recompute the optimal-bound grid for 3 <= n <= max_n, every cell exhaustive.
 
-    One walk of levels 1..max_n, as in `class_reps`, has each level's
-    pipeline run from n = 3 on evaluate its classes, and the cell (t, n) is
-    the least bound over the classes on n vertices. A max_n outside
-    3..EXHAUSTIVE_MAX_N is rejected before any level is built.
+    One walk of levels 1..max_n, as in `class_reps`, reports each level from
+    n = 3 on, and the cell (t, n) is the least bound over the classes on n
+    vertices. A max_n outside 3..EXHAUSTIVE_MAX_N is rejected before any
+    level is built.
     """
     ts = _as_ts(ts)
     if not 3 <= max_n <= EXHAUSTIVE_MAX_N:
         raise ValueError(f"max_n={max_n} outside 3..{EXHAUSTIVE_MAX_N}, "
                          "the grid's exhaustive columns")
     cells: list[TableCell] = []
-    for pipe, started in _levels(max_n, "lc", ts, first=3):  # t <= 3 <= n
-        if pipe.n >= 3:
-            reports = pipe.reports(started, DEFAULT_MAX_WITNESSES)
+    for pipe, started in _levels(max_n, "lc"):
+        if pipe.n >= 3:  # t <= 3 <= n
+            reports = pipe.reports(ts, started, DEFAULT_MAX_WITNESSES)
             cells += [TableCell(t, pipe.n, reports[t].best_bound, TABLE1.get((t, pipe.n)))
                       for t in ts]
     return cells

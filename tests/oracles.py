@@ -6,6 +6,7 @@ values by evaluating letter strings term by term, Pauli matrices by
 explicit Kronecker products, support-local operators by embedding them as
 full 2^n x 2^n matrices, stabilizer elements by per-element products of
 phase-tracked Pauli strings, set neighborhoods by XOR of adjacency rows,
+local complements and vertex-set words one row or vertex at a time,
 transforms by the character-sum definition, canonical codes by a per-graph
 recursive search and by all n! relabelings, LC dedup by one orbit walk per
 record, and the labeled universe on n vertices by every edge set.
@@ -34,7 +35,7 @@ from bellgraph.bell import _value_blocks, bell_coefficients, stabilizer_table
 from bellgraph.coverable import coverable_set
 from bellgraph.dyadic import Dyadic
 from bellgraph.graph6 import rows_of_code
-from bellgraph.graphs import Graph, bits_of, iter_bits, local_complement
+from bellgraph.graphs import Graph, iter_bits
 from bellgraph.quantum import KrausChannel, build_graph_state, phase_flip
 
 I2 = np.eye(2, dtype=complex)
@@ -42,6 +43,27 @@ PX = np.array([[0, 1], [1, 0]], dtype=complex)
 PY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PZ = np.array([[1, 0], [0, -1]], dtype=complex)
 LETTER_MATRIX = {"I": I2, "X": PX, "Y": PY, "Z": PZ}
+
+
+def bits_of(vertices) -> int:
+    """Pack an iterable of vertex indices into a vertex-set word."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def local_complement(g: Graph, a: int) -> Graph:
+    """Complement the induced subgraph on the neighborhood of a, one row at
+    a time.
+
+    An involution: applying it twice at the same vertex restores the graph.
+    """
+    na = g.adj[a]
+    rows = list(g.adj)
+    for b in iter_bits(na):
+        rows[b] ^= na & ~(1 << b)
+    return Graph(g.n, tuple(rows))
 
 
 def brute_coverable(g: Graph, t: int) -> set[int]:

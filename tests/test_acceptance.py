@@ -26,7 +26,6 @@ from bellgraph.coverable import coverable_set
 from bellgraph.dyadic import Dyadic
 from bellgraph.families import complete, complete_join, star, star_copies
 from bellgraph.graph6 import emit_graph6, parse_graph6, rows_of_code
-from bellgraph.graphs import local_complement
 from bellgraph.quantum import (
     apply_channel,
     bell_expectation,
@@ -45,6 +44,7 @@ from oracles import (
     identity_table,
     lhv_bound_full,
     lhv_value_table,
+    local_complement,
     random_graph,
     tensor_tables,
     transform_lhv_values,
@@ -240,23 +240,30 @@ def test_criterion_8_property_suite(census5_path):
             assert with_dedup == without, f"t={t}"
 
 
+def capture_level_reports(monkeypatch) -> dict:
+    """The reports each level of a grid computes, keyed by vertex count, so
+    a test reads them without evaluating a level twice."""
+    pipeline, levels = importlib.import_module("bellgraph.search")._Pipeline, {}
+    real = pipeline.reports
+
+    def reports(pipe, *args, **kwargs):
+        levels[pipe.n] = real(pipe, *args, **kwargs)
+        return levels[pipe.n]
+
+    monkeypatch.setattr(pipeline, "reports", reports)
+    return levels
+
+
 @pytest.mark.slow
 def test_criterion_9_exhaustive_n9(monkeypatch):
-    # one walk of levels 1..9: the grid's own level-9 pipeline run also
-    # yields the class count, the fallbacks and every witness
-    search_module = importlib.import_module("bellgraph.search")
-    real_level, levels = search_module._level, {}
-
-    def level(k, *args, **kwargs):
-        levels[k] = real_level(k, *args, **kwargs)
-        return levels[k]
-
-    monkeypatch.setattr(search_module, "_level", level)
+    # one walk of levels 1..9: the grid's own level-9 reports also yield the
+    # class count, the fallbacks and the witnesses
+    levels = capture_level_reports(monkeypatch)
     with criterion(9, "all 675 LC classes on 9 vertices reproduce the n=9 column"):
         cells = reproduce_table1(max_n=9)
         assert {(c.t, c.n) for c in cells} == {(t, n) for t in (0, 1, 2) for n in range(3, 10)}
         assert all(c.mode == "exhaustive" and c.matches for c in cells)
-        reports = levels[9].reports(time.perf_counter(), 1000)
+        reports = levels[9]
         assert reports[0].lc_classes_examined == 675
         assert reports[0].orbit_cap_fallbacks == 0
         expected = {0: Dyadic(13, 6), 1: Dyadic(27, 5), 2: Dyadic(63, 6)}
@@ -270,16 +277,9 @@ def test_criterion_9_exhaustive_n9(monkeypatch):
 @pytest.mark.slow
 def test_criterion_10_exhaustive_n10(monkeypatch):
     # the paper's "exhaustive search on no more than 10 qubits": one walk of
-    # levels 1..10, whose level-10 run also yields the class count, the
+    # levels 1..10, whose level-10 reports also yield the class count, the
     # fallbacks and the number of classes attaining each cell
-    search_module = importlib.import_module("bellgraph.search")
-    real_level, levels = search_module._level, {}
-
-    def level(k, *args, **kwargs):
-        levels[k] = real_level(k, *args, **kwargs)
-        return levels[k]
-
-    monkeypatch.setattr(search_module, "_level", level)
+    levels = capture_level_reports(monkeypatch)
     with criterion(10, "all 3990 LC classes on 10 vertices reproduce the n=10 column"):
         cells = reproduce_table1(max_n=10, ts=(0, 1, 2, 3))
         by_key = {(c.t, c.n): c for c in cells}
@@ -288,8 +288,8 @@ def test_criterion_10_exhaustive_n10(monkeypatch):
         for t in (0, 1, 2):
             assert by_key[(t, 10)].value == TABLE1[(t, 10)]
         assert by_key[(3, 10)].value == Dyadic(1)
-        # the witness counts are read before truncation, so none is re-verified here
-        reports = levels[10].reports(time.perf_counter(), 0)
+        # the witness counts are read before truncation
+        reports = levels[10]
         assert reports[0].lc_classes_examined == 3990
         assert reports[0].orbit_cap_fallbacks == 0
         counts = {t: reports[t].witness_classes_total for t in range(4)}

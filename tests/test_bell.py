@@ -21,7 +21,7 @@ from bellgraph.bell import (
 from bellgraph.coverable import coverable_set
 from bellgraph.dyadic import Dyadic
 from bellgraph.families import complete, ring, star, star_copies
-from bellgraph.graphs import Graph, local_complement
+from bellgraph.graphs import Graph
 from oracles import (
     brute_lhv_values,
     brute_wht,
@@ -30,6 +30,7 @@ from oracles import (
     lhv_bound_full,
     lhv_value_table,
     lhv_values_full,
+    local_complement,
     random_graph,
     stabilizer_element,
     tensor_tables,

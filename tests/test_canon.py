@@ -14,12 +14,13 @@ from bellgraph.canon import (
 )
 from bellgraph.families import complete, complete_join, ring, star, star_copies
 from bellgraph.graph6 import parse_graph6
-from bellgraph.graphs import Graph, disjoint_union, local_complement
+from bellgraph.graphs import Graph, disjoint_union
 from bellgraph.search import class_reps
 from oracles import (
     are_isomorphic,
     brute_max_code,
     enumerate_labeled,
+    local_complement,
     random_graph,
     reference_canonical_code,
     reference_lc_orbit,

@@ -228,11 +228,15 @@ def test_search_census_rejects_v3_checkpoint(capsys, tmp_path, census5_path):
     assert "delete the file" in capsys.readouterr().err
 
 
-def test_search_all_labeled_rejects_vertex_count(capsys):
-    # rejected before any level is built; 17 would otherwise walk for hours
-    for n in ("0", "17"):
+def test_search_all_labeled_rejects_vertex_count(capsys, monkeypatch):
+    # rejected before any level is built; 11 would otherwise walk toward
+    # about 10^9 isomorphism classes, 17 for hours
+    monkeypatch.setattr(search_module, "_level", None)
+    for n, message in (("0", "vertex count 0 outside 1..16"),
+                       ("17", "vertex count 17 outside 1..16"),
+                       ("11", "n=11 above 10")):
         assert main(["search", "--all-labeled", n, "--t", "0"]) == 2
-        assert f"error: vertex count {n} outside 1..16" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_search_all_labeled_rejects_census_only_flags(capsys, tmp_path):

@@ -78,14 +78,6 @@ def test_json_roundtrip():
     assert d.to_json() == {"num": 27, "log2_den": 5}
 
 
-def test_parse():
-    assert Dyadic.parse("15/16") == Dyadic(15, 4)
-    assert Dyadic.parse("1") == Dyadic(1)
-    assert Dyadic.parse("-3/4") == Dyadic(-3, 2)
-    with pytest.raises(ValueError):
-        Dyadic.parse("1/3")
-
-
 def test_denominator_validation():
     with pytest.raises(ValueError):
         Dyadic(1, -1)

@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from bellgraph.families import complete, parse_family, ring, star, star_copies
-from bellgraph.graphs import (
-    Graph,
-    bits_of,
-    disjoint_union,
-    iter_bits,
-    local_complement,
-)
-from oracles import neighborhood_of_set, random_graph
+from bellgraph.graphs import Graph, disjoint_union, iter_bits
+from oracles import bits_of, local_complement, neighborhood_of_set, random_graph
 
 
 def test_bits_helpers():

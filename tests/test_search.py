@@ -60,6 +60,12 @@ def test_orbit_cap_and_chunk_size_are_constants():
     assert inspect.ismodule(bellgraph.search)  # no function of that name shadows the module
     assert not hasattr(search_module, "search") and not hasattr(search_module, "_stacked")
     assert list(inspect.signature(search_module._Pipeline.feed).parameters) == ["self", "rows"]
+    # the pipeline only deduplicates; its reports evaluate, at the ts they are given
+    fields = {f.name for f in dataclasses.fields(search_module._Pipeline)}
+    assert not {"ts", "results"} & fields
+    assert not hasattr(search_module._Pipeline, "evaluate")
+    assert list(inspect.signature(search_module._levels).parameters) == ["n", "dedup"]
+    assert list(inspect.signature(search_module._level).parameters) == ["k", "codes", "dedup"]
 
 
 def test_enumerate_labeled_cap():
@@ -276,11 +282,13 @@ def test_search_file_checkpointing(monkeypatch, tmp_path, census5_path):
     ck = tmp_path / "resume.ck"
     full = search_file(census5_path, (0, 1), checkpoint_path=str(ck))
     text = ck.read_text().splitlines()
-    assert text[0] == "bellgraph-checkpoint v4"
-    assert "records=34" in text and "ts=0,1" in text
+    assert text[0] == "bellgraph-checkpoint v5"
+    assert "records=34" in text
     assert sum(line.startswith("rep=") for line in text) == 11
-    # the seen-set and the fallback count are rebuilt on resume, not stored
-    assert not any(line.startswith(("seen=", "orbit_cap_fallbacks=")) for line in text)
+    # the seen-set, the fallback count, t and the bounds are rebuilt or
+    # recomputed on resume, not stored
+    assert not any(line.startswith(("seen=", "orbit_cap_fallbacks=", "ts=")) for line in text)
+    assert not any(" " in line for line in text[1:])
     # rerunning with the completed checkpoint returns the same reports
     again = search_file(census5_path, (0, 1), checkpoint_path=str(ck))
     for t in (0, 1):
@@ -375,8 +383,19 @@ def test_resume_after_three_chunks(monkeypatch, tmp_path, census5_path):
     assert report.witness_classes_total == len(report.witnesses) == 4
 
 
+def test_checkpoint_resumes_with_other_ts(monkeypatch, tmp_path, census5_path):
+    # the file holds no t and no bound: a run interrupted at t=0 resumes at
+    # (0, 1) and reports what an uninterrupted (0, 1) run reports
+    monkeypatch.setattr(search_module, "CHUNK_SIZE", 10)
+    full = search_file(census5_path, (0, 1))
+    ck = str(tmp_path / "other-ts.ck")
+    assert interrupted_run(monkeypatch, 2, census5_path, 0, checkpoint_path=ck) == [10, 20]
+    resumed = search_file(census5_path, (0, 1), checkpoint_path=ck)
+    for t in (0, 1):
+        assert resumed[t].comparable() == full[t].comparable()
+
+
 @pytest.mark.parametrize("written, resumed", [
-    ({"t": (1,)}, {"t": (0, 1)}),
     ({"t": 0, "dedup": "lc"}, {"t": 0, "dedup": "iso"}),
     ({"t": 0, "orbit_cap": 50}, {"t": 0}),
 ])
@@ -414,7 +433,9 @@ def test_checkpoint_rejects_changed_census(tmp_path, census5_path):
     "n=5\nrecords=0\n",
     "bellgraph-checkpoint v3\ncensus_sha256=0\nts=0\ndedup=lc\norbit_cap=100000\n"
     "n=5\nrecords=1\norbit_cap_fallbacks=0\nrep=D?? 1\nseen=0\n",
-], ids=["v1", "v2", "v3"])
+    "bellgraph-checkpoint v4\ncensus_sha256=0\nts=0\ndedup=lc\norbit_cap=100000\n"
+    "n=5\nrecords=1\nrep=0 1\n",
+], ids=["v1", "v2", "v3", "v4"])
 def test_checkpoint_rejects_old_versions(tmp_path, census5_path, old):
     ck = tmp_path / "old.ck"
     ck.write_text(old)
@@ -423,19 +444,25 @@ def test_checkpoint_rejects_old_versions(tmp_path, census5_path, old):
     assert "delete the file" in str(err.value)
 
 
-@pytest.mark.parametrize("corrupt", ["not canonical", "not least", "duplicated", "not hex"])
+@pytest.mark.parametrize("corrupt", [
+    "not canonical", "not least", "duplicated", "not hex",
+    "records=-3", "records=0", "records=1000000",
+])
 def test_checkpoint_rejects_corrupt_representatives(tmp_path, census5_path, corrupt):
     # each edit keeps the settings and the line format; replaying the
-    # representatives through dedup finds the first three, parsing the last
+    # representatives through dedup finds the first three, parsing the
+    # fourth; a record count below the 11 representatives is caught on
+    # reading, one above the census's 34 records when the census ends
     ck = tmp_path / "corrupt.ck"
     search_file(census5_path, 0, checkpoint_path=str(ck))
     lines = ck.read_text().splitlines()
     first = next(i for i, line in enumerate(lines) if line.startswith("rep="))
-    codes = [int(line[4:].split(" ")[0], 16) for line in lines[first:]]
+    codes = [int(line[4:], 16) for line in lines[first:]]
     graphs = [Graph(5, rows_of_code(5, code)) for code in codes]
+    assert len(codes) == 11
 
     def replace(i, code):
-        lines[first + i] = f"rep={code} " + lines[first + i].split(" ")[1]
+        lines[first + i] = f"rep={code}"
 
     if corrupt == "not canonical":  # a representative with its vertex order reversed
         reversed_ = [code_of_rows(5, g.relabel(range(4, -1, -1)).adj) for g in graphs]
@@ -446,8 +473,10 @@ def test_checkpoint_rejects_corrupt_representatives(tmp_path, census5_path, corr
         replace(i, f"{max(lc_orbit(graphs[i])).code:x}")
     elif corrupt == "duplicated":
         lines.insert(first + 3, lines[first + 3])
-    else:
+    elif corrupt == "not hex":
         replace(0, "xyz")
+    else:
+        lines[lines.index("records=34")] = corrupt
     ck.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as err:
         search_file(census5_path, 0, checkpoint_path=str(ck))
@@ -518,6 +547,17 @@ def test_reproduce_table1_rejects_bad_arguments(monkeypatch):
         assert str(err.value).startswith(message), kwargs
     # the grid's cells come from the level walk alone
     assert list(inspect.signature(reproduce_table1).parameters) == ["max_n", "ts"]
+
+
+def test_level_walks_reject_n_past_the_exhaustive_range(monkeypatch):
+    # rejected before any level is built, at the start of the walk every
+    # level search shares
+    monkeypatch.setattr(search_module, "_level", None)
+    for call in (lambda: class_reps(11), lambda: class_reps(11, "iso"),
+                 lambda: search_labeled_all(11, 0), lambda: search_labeled_all(16, (0, 1))):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert "above 10" in str(err.value)
 
 
 def test_exhaustive_levels_are_built_once(monkeypatch):
@@ -606,7 +646,7 @@ def test_batched_dedup_equals_per_record_reference(monkeypatch, census5_path, or
         rows = np.array([g.adj for g in graphs], dtype=np.int64)
         for blocks, chunk_size in (([rows], 7), ([rows], 4096), (np.split(rows, [1, 4, 5, 19]), 6)):
             monkeypatch.setattr(search_module, "CHUNK_SIZE", chunk_size)
-            pipe = search_module._Pipeline((), "lc")
+            pipe = search_module._Pipeline("lc")
             for block in blocks:
                 pipe.feed(block)
             assert pipe.reps == reps
