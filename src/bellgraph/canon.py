@@ -1,9 +1,8 @@
 """Canonical labeling and local-complementation orbits.
 
-A placement lists the vertices in a new order; its code is the adjacency bit
-string of the relabeled graph's upper triangle in graph6 pair order
-((0,1),(0,2),(1,2),(0,3),...), i.e. the concatenation over depths k of the
-k-bit row of the k-th placed vertex against the k already placed. A placement
+A placement lists the vertices in a new order; its code is the edge-bit code
+(laid out in `graph6`) of the relabeled graph, whose column k is the k-bit
+row of the k-th placed vertex against the k already placed. A placement
 is admitted when every vertex it places has, among the unplaced vertices,
 the greatest row against the prefix and, among those, the greatest degree.
 The canonical code is the greatest code of an admitted placement.
@@ -48,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph6 import emit_graph6, rows_of_code
+from .graph6 import codes_of_columns, record_of_code, rows_of_codes
 from .graphs import Graph
 
 # graphs canonicalized together; bounds the state arrays, and so peak memory
@@ -78,10 +77,10 @@ class CanonicalForm:
 
     def to_graph(self) -> Graph:
         """Rebuild the canonically labeled graph from the code."""
-        return Graph(self.n, rows_of_code(self.n, self.code))
+        return Graph(self.n, tuple(rows_of_codes(self.n, [self.code])[0].tolist()))
 
     def to_graph6(self) -> str:
-        return emit_graph6(self.to_graph())
+        return record_of_code(self.n, self.code)
 
 
 def _lower_twins(n: int, adj: np.ndarray) -> np.ndarray:
@@ -145,24 +144,9 @@ def _placed_rows(n: int, adj: np.ndarray) -> np.ndarray:
     )
 
 
-def _pack(n: int, rows: np.ndarray) -> list[int]:
-    """Codes from depth rows, in words of at most 63 bits."""
-    codes = [0] * len(rows)
-    k = 1
-    while k < n:
-        word = np.zeros(len(rows), dtype=np.int64)
-        width = 0
-        while k < n and width + k <= 63:
-            word = word << k | rows[:, k]
-            width += k
-            k += 1
-        codes = [c << width | w for c, w in zip(codes, word.tolist())]
-    return codes
-
-
 def canonical_codes(n: int, adj) -> list[int]:
     """Canonical code of each graph given as a (B, n) array of adjacency rows."""
-    return _pack(n, _placed_rows(n, adj))
+    return codes_of_columns(n, _placed_rows(n, adj))
 
 
 def canonicalize(g: Graph) -> CanonicalForm:
@@ -248,7 +232,7 @@ def lc_orbits(n: int, codes: Sequence[int], adj) -> list[frozenset[int] | None]:
             src, a, images = _lc_images(n, front[i:i + SLICE], arrival[i:i + SLICE])
             rows = _placed_rows(n, images)
             fresh = []
-            for j, (s, code) in enumerate(zip(src.tolist(), _pack(n, rows))):
+            for j, (s, code) in enumerate(zip(src.tolist(), codes_of_columns(n, rows))):
                 w = walks[i + s]
                 v = owner.get(code)
                 if v is None:

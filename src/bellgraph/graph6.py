@@ -1,9 +1,12 @@
-"""graph6 records: the compact ASCII encoding used by graph census files.
+"""graph6 records and the edge-bit code; no other module packs or unpacks either.
 
-A record for a graph on n <= 62 vertices is the byte n+63 followed by the
-upper triangle of the adjacency matrix read column by column (pair order
-(0,1),(0,2),(1,2),(0,3),...), packed big-endian into 6-bit groups, padded
-with zero bits, each group offset by 63. This module only accepts n <= 16.
+The edge-bit code of a graph on n vertices is its upper triangle in graph6
+pair order (0,1), (0,2), (1,2), (0,3), ..., from the highest of n(n-1)/2
+bits down: for j = 1..n-1 in turn, column j, the j-bit row of vertex j
+against vertices 0..j-1 with vertex 0 highest. A canonical code is the code
+of the canonically labeled graph. A graph6 record on n <= 62 vertices is the
+byte n+63, then the code zero-padded to whole 6-bit groups, each offset by
+63 (McKay, `formats.txt` in nauty); this module only accepts n <= 16.
 
 Census files are plain text, one record per line, all on one vertex count;
 no headers, no comments. `read_graph6` decodes them a chunk of lines at a
@@ -12,7 +15,7 @@ time into numpy arrays.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -27,39 +30,51 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
-def code_of_rows(n: int, rows) -> int:
-    """Edge-bit code of a graph: its upper triangle in graph6 pair order.
+def codes_of_columns(n: int, cols: np.ndarray) -> list[int]:
+    """Codes from a (B, n) array of their columns (column 0 is empty),
+    packed in words of at most 63 bits."""
+    codes = [0] * len(cols)
+    k = 1
+    while k < n:
+        word = np.zeros(len(cols), dtype=np.int64)
+        width = 0
+        while k < n and width + k <= 63:
+            word = word << k | cols[:, k]
+            width += k
+            k += 1
+        codes = [c << width | w for c, w in zip(codes, word.tolist())]
+    return codes
 
-    Pair (0,1) is the highest bit, then (0,2), (1,2), (0,3), ... so column j
-    holds the pairs (i, j), i < j, with (i, j) at bit j-1-i of the column.
-    A graph6 record body is this code, and a canonical code is the code of
-    the canonically labeled graph.
-    """
-    code = 0
+
+def codes_of_rows(n: int, rows) -> list[int]:
+    """Codes of graphs given as a (B, n) array of adjacency rows."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), n)
+    cols = np.zeros_like(rows)
     for j in range(1, n):
-        low = rows[j] & ((1 << j) - 1)
-        col = 0
-        while low:
-            bit = low & -low
-            col |= 1 << j - bit.bit_length()
-            low ^= bit
-        code = code << j | col
-    return code
+        cols[:, j] = (rows[:, j, None] >> np.arange(j) & 1) @ (1 << np.arange(j - 1, -1, -1))
+    return codes_of_columns(n, cols)
 
 
-def rows_of_code(n: int, code: int) -> tuple[int, ...]:
-    """Adjacency rows of the graph on n vertices with the given edge-bit code."""
-    rows = [0] * n
-    shift = n * (n - 1) // 2
-    for j in range(1, n):
-        shift -= j
-        col = code >> shift & ((1 << j) - 1)
-        while col:
-            b = col.bit_length() - 1
-            rows[j] |= 1 << j - 1 - b
-            rows[j - 1 - b] |= 1 << j
-            col ^= 1 << b
-    return tuple(rows)
+def rows_of_codes(n: int, codes: Sequence[int]) -> np.ndarray:
+    """(B, n) int64 adjacency rows of the graphs on n vertices with the given
+    codes; a negative code, or one wider than n(n-1)/2 bits, raises ValueError."""
+    nbits = n * (n - 1) // 2
+    if len(codes) and (min(codes) < 0 or max(codes) >> nbits):
+        raise ValueError(f"a code is negative or wider than {nbits} bits")
+    nbytes = (nbits + 7) // 8
+    raw = b"".join(code.to_bytes(nbytes, "big") for code in codes)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(codes), nbytes), axis=1)
+    return bits[:, 8 * nbytes - nbits:] @ _pair_weights(n)
+
+
+def record_of_code(n: int, code: int) -> str:
+    """The graph6 record of the graph on n vertices with the given code."""
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    padded = code << (6 * nbytes - nbits)
+    return chr(n + 63) + "".join(
+        chr((padded >> 6 * k & 63) + 63) for k in range(nbytes - 1, -1, -1)
+    )
 
 
 def parse_graph6(line: str) -> Graph:
@@ -91,17 +106,12 @@ def parse_graph6(line: str) -> Graph:
     pad = 6 * nbytes - nbits
     if padded & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits", len(line) - 1)
-    return Graph(n, rows_of_code(n, padded >> pad))
+    return Graph(n, tuple(rows_of_codes(n, [padded >> pad])[0].tolist()))
 
 
 def emit_graph6(g: Graph) -> str:
     """Encode a Graph as one graph6 record."""
-    nbits = g.n * (g.n - 1) // 2
-    nbytes = (nbits + 5) // 6
-    padded = code_of_rows(g.n, g.adj) << (6 * nbytes - nbits)
-    return chr(g.n + 63) + "".join(
-        chr((padded >> 6 * k & 63) + 63) for k in range(nbytes - 1, -1, -1)
-    )
+    return record_of_code(g.n, codes_of_rows(g.n, [g.adj])[0])
 
 
 def _pair_weights(n: int) -> np.ndarray:
@@ -138,8 +148,7 @@ def _decode_lines(lines: list[str], n: int | None) -> tuple[np.ndarray, list[int
     shape = [i for i, line in enumerate(lines) if len(line) == width and line[0] == head]
     raw = np.frombuffer("".join(lines[i] for i in shape).encode("latin-1"), dtype=np.uint8)
     raw = raw.reshape(len(shape), width)
-    groups = raw[:, 1:].astype(np.int64) - 63
-    bits = groups[:, :, None] >> np.arange(5, -1, -1, dtype=np.int64) & 1
+    bits = np.unpackbits((raw[:, 1:] - 63)[:, :, None], axis=2)[:, :, 2:]
     bits = bits.reshape(len(shape), 6 * (width - 1))
     ok = ((raw >= 63) & (raw <= 126)).all(axis=1) & ~bits[:, nbits:].any(axis=1)
     adj = bits[:, :nbits] @ _pair_weights(n)

@@ -27,8 +27,8 @@ slice and the seen-set, not by the chunk or the orbit. Evaluation happens
 once, when the reports are made (`_Pipeline.reports`): every representative
 is bounded straight from its code, one `lhv_bounds` call per t on their
 adjacency rows, and each t's witnesses are re-verified in one more such
-call. A `Graph` is built from a code only for the per-assignment check of a
-witness, to return `class_reps`, or to read or write graph6.
+call. Codes are decoded in batches (`rows_of_codes`); a `Graph` is built
+only for the per-assignment check of a witness and to return `class_reps`.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from . import canon
 from .bell import bell_coefficients, lhv_bounds, lhv_value
 from .canon import CanonicalForm, OrbitCapExceeded, canonical_codes, lc_orbits
 from .dyadic import Dyadic
-from .graph6 import read_graph6, rows_of_code
+from .graph6 import read_graph6, rows_of_codes
 from .graphs import Graph, check_vertex_count
 
 EXHAUSTIVE_MAX_N = 10  # the level-10 walk takes about 5 min and 1.25 GB on 2 cores
@@ -196,7 +196,7 @@ class _Pipeline:
         if not self.reps:
             raise ValueError("empty census")
         evaluate_started = time.perf_counter()
-        rows = np.array([rows_of_code(self.n, code) for code in self.reps], dtype=np.int64)
+        rows = rows_of_codes(self.n, self.reps)
         bounds = {t: [one.bound for one in lhv_bounds(self.n, rows, t)] for t in ts}
         verify_started = time.perf_counter()
         self.stages["evaluate"] += verify_started - evaluate_started
@@ -205,7 +205,8 @@ class _Pipeline:
             best = min(bounds[t])
             witnesses = sorted(code for code, bound in zip(self.reps, bounds[t]) if bound == best)
             forms = [CanonicalForm(self.n, code) for code in witnesses[:max_witnesses]]
-            graphs = [form.to_graph().relabel(range(self.n - 1, -1, -1)) for form in forms]
+            graphs = [Graph(self.n, tuple(row)).relabel(range(self.n - 1, -1, -1))
+                      for row in rows_of_codes(self.n, witnesses[:max_witnesses]).tolist()]
             for g, check in zip(graphs, lhv_bounds(self.n, [g.adj for g in graphs], t)):
                 value = lhv_value(g, bell_coefficients(g, t), check.argmax)
                 if not check.bound == value == best:
@@ -252,7 +253,7 @@ def _as_ts(t) -> tuple[int, ...]:
 def _level(k: int, codes: Sequence[int], dedup: str) -> _Pipeline:
     """One pipeline run on every level k - 1 representative (sorted codes)
     joined by a new last vertex with each of the 2^(k-1) neighborhoods."""
-    adj = np.array([rows_of_code(k - 1, code) for code in codes], dtype=np.int64)
+    adj = rows_of_codes(k - 1, codes)
     nb = np.arange(1 << (k - 1), dtype=np.int64)
     ext = np.empty((len(codes), len(nb), k), dtype=np.int64)
     ext[:, :, :-1] = adj[:, None, :] | (nb[:, None] >> np.arange(k - 1) & 1) << (k - 1)
@@ -301,7 +302,7 @@ def class_reps(n: int, dedup: str = "lc") -> list[Graph]:
     """
     for pipe, _ in _levels(n, dedup):
         pass
-    return [Graph(n, rows_of_code(n, code)) for code in sorted(pipe.reps)]
+    return [Graph(n, tuple(row)) for row in rows_of_codes(n, sorted(pipe.reps)).tolist()]
 
 
 def iso_class_reps(n: int) -> list[Graph]:
@@ -412,8 +413,7 @@ class Checkpoint:
                                  f"{len(state.reps)} representatives")
             n = int(kv["n"])
             check_vertex_count(n)
-            rows = np.array([rows_of_code(n, code) for code in state.reps], dtype=np.int64)
-            if state.new_classes(rows.reshape(-1, n)) != state.reps:
+            if state.new_classes(rows_of_codes(n, state.reps)) != state.reps:
                 raise ValueError("its representatives are not the classes a replay finds")
         except (KeyError, ValueError) as err:
             raise ValueError(f"{self.path}: corrupt checkpoint: {err}") from None
@@ -437,12 +437,13 @@ def search_file(
     together. With a checkpoint path the record count and the
     representatives found so far are saved after each such block that added
     records. A resumed run replays them through dedup to rebuild its
-    seen-set, goes on after the records the file covers and, since the
-    reports evaluate every representative, yields the report of an
-    uninterrupted run at any t; a rerun with a completed file writes
-    nothing. A file written for another census, dedup or `canon.ORBIT_CAP`,
-    or in an older format, is rejected, and so is one that covers more
-    records than the census holds.
+    seen-set, canonicalizes the records the file covers as it skips them,
+    and goes on after them; since the reports evaluate every
+    representative, it yields the report of an uninterrupted run at any t.
+    A rerun with a completed file writes nothing. A file written for
+    another census, dedup or `canon.ORBIT_CAP`, or in an older format, is
+    rejected, and so is one that covers more records than the census holds
+    or a record in none of its classes (a lost `rep=` line).
     """
     ts = _as_ts(t)
     started = time.perf_counter()
@@ -458,7 +459,12 @@ def search_file(
     for rows, bad in read_graph6(path, CHUNK_SIZE, lenient=lenient):
         pipe.stages["read"] += time.perf_counter() - read_started
         skipped += bad
-        rows, covered = rows[covered:], max(covered - len(rows), 0)
+        done, rows = rows[:covered], rows[covered:]
+        covered -= len(done)
+        if len(done) and (done.shape[1] != pipe.n
+                          or not pipe.seen.issuperset(canonical_codes(pipe.n, done))):
+            raise ValueError(f"{checkpoint_path}: corrupt checkpoint: a record it "
+                             "covers is in none of its classes")
         if len(rows):
             pipe.feed(rows)
             if checkpoint:

@@ -34,7 +34,7 @@ import numpy as np
 from bellgraph.bell import _value_blocks, bell_coefficients, stabilizer_table
 from bellgraph.coverable import coverable_set
 from bellgraph.dyadic import Dyadic
-from bellgraph.graph6 import rows_of_code
+from bellgraph.graph6 import rows_of_codes
 from bellgraph.graphs import Graph, iter_bits
 from bellgraph.quantum import KrausChannel, build_graph_state, phase_flip
 
@@ -559,8 +559,8 @@ def enumerate_labeled(n: int) -> Iterator[Graph]:
             f"labeled enumeration capped at n={ENUMERATION_MAX_N} "
             f"(2^{n * (n - 1) // 2} graphs); supply a graph6 census file instead"
         )
-    for code in range(1 << n * (n - 1) // 2):
-        yield Graph(n, rows_of_code(n, code))
+    for row in rows_of_codes(n, range(1 << n * (n - 1) // 2)).tolist():
+        yield Graph(n, tuple(row))
 
 
 def reference_dedup(graphs: list[Graph], orbit_cap: int):

@@ -25,7 +25,7 @@ from bellgraph.cli import main
 from bellgraph.coverable import coverable_set
 from bellgraph.dyadic import Dyadic
 from bellgraph.families import complete, complete_join, star, star_copies
-from bellgraph.graph6 import emit_graph6, parse_graph6, rows_of_code
+from bellgraph.graph6 import emit_graph6, parse_graph6, rows_of_codes
 from bellgraph.quantum import (
     apply_channel,
     bell_expectation,
@@ -233,7 +233,7 @@ def test_criterion_8_property_suite(census5_path):
         # one batched call per t over the classes and one over all 32,768
         # labeled graphs
         reps = np.array([g.adj for g in class_reps(6)], dtype=np.int64)
-        labeled = np.array([rows_of_code(6, code) for code in range(1 << 15)], dtype=np.int64)
+        labeled = rows_of_codes(6, range(1 << 15))
         for t in (0, 1, 2):
             with_dedup = {res.bound for res in lhv_bounds(6, reps, t)}
             without = {res.bound for res in lhv_bounds(6, labeled, t)}

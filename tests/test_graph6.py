@@ -5,11 +5,12 @@ from bellgraph.canon import CanonicalForm
 from bellgraph.families import complete, ring, star, star_copies, complete_join
 from bellgraph.graph6 import (
     Graph6Error,
-    code_of_rows,
+    codes_of_rows,
     emit_graph6,
     parse_graph6,
     read_graph6,
-    rows_of_code,
+    record_of_code,
+    rows_of_codes,
 )
 from bellgraph.graphs import Graph
 from oracles import random_graph
@@ -55,22 +56,36 @@ def test_roundtrip_random_graphs():
 
 def test_edge_code_round_trip():
     # a code is a record body: pairs (0,1), (0,2), (1,2), (0,3), ... from the
-    # highest bit down, zero-padded to whole 6-bit groups
+    # highest bit down, zero-padded to whole 6-bit groups; one batch per n,
+    # from the empty graph on 0 vertices to 120-bit codes at n = 16
     rng = np.random.default_rng(14)
-    for n in range(1, 17):
+    for n in range(0, 17):
         pairs = [(i, j) for j in range(1, n) for i in range(j)]
-        for _ in range(20):
-            bits = "".join(rng.choice(["0", "1"], size=len(pairs)))
-            code = int(bits or "0", 2)
-            g = Graph(n, rows_of_code(n, code))
-            assert set(g.edges()) == {p for p, b in zip(pairs, bits) if b == "1"}
-            assert code_of_rows(n, g.adj) == code
-            assert CanonicalForm(n, code).to_graph() == g
+        draws = ["".join(rng.choice(["0", "1"], size=len(pairs))) for _ in range(20)]
+        codes = [int(bits or "0", 2) for bits in draws]
+        rows = rows_of_codes(n, codes)
+        assert rows.shape == (20, n) and rows.dtype == np.int64
+        assert codes_of_rows(n, rows) == codes
+        assert rows_of_codes(n, []).shape == (0, n) and codes_of_rows(n, rows[:0]) == []
+        for bits, code, row in zip(draws, codes, rows.tolist()):
             padded = bits + "0" * (-len(bits) % 6)
             record = chr(n + 63) + "".join(
                 chr(int(padded[k:k + 6], 2) + 63) for k in range(0, len(padded), 6))
-            assert emit_graph6(g) == CanonicalForm(n, code).to_graph6() == record
+            assert record_of_code(n, code) == record
+            if n == 0:  # no Graph and no census record has 0 vertices
+                assert row == []
+                continue
+            g = Graph(n, tuple(row))
+            form = CanonicalForm(n, code)
+            assert set(g.edges()) == {p for p, b in zip(pairs, bits) if b == "1"}
+            assert form.to_graph() == g
+            assert emit_graph6(g) == form.to_graph6() == record
+            assert form.to_graph6() == record_of_code(n, code) == emit_graph6(form.to_graph())
             assert parse_graph6(record) == g
+    # a negative code, or one wider than n(n-1)/2 bits, is no graph
+    for n, code in ((5, -5), (5, 1 << 10), (0, 1), (16, 1 << 120)):
+        with pytest.raises(ValueError):
+            rows_of_codes(n, [0, code])
 
 
 def test_parse_empty_is_error():

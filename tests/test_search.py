@@ -13,7 +13,7 @@ from bellgraph.canon import ORBIT_CAP, canonicalize, lc_orbit, lc_orbits
 from bellgraph.cli import main
 from bellgraph.dyadic import Dyadic
 from bellgraph.families import complete, complete_join, parse_family, ring, star, star_copies
-from bellgraph.graph6 import Graph6Error, code_of_rows, emit_graph6, parse_graph6, rows_of_code
+from bellgraph.graph6 import Graph6Error, codes_of_rows, emit_graph6, parse_graph6, rows_of_codes
 from bellgraph.graphs import Graph
 from bellgraph.search import (
     TABLE1,
@@ -445,27 +445,30 @@ def test_checkpoint_rejects_old_versions(tmp_path, census5_path, old):
 
 
 @pytest.mark.parametrize("corrupt", [
-    "not canonical", "not least", "duplicated", "not hex",
+    "not canonical", "not least", "duplicated", "not hex", "dropped", "rep=-5", "rep=400",
     "records=-3", "records=0", "records=1000000",
 ])
 def test_checkpoint_rejects_corrupt_representatives(tmp_path, census5_path, corrupt):
     # each edit keeps the settings and the line format; replaying the
     # representatives through dedup finds the first three, parsing the
-    # fourth; a record count below the 11 representatives is caught on
-    # reading, one above the census's 34 records when the census ends
+    # fourth, decoding a negative code or one wider than the 10 bits of
+    # n = 5; a dropped representative leaves a record the file covers in
+    # none of its classes, caught as the record is skipped; a record count
+    # below the 11 representatives is caught on reading, one above the
+    # census's 34 records when the census ends
     ck = tmp_path / "corrupt.ck"
     search_file(census5_path, 0, checkpoint_path=str(ck))
     lines = ck.read_text().splitlines()
     first = next(i for i, line in enumerate(lines) if line.startswith("rep="))
     codes = [int(line[4:], 16) for line in lines[first:]]
-    graphs = [Graph(5, rows_of_code(5, code)) for code in codes]
+    graphs = [Graph(5, tuple(row)) for row in rows_of_codes(5, codes).tolist()]
     assert len(codes) == 11
 
     def replace(i, code):
         lines[first + i] = f"rep={code}"
 
     if corrupt == "not canonical":  # a representative with its vertex order reversed
-        reversed_ = [code_of_rows(5, g.relabel(range(4, -1, -1)).adj) for g in graphs]
+        reversed_ = codes_of_rows(5, [g.relabel(range(4, -1, -1)).adj for g in graphs])
         i = next(i for i, code in enumerate(codes) if reversed_[i] != code)
         replace(i, f"{reversed_[i]:x}")
     elif corrupt == "not least":  # another canonical code of the representative's orbit
@@ -475,6 +478,10 @@ def test_checkpoint_rejects_corrupt_representatives(tmp_path, census5_path, corr
         lines.insert(first + 3, lines[first + 3])
     elif corrupt == "not hex":
         replace(0, "xyz")
+    elif corrupt == "dropped":
+        del lines[-1]
+    elif corrupt.startswith("rep="):
+        replace(5, corrupt[4:])
     else:
         lines[lines.index("records=34")] = corrupt
     ck.write_text("\n".join(lines) + "\n")
