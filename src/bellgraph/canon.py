@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph6 import codes_of_columns, record_of_code, rows_of_codes
+from .graph6 import _PAIR_U, _PAIR_V, codes_of_columns, record_of_code, rows_of_codes
 from .graphs import Graph
 
 # graphs canonicalized together; bounds the state arrays, and so peak memory
@@ -58,8 +58,6 @@ SLICE = 1024
 # it; read at call time, so a test can lower it on this module alone
 ORBIT_CAP = 100_000
 _BIT = np.int32(1) << np.arange(16, dtype=np.int32)
-# the vertex pairs u < v in graph6 order; those on n vertices come first
-_PAIR_V, _PAIR_U = np.nonzero(np.tri(16, k=-1, dtype=bool))
 _PAIR_RUNS = np.cumsum(np.arange(15))  # v = 1, 2, ...: first pair v(v-1)/2
 _NO_KEY = np.iinfo(np.int32).max  # equals no key
 

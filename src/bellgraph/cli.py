@@ -160,7 +160,6 @@ def cmd_search(args) -> int:
             args.census,
             args.t,
             lenient=args.lenient,
-            dedup=args.dedup,
             max_witnesses=args.max_witnesses,
             checkpoint_path=args.checkpoint,
         )
@@ -170,7 +169,6 @@ def cmd_search(args) -> int:
         report = search_labeled_all(
             args.all_labeled,
             args.t,
-            dedup=args.dedup,
             max_witnesses=args.max_witnesses,
         )
     if args.json:
@@ -262,9 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--census", help="graph6 census file, one record per line")
     src.add_argument("--all-labeled", type=int, metavar="N",
                      help="every graph on N vertices, one per class, N in 1..10 "
-                          "(N = 9 takes about 4 s on 2 cores, N = 10 about 4 min)")
+                          "(N = 10 runs for minutes: see the README's Search section)")
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--dedup", choices=("lc", "iso"), default="lc")
     p.add_argument("--lenient", action="store_true",
                    help="skip malformed census lines instead of aborting")
     p.add_argument("--max-witnesses", type=_int_at_least(0), default=DEFAULT_MAX_WITNESSES)

@@ -22,6 +22,14 @@ import numpy as np
 from .graphs import MAX_VERTICES, Graph
 
 
+# the vertex pairs u < v in graph6 order, (v, u) = (1,0), (2,0), (2,1), (3,0), ...,
+# those on n vertices first; _PAIR_WEIGHTS[p, w] is the bit pair p sets in row w
+_PAIR_V, _PAIR_U = np.tril_indices(MAX_VERTICES, -1)
+_PAIR_WEIGHTS = np.zeros((len(_PAIR_U), MAX_VERTICES), dtype=np.int64)
+_PAIR_WEIGHTS[np.arange(len(_PAIR_U)), _PAIR_U] = np.int64(1) << _PAIR_V
+_PAIR_WEIGHTS[np.arange(len(_PAIR_U)), _PAIR_V] = np.int64(1) << _PAIR_U
+
+
 class Graph6Error(ValueError):
     """Malformed graph6 record; `offset` is the offending byte position."""
 
@@ -64,7 +72,7 @@ def rows_of_codes(n: int, codes: Sequence[int]) -> np.ndarray:
     nbytes = (nbits + 7) // 8
     raw = b"".join(code.to_bytes(nbytes, "big") for code in codes)
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(codes), nbytes), axis=1)
-    return bits[:, 8 * nbytes - nbits:] @ _pair_weights(n)
+    return bits[:, 8 * nbytes - nbits:] @ _PAIR_WEIGHTS[:nbits, :n]
 
 
 def record_of_code(n: int, code: int) -> str:
@@ -114,15 +122,6 @@ def emit_graph6(g: Graph) -> str:
     return record_of_code(g.n, codes_of_rows(g.n, [g.adj])[0])
 
 
-def _pair_weights(n: int) -> np.ndarray:
-    """[p, v]: the bit that pair p sets in row v, for the pairs in graph6 order."""
-    j, i = np.tril_indices(n, -1)  # (1,0), (2,0), (2,1), (3,0), ...
-    weights = np.zeros((len(i), n), dtype=np.int64)
-    weights[np.arange(len(i)), i] = np.int64(1) << j
-    weights[np.arange(len(i)), j] = np.int64(1) << i
-    return weights
-
-
 def _census_n(lines: list[str]) -> int | None:
     """The vertex count of the first well-formed record among lines, if any."""
     for line in lines:
@@ -151,7 +150,7 @@ def _decode_lines(lines: list[str], n: int | None) -> tuple[np.ndarray, list[int
     bits = np.unpackbits((raw[:, 1:] - 63)[:, :, None], axis=2)[:, :, 2:]
     bits = bits.reshape(len(shape), 6 * (width - 1))
     ok = ((raw >= 63) & (raw <= 126)).all(axis=1) & ~bits[:, nbits:].any(axis=1)
-    adj = bits[:, :nbits] @ _pair_weights(n)
+    adj = bits[:, :nbits] @ _PAIR_WEIGHTS[:nbits, :n]
     if ok.all() and len(shape) == sum(map(bool, lines)):
         return adj, []
     good = {shape[i] for i in np.flatnonzero(ok).tolist()}

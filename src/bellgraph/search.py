@@ -1,12 +1,11 @@
 """Census search for the graphs whose Bell operators violate hardest.
 
-A search deduplicates a stream of graphs into one representative per class,
-held as a canonical code: under "lc" dedup the least canonical code of the
-class's local-complementation orbit, under "iso" the class's canonical code.
-A representative depends only on its class, so reports do not depend on the
-order of the records or on how they are cut into chunks. Bounds are
-constant on classes, which the test suite checks against every labeled
-graph.
+A search deduplicates a stream of graphs into one representative per class
+of relabeling and local complementation (LC), held as a canonical code: the
+least canonical code of the class's LC orbit. A representative depends only
+on its class, so reports do not depend on the order of the records or on
+how they are cut into chunks. Bounds are constant on classes, which the
+test suite checks against every labeled graph.
 
 The pipeline (`_Pipeline`) only deduplicates. It takes records as (B, n)
 arrays of adjacency rows from two sources: a graph6 census file, decoded a
@@ -19,9 +18,9 @@ levels from the empty graph (`_levels`) serves `class_reps`,
 on another vertex count than the census's with its line number. Graphs held
 in memory are searched by writing them out with `emit_graph6`.
 
-Each chunk is canonicalized in one batch, and under "lc" the orbits of all
-its unseen classes are walked in one breadth-first search (`lc_orbits`):
-walks that meet are merged, since they lie in one orbit, and every level is
+Each chunk is canonicalized in one batch, and the LC orbits of all its
+unseen classes are walked in one breadth-first search (`lc_orbits`): walks
+that meet are merged, since they lie in one orbit, and every level is
 canonicalized `canon.SLICE` graphs at a time, so memory stays bounded by the
 slice and the seen-set, not by the chunk or the orbit. Evaluation happens
 once, when the reports are made (`_Pipeline.reports`): every representative
@@ -47,7 +46,7 @@ from .dyadic import Dyadic
 from .graph6 import read_graph6, rows_of_codes
 from .graphs import Graph, check_vertex_count
 
-EXHAUSTIVE_MAX_N = 10  # the level-10 walk takes about 5 min and 1.25 GB on 2 cores
+EXHAUSTIVE_MAX_N = 10  # the level-10 walk's time and memory: the README's Search section
 DEFAULT_MAX_WITNESSES = 32
 # records canonicalized in one batch, and census lines read between two
 # checkpoints; read at call time, so a test can change it on this module alone
@@ -123,17 +122,12 @@ class _Pipeline:
     `stages` holds the seconds this process spent per stage; it is not saved.
     """
 
-    dedup: str
     n: int | None = None
     records: int = 0
     orbit_cap_fallbacks: int = 0
     reps: list[int] = field(default_factory=list)  # canonical codes, in stream order
     seen: set[int] = field(default_factory=set)  # canonical codes
     stages: dict[str, float] = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
-
-    def __post_init__(self):
-        if self.dedup not in ("lc", "iso"):
-            raise ValueError(f"unknown dedup mode {self.dedup!r}")
 
     def feed(self, rows: np.ndarray) -> None:
         """Take records as a (B, n) array of adjacency rows.
@@ -150,12 +144,11 @@ class _Pipeline:
     def new_classes(self, chunk: np.ndarray) -> list[int]:
         """The representatives of the chunk's unseen classes, in stream order.
 
-        The representative is the least canonical code of the class: the LC
-        orbit's minimum under "lc", the canonical code under "iso". The
-        chunk's unseen classes are taken in stream order, each once; one
-        whose orbit met an earlier one's is seen by then. An orbit past the
-        cap is counted and split: each of its classes that the records reach
-        is then its own representative, with its own fallback.
+        The representative is the least canonical code of the class's LC
+        orbit. The chunk's unseen classes are taken in stream order, each
+        once; one whose orbit met an earlier one's is seen by then. An orbit
+        past the cap is counted and split: each of its classes that the
+        records reach is then its own representative, with its own fallback.
         """
         started = time.perf_counter()
         n = self.n = chunk.shape[1]
@@ -163,10 +156,7 @@ class _Pipeline:
         for i, code in enumerate(canonical_codes(n, chunk)):
             if code not in self.seen:
                 first.setdefault(code, i)
-        if self.dedup == "lc":
-            orbits = lc_orbits(n, list(first), chunk[list(first.values())])
-        else:
-            orbits = [frozenset((code,)) for code in first]
+        orbits = lc_orbits(n, list(first), chunk[list(first.values())])
         new = []
         for code, orbit in zip(first, orbits):
             if code in self.seen:
@@ -250,47 +240,46 @@ def _as_ts(t) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # every class on n vertices, by one-vertex extension
 
-def _level(k: int, codes: Sequence[int], dedup: str) -> _Pipeline:
-    """One pipeline run on every level k - 1 representative (sorted codes)
+def _extensions(k: int, codes: Sequence[int]) -> np.ndarray:
+    """Adjacency rows of every graph on k - 1 vertices with the given codes
     joined by a new last vertex with each of the 2^(k-1) neighborhoods."""
     adj = rows_of_codes(k - 1, codes)
     nb = np.arange(1 << (k - 1), dtype=np.int64)
     ext = np.empty((len(codes), len(nb), k), dtype=np.int64)
     ext[:, :, :-1] = adj[:, None, :] | (nb[:, None] >> np.arange(k - 1) & 1) << (k - 1)
     ext[:, :, -1] = nb
-    pipe = _Pipeline(dedup)
-    pipe.feed(ext.reshape(-1, k))
-    if pipe.orbit_cap_fallbacks:
-        raise OrbitCapExceeded(
-            f"{pipe.orbit_cap_fallbacks} LC orbits on {k} vertices exceed "
-            f"{canon.ORBIT_CAP} isomorphism classes"
-        )
-    return pipe
+    return ext.reshape(-1, k)
 
 
-def _levels(n: int, dedup: str) -> Iterator[tuple[_Pipeline, float]]:
-    """Levels 1..n chained from the empty graph: each level's pipeline run
-    with its start time. An n outside 1..EXHAUSTIVE_MAX_N is rejected before
-    any level is built."""
+def _level_range(n: int) -> range:
+    """Levels 1..n; an n outside 1..EXHAUSTIVE_MAX_N is rejected before any is built."""
     check_vertex_count(n)
     if n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"n={n} above {EXHAUSTIVE_MAX_N}, the largest vertex count "
                          "searched exhaustively; search a census file instead")
+    return range(1, n + 1)
+
+
+def _levels(n: int) -> Iterator[tuple[_Pipeline, float]]:
+    """Levels 1..n chained from the empty graph, as `class_reps` describes:
+    each level's pipeline run with its start time."""
     codes = [0]  # the empty graph on 0 vertices
-    for k in range(1, n + 1):
+    for k in _level_range(n):
         started = time.perf_counter()
-        pipe = _level(k, codes, dedup)
+        pipe = _Pipeline()
+        pipe.feed(_extensions(k, codes))
+        if pipe.orbit_cap_fallbacks:
+            raise OrbitCapExceeded(
+                f"{pipe.orbit_cap_fallbacks} LC orbits on {k} vertices exceed "
+                f"{canon.ORBIT_CAP} isomorphism classes"
+            )
         codes = sorted(pipe.reps)
         yield pipe, started
 
 
-def class_reps(n: int, dedup: str = "lc") -> list[Graph]:
-    """One representative per class of graphs on n vertices, sorted by code.
-
-    dedup "lc" takes joint isomorphism + local-complementation classes, each
-    represented by its orbit's least canonical form; "iso" takes isomorphism
-    classes, each represented by its canonical form; both come canonically
-    labeled.
+def class_reps(n: int) -> list[Graph]:
+    """One representative per LC class of graphs on n vertices, sorted by code:
+    the least canonical form of its LC orbit, canonically labeled.
 
     Deleting a vertex v commutes with relabeling and with local
     complementation at any a != v, so every class on k vertices contains a
@@ -300,21 +289,25 @@ def class_reps(n: int, dedup: str = "lc") -> list[Graph]:
     representative, and carries the sorted codes of its representatives to
     the next level.
     """
-    for pipe, _ in _levels(n, dedup):
+    for pipe, _ in _levels(n):
         pass
     return [Graph(n, tuple(row)) for row in rows_of_codes(n, sorted(pipe.reps)).tolist()]
 
 
 def iso_class_reps(n: int) -> list[Graph]:
-    """One canonically labeled graph per isomorphism class, sorted by code."""
-    return class_reps(n, "iso")
+    """One canonically labeled graph per isomorphism class, sorted by code,
+    from the level walk of `class_reps` without LC. It writes isomorphism
+    censuses for the tests and `perfbench/make_census8.py`; no search mode."""
+    codes = [0]
+    for k in _level_range(n):
+        codes = sorted(set(canonical_codes(k, _extensions(k, codes))))
+    return [Graph(n, tuple(row)) for row in rows_of_codes(n, codes).tolist()]
 
 
 def search_labeled_all(
     n: int,
     t,
     *,
-    dedup: str = "lc",
     max_witnesses: int = DEFAULT_MAX_WITNESSES,
 ):
     """Exhaustive search over all labeled graphs on n vertices.
@@ -325,7 +318,7 @@ def search_labeled_all(
     """
     ts = _as_ts(t)
     started = time.perf_counter()
-    for pipe, _ in _levels(n, dedup):
+    for pipe, _ in _levels(n):
         pass
     pipe.records = 1 << (n * (n - 1) // 2)
     pipe.stages["dedup"] = time.perf_counter() - started
@@ -344,15 +337,15 @@ def _file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-CHECKPOINT_HEADER = "bellgraph-checkpoint v5"
+CHECKPOINT_HEADER = "bellgraph-checkpoint v6"
 
 
 @dataclass
 class Checkpoint:
     """A census search's representatives in one plain-text file.
 
-    After the header come `key=value` lines for the census hash, dedup,
-    orbit cap, n and the number of good records consumed; then one
+    After the header come `key=value` lines for the census hash, orbit cap,
+    n and the number of good records consumed; then one
     `rep=<hex code>` line per representative, in stream order. No bound is
     stored: the reports evaluate every representative, so a resumed run may
     ask for other t. A class's LC orbit, and whether it passes the cap, do
@@ -366,17 +359,16 @@ class Checkpoint:
     path: str
     census_sha256: str
 
-    def _settings(self, state: _Pipeline) -> dict[str, str]:
+    def _settings(self) -> dict[str, str]:
         """What a resumed run must share with the run that wrote the file."""
         return {
             "census_sha256": self.census_sha256,
-            "dedup": state.dedup,
             "orbit_cap": str(canon.ORBIT_CAP),
         }
 
     def write(self, state: _Pipeline) -> None:
         lines = [CHECKPOINT_HEADER]
-        lines += [f"{key}={val}" for key, val in self._settings(state).items()]
+        lines += [f"{key}={val}" for key, val in self._settings().items()]
         lines += [f"n={state.n}", f"records={state.records}"]
         lines += [f"rep={code:x}" for code in state.reps]
         tmp = self.path + ".tmp"
@@ -384,8 +376,8 @@ class Checkpoint:
             fh.write("\n".join(lines) + "\n")
         os.replace(tmp, self.path)
 
-    def restore(self, fresh: _Pipeline) -> _Pipeline:
-        """The saved state, rejected unless written with fresh's settings;
+    def restore(self) -> _Pipeline:
+        """The saved state, rejected unless written with this run's settings;
         the replay's time opens its dedup stage."""
         with open(self.path, "r", encoding="ascii") as fh:
             lines = fh.read().splitlines()
@@ -399,14 +391,14 @@ class Checkpoint:
             raise ValueError(f"{self.path}: not a checkpoint file")
         pairs = [line.partition("=")[::2] for line in lines[1:]]
         kv = {key: val for key, val in pairs if key != "rep"}
-        for key, want in self._settings(fresh).items():
+        for key, want in self._settings().items():
             if kv.get(key) != want:
                 raise ValueError(
                     f"{self.path}: checkpoint has {key}={kv.get(key)} but this run "
                     f"has {key}={want}; delete the file to start over"
                 )
         try:
-            state = _Pipeline(fresh.dedup, records=int(kv["records"]))
+            state = _Pipeline(records=int(kv["records"]))
             state.reps = [int(val, 16) for key, val in pairs if key == "rep"]
             if state.records < len(state.reps):
                 raise ValueError(f"records={state.records} is below its "
@@ -425,7 +417,6 @@ def search_file(
     t,
     *,
     lenient: bool = False,
-    dedup: str = "lc",
     max_witnesses: int = DEFAULT_MAX_WITNESSES,
     checkpoint_path: str | None = None,
 ):
@@ -441,18 +432,18 @@ def search_file(
     and goes on after them; since the reports evaluate every
     representative, it yields the report of an uninterrupted run at any t.
     A rerun with a completed file writes nothing. A file written for
-    another census, dedup or `canon.ORBIT_CAP`, or in an older format, is
+    another census or `canon.ORBIT_CAP`, or in an older format, is
     rejected, and so is one that covers more records than the census holds
     or a record in none of its classes (a lost `rep=` line).
     """
     ts = _as_ts(t)
     started = time.perf_counter()
-    pipe = _Pipeline(dedup)
+    pipe = _Pipeline()
     checkpoint = None
     if checkpoint_path:
         checkpoint = Checkpoint(checkpoint_path, _file_sha256(path))
         if os.path.exists(checkpoint_path):
-            pipe = checkpoint.restore(pipe)
+            pipe = checkpoint.restore()
     covered = pipe.records  # records the restored state already holds
     skipped = 0
     read_started = time.perf_counter()
@@ -531,7 +522,7 @@ def reproduce_table1(max_n: int = 7, ts: Sequence[int] = (0, 1, 2)) -> list[Tabl
         raise ValueError(f"max_n={max_n} outside 3..{EXHAUSTIVE_MAX_N}, "
                          "the grid's exhaustive columns")
     cells: list[TableCell] = []
-    for pipe, started in _levels(max_n, "lc"):
+    for pipe, started in _levels(max_n):
         if pipe.n >= 3:  # t <= 3 <= n
             reports = pipe.reports(ts, started, DEFAULT_MAX_WITNESSES)
             cells += [TableCell(t, pipe.n, reports[t].best_bound, TABLE1.get((t, pipe.n)))

@@ -4,10 +4,13 @@ Builds the complete 8-vertex isomorphism census in-process by augmenting
 every 7-vertex class with every possible new-vertex neighborhood (every
 8-vertex graph contains a 7-vertex induced subgraph, so this covers all
 classes), then runs the file-search path over it. Pins the known census
-size, the known LC-class count, and the optimal bounds of the n=8 column,
-and checks that a run interrupted midway and resumed from its checkpoint
+size, the census's bytes against the benchmark's `perfbench/data/census8.g6`,
+the known LC-class count, and the optimal bounds of the n=8 column, and
+checks that a run interrupted midway and resumed from its checkpoint
 reports the same.
 """
+import hashlib
+import os
 import time
 
 import numpy as np
@@ -18,6 +21,9 @@ from bellgraph.canon import CanonicalForm, canonical_codes
 from bellgraph.dyadic import Dyadic
 from bellgraph.search import iso_class_reps, search_file
 from test_search import interrupted_run
+
+CENSUS8 = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "data", "census8.g6")
+CENSUS8_SHA256 = "960f5028708c6efc247c5282ec3e79599aac394896b65b8c4577acdb75a550f1"
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +39,11 @@ def census8_path(tmp_path_factory):
     assert len(codes) == 12346  # known class count on 8 vertices
     path = tmp_path_factory.mktemp("census") / "n8.g6"
     path.write_text("".join(CanonicalForm(8, c).to_graph6() + "\n" for c in sorted(codes)))
+    # the benchmark's census8 workload reads this census, committed byte for byte
+    built = path.read_bytes()
+    assert hashlib.sha256(built).hexdigest() == CENSUS8_SHA256
+    with open(CENSUS8, "rb") as fh:
+        assert fh.read() == built
     return str(path)
 
 

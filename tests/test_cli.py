@@ -195,18 +195,6 @@ def test_search_census_file(capsys, census5_path):
     assert "0 orbit-cap fallbacks" in out
 
 
-def test_search_dedup_flag(capsys):
-    code, out = run(capsys, "search", "--all-labeled", "4", "--t", "0",
-                    "--dedup", "iso", "--json")
-    obj = json.loads(out)
-    assert obj["lc_classes_examined"] == 11  # one per isomorphism class
-    assert obj["best_bound"] == {"num": 3, "log2_den": 2}
-    with pytest.raises(SystemExit) as exit_:
-        main(["search", "--all-labeled", "4", "--t", "0", "--dedup", "none"])
-    assert exit_.value.code == 2
-    assert "argument --dedup: invalid choice: 'none'" in capsys.readouterr().err
-
-
 def test_search_census_checkpoint_reports_the_same_twice(capsys, tmp_path, census5_path):
     # the second run resumes from the completed file
     ck = tmp_path / "n5.ck"
@@ -231,12 +219,17 @@ def test_search_census_rejects_v3_checkpoint(capsys, tmp_path, census5_path):
 def test_search_all_labeled_rejects_vertex_count(capsys, monkeypatch):
     # rejected before any level is built; 11 would otherwise walk toward
     # about 10^9 isomorphism classes, 17 for hours
-    monkeypatch.setattr(search_module, "_level", None)
+    monkeypatch.setattr(search_module, "_extensions", None)
     for n, message in (("0", "vertex count 0 outside 1..16"),
                        ("17", "vertex count 17 outside 1..16"),
                        ("11", "n=11 above 10")):
         assert main(["search", "--all-labeled", n, "--t", "0"]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+    # LC dedup is the one mode: a mode flag is an argparse error
+    with pytest.raises(SystemExit) as exit_:
+        main(["search", "--all-labeled", "4", "--t", "0", "--dedup", "lc"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --dedup lc" in capsys.readouterr().err
 
 
 def test_search_all_labeled_rejects_census_only_flags(capsys, tmp_path):
@@ -273,7 +266,7 @@ def test_reproduce_table1_json(capsys):
 
 def test_reproduce_table1_rejects_bad_arguments(capsys, tmp_path, monkeypatch):
     # rejected before any level is built
-    monkeypatch.setattr(search_module, "_level", None)
+    monkeypatch.setattr(search_module, "_extensions", None)
     for max_n in ("11", "17"):
         assert main(["reproduce-table1", "--max-n", max_n]) == 2
         assert f"error: max_n={max_n} outside 3..10" in capsys.readouterr().err

@@ -64,8 +64,12 @@ def test_orbit_cap_and_chunk_size_are_constants():
     fields = {f.name for f in dataclasses.fields(search_module._Pipeline)}
     assert not {"ts", "results"} & fields
     assert not hasattr(search_module._Pipeline, "evaluate")
-    assert list(inspect.signature(search_module._levels).parameters) == ["n", "dedup"]
-    assert list(inspect.signature(search_module._level).parameters) == ["k", "codes", "dedup"]
+    assert list(inspect.signature(search_module._levels).parameters) == ["n"]
+    assert list(inspect.signature(search_module._extensions).parameters) == ["k", "codes"]
+    # LC dedup is the one mode: no search takes a mode and the pipeline holds none
+    assert "dedup" not in fields
+    for fn in (class_reps, iso_class_reps, search_labeled_all, search_file):
+        assert "dedup" not in inspect.signature(fn).parameters, fn.__name__
 
 
 def test_enumerate_labeled_cap():
@@ -133,21 +137,20 @@ def test_two_triangles_attain_n6_t1_optimum():
 
 
 def test_dedup_modes_agree_on_n5():
-    by_mode = {mode: search_labeled_all(5, (0, 1, 2), dedup=mode) for mode in ("lc", "iso")}
+    # LC dedup agrees with no dedup at all: the oracle is the least bound over
+    # every labeled graph (the 34 isomorphism classes on 5 vertices are
+    # pinned by conftest's KNOWN_CLASS_COUNTS)
+    reports = search_labeled_all(5, (0, 1, 2))
     labeled = list(enumerate_labeled(5))
     for t in (0, 1, 2):
-        # the oracle: the least bound over every labeled graph
-        least = min(lhv_bound(g, t).bound for g in labeled)
-        assert by_mode["lc"][t].best_bound == by_mode["iso"][t].best_bound == least
-    assert by_mode["iso"][0].lc_classes_examined == 34
-    assert by_mode["lc"][0].lc_classes_examined == 11
+        assert reports[t].best_bound == min(lhv_bound(g, t).bound for g in labeled)
+    assert reports[0].lc_classes_examined == 11
 
 
 def test_mixed_sizes_rejected(monkeypatch, tmp_path):
-    for dedup in ("lc", "iso"):
-        with pytest.raises(ValueError) as err:
-            search_graphs(tmp_path, [star(3), star(4)], 0, dedup=dedup)
-        assert str(err.value) == "line 2: census mixes vertex counts 3 and 4"
+    with pytest.raises(ValueError) as err:
+        search_graphs(tmp_path, [star(3), star(4)], 0)
+    assert str(err.value) == "line 2: census mixes vertex counts 3 and 4"
     with pytest.raises(ValueError) as err:  # past the first chunk
         search_graphs(tmp_path, [complete(3)] * 4100 + [star(4)], 0)
     assert str(err.value) == "line 4101: census mixes vertex counts 3 and 4"
@@ -282,7 +285,7 @@ def test_search_file_checkpointing(monkeypatch, tmp_path, census5_path):
     ck = tmp_path / "resume.ck"
     full = search_file(census5_path, (0, 1), checkpoint_path=str(ck))
     text = ck.read_text().splitlines()
-    assert text[0] == "bellgraph-checkpoint v5"
+    assert text[0] == "bellgraph-checkpoint v6"
     assert "records=34" in text
     assert sum(line.startswith("rep=") for line in text) == 11
     # the seen-set, the fallback count, t and the bounds are rebuilt or
@@ -322,32 +325,29 @@ def interrupted_run(monkeypatch, k, *args, **kwargs):
     return None  # fewer than k writes: the run completed
 
 
-@pytest.mark.parametrize("dedup", ["lc", "iso"])
-@pytest.mark.parametrize("chunk_size", [10, 7])
-def test_resume_matches_uninterrupted_run(monkeypatch, tmp_path, census5_path,
-                                          chunk_size, dedup):
-    # under "lc" also past the orbit cap, where a resumed run must rebuild the
-    # fallback count: (fallbacks, representatives) per cap on census5
+# ids "<chunk size>-lc", stable for tracking the cases across runs
+@pytest.mark.parametrize("chunk_size", [10, 7], ids=lambda size: f"{size}-lc")
+def test_resume_matches_uninterrupted_run(monkeypatch, tmp_path, census5_path, chunk_size):
+    # also past the orbit cap, where a resumed run must rebuild the fallback
+    # count, and at cap 1, where every class is split into its members:
+    # (fallbacks, representatives) per cap on census5
     ts = (0, 1, 2)
     caps = {ORBIT_CAP: (0, 11), 2: (23, 30), 1: (31, 34)}
-    if dedup == "iso":
-        caps = {ORBIT_CAP: (0, 34)}
     for orbit_cap, counts in caps.items():
         monkeypatch.setattr(canon, "ORBIT_CAP", orbit_cap)
         monkeypatch.setattr(search_module, "CHUNK_SIZE", 4096)
-        full = search_file(census5_path, ts, dedup=dedup)
+        full = search_file(census5_path, ts)
         assert (full[0].orbit_cap_fallbacks, full[0].lc_classes_examined) == counts
         monkeypatch.setattr(search_module, "CHUNK_SIZE", chunk_size)
         k = 1
         while True:
             ck = str(tmp_path / f"cap{orbit_cap}-k{k}.ck")
-            calls = interrupted_run(monkeypatch, k, census5_path, ts, dedup=dedup,
-                                    checkpoint_path=ck)
+            calls = interrupted_run(monkeypatch, k, census5_path, ts, checkpoint_path=ck)
             if calls is None:
                 break
             assert calls[-1] == min(k * chunk_size, 34)
             for _ in range(2):  # resume, then rerun with the completed checkpoint
-                resumed = search_file(census5_path, ts, dedup=dedup, checkpoint_path=ck)
+                resumed = search_file(census5_path, ts, checkpoint_path=ck)
                 for t in ts:
                     assert resumed[t].comparable() == full[t].comparable()
             k += 1
@@ -396,8 +396,8 @@ def test_checkpoint_resumes_with_other_ts(monkeypatch, tmp_path, census5_path):
 
 
 @pytest.mark.parametrize("written, resumed", [
-    ({"t": 0, "dedup": "lc"}, {"t": 0, "dedup": "iso"}),
     ({"t": 0, "orbit_cap": 50}, {"t": 0}),
+    ({"t": 0}, {"t": 0, "orbit_cap": 50}),
 ])
 def test_checkpoint_rejects_other_settings(monkeypatch, tmp_path, census5_path,
                                           written, resumed):
@@ -435,7 +435,9 @@ def test_checkpoint_rejects_changed_census(tmp_path, census5_path):
     "n=5\nrecords=1\norbit_cap_fallbacks=0\nrep=D?? 1\nseen=0\n",
     "bellgraph-checkpoint v4\ncensus_sha256=0\nts=0\ndedup=lc\norbit_cap=100000\n"
     "n=5\nrecords=1\nrep=0 1\n",
-], ids=["v1", "v2", "v3", "v4"])
+    "bellgraph-checkpoint v5\ncensus_sha256=0\ndedup=lc\norbit_cap=100000\n"
+    "n=5\nrecords=1\nrep=0\n",
+], ids=["v1", "v2", "v3", "v4", "v5"])
 def test_checkpoint_rejects_old_versions(tmp_path, census5_path, old):
     ck = tmp_path / "old.ck"
     ck.write_text(old)
@@ -543,7 +545,7 @@ def test_reproduce_table1_rejects_bad_arguments(monkeypatch):
     # rejected before any level is built: the grid's columns are the
     # exhaustive levels 3..EXHAUSTIVE_MAX_N = 10, and max_n=2 would give an
     # empty grid
-    monkeypatch.setattr(search_module, "_level", None)
+    monkeypatch.setattr(search_module, "_extensions", None)
     for kwargs, message in (
         ({"max_n": 11}, "max_n=11 outside 3..10"),
         ({"max_n": 17}, "max_n=17 outside 3..10"),
@@ -557,10 +559,10 @@ def test_reproduce_table1_rejects_bad_arguments(monkeypatch):
 
 
 def test_level_walks_reject_n_past_the_exhaustive_range(monkeypatch):
-    # rejected before any level is built, at the start of the walk every
-    # level search shares
-    monkeypatch.setattr(search_module, "_level", None)
-    for call in (lambda: class_reps(11), lambda: class_reps(11, "iso"),
+    # rejected before any extension is built, at the start of the walk every
+    # level search shares, and of the isomorphism census's walk
+    monkeypatch.setattr(search_module, "_extensions", None)
+    for call in (lambda: class_reps(11), lambda: iso_class_reps(11),
                  lambda: search_labeled_all(11, 0), lambda: search_labeled_all(16, (0, 1))):
         with pytest.raises(ValueError) as err:
             call()
@@ -615,16 +617,15 @@ def test_orbit_cap_fallbacks_are_counted(monkeypatch, tmp_path, census5_path):
     assert resumed.comparable() == capped.comparable()
 
 
-@pytest.mark.parametrize("dedup, orbit_cap", [
-    ("lc", 1), ("lc", 2), ("lc", 3), ("lc", ORBIT_CAP),
-    ("iso", ORBIT_CAP),  # the cap acts under "lc" only
-])
-def test_reports_do_not_depend_on_chunking(monkeypatch, tmp_path, census5_path, dedup, orbit_cap):
+# cap 1 splits every class into its members; ids "lc-<orbit cap>", stable
+# for tracking the cases across runs
+@pytest.mark.parametrize("orbit_cap", [1, 2, 3, ORBIT_CAP], ids=lambda cap: f"lc-{cap}")
+def test_reports_do_not_depend_on_chunking(monkeypatch, tmp_path, census5_path, orbit_cap):
     monkeypatch.setattr(canon, "ORBIT_CAP", orbit_cap)
-    full = search_file(census5_path, 0, dedup=dedup)
+    full = search_file(census5_path, 0)
     for chunk_size in range(1, 35):
         monkeypatch.setattr(search_module, "CHUNK_SIZE", chunk_size)
-        cut = search_file(census5_path, 0, dedup=dedup)
+        cut = search_file(census5_path, 0)
         assert cut.comparable() == full.comparable(), chunk_size
     # blank lines at uneven places make blocks of lines hold uneven record counts
     lines = open(census5_path).read().split()
@@ -636,7 +637,7 @@ def test_reports_do_not_depend_on_chunking(monkeypatch, tmp_path, census5_path, 
         path.write_text("\n".join(spaced) + "\n")
         for chunk_size in (3, 4, 7):
             monkeypatch.setattr(search_module, "CHUNK_SIZE", chunk_size)
-            cut = search_file(str(path), 0, dedup=dedup)
+            cut = search_file(str(path), 0)
             assert cut.comparable() == full.comparable(), (blanks, chunk_size)
 
 
@@ -653,7 +654,7 @@ def test_batched_dedup_equals_per_record_reference(monkeypatch, census5_path, or
         rows = np.array([g.adj for g in graphs], dtype=np.int64)
         for blocks, chunk_size in (([rows], 7), ([rows], 4096), (np.split(rows, [1, 4, 5, 19]), 6)):
             monkeypatch.setattr(search_module, "CHUNK_SIZE", chunk_size)
-            pipe = search_module._Pipeline("lc")
+            pipe = search_module._Pipeline()
             for block in blocks:
                 pipe.feed(block)
             assert pipe.reps == reps
@@ -720,11 +721,8 @@ def test_class_counts_match_published_counts():
         reps = iso_class_reps(n)
         assert len(reps) == want, f"n={n}"
         assert [g.adj for g in reps] == [canonicalize(g).to_graph().adj for g in reps]
-    for bogus in ("none", "bogus"):
-        with pytest.raises(ValueError) as err:
-            class_reps(3, bogus)
-        assert str(err.value) == f"unknown dedup mode {bogus!r}"
     for n in (0, 17):
-        with pytest.raises(ValueError) as err:
-            class_reps(n)
-        assert str(err.value) == f"vertex count {n} outside 1..16"
+        for walk in (class_reps, iso_class_reps):
+            with pytest.raises(ValueError) as err:
+                walk(n)
+            assert str(err.value) == f"vertex count {n} outside 1..16"
