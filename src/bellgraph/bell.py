@@ -127,10 +127,6 @@ class BellCoefficients:
     t: int
     k: np.ndarray = field(repr=False)
 
-    @property
-    def coverable_count(self) -> int:
-        return int(self.k[0])
-
 
 def _coefficients(n: int, adj: np.ndarray, t: int) -> np.ndarray:
     """k of each graph, shape (B, 2^n): the coverable indicators, transformed."""

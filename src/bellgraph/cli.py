@@ -161,11 +161,10 @@ def cmd_search(args) -> int:
             args.t,
             lenient=args.lenient,
             max_witnesses=args.max_witnesses,
-            checkpoint_path=args.checkpoint,
         )
     else:
-        if args.checkpoint or args.lenient:
-            raise ValueError("--checkpoint and --lenient need --census")
+        if args.lenient:
+            raise ValueError("--lenient needs --census")
         report = search_labeled_all(
             args.all_labeled,
             args.t,
@@ -265,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lenient", action="store_true",
                    help="skip malformed census lines instead of aborting")
     p.add_argument("--max-witnesses", type=_int_at_least(0), default=DEFAULT_MAX_WITNESSES)
-    p.add_argument("--checkpoint",
-                   help="checkpoint file; rerunning with it resumes exactly")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 

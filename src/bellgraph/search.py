@@ -9,11 +9,9 @@ test suite checks against every labeled graph.
 
 The pipeline (`_Pipeline`) only deduplicates. It takes records as (B, n)
 arrays of adjacency rows from two sources: a graph6 census file, decoded a
-chunk of lines at a time (`search_file`, with checkpoints that store the
-representatives; a resumed run rebuilds the rest by replaying them through
-dedup, and reports the same), or the one-vertex extensions of the classes
-on n - 1, broadcast. One such level is one pipeline run, and one walk of
-levels from the empty graph (`_levels`) serves `class_reps`,
+chunk of lines at a time (`search_file`), or the one-vertex extensions of
+the classes on n - 1, broadcast. One such level is one pipeline run, and
+one walk of levels from the empty graph (`_levels`) serves `class_reps`,
 `search_labeled_all` and `reproduce_table1`. `search_file` rejects a record
 on another vertex count than the census's with its line number. Graphs held
 in memory are searched by writing them out with `emit_graph6`.
@@ -31,8 +29,6 @@ only for the per-assignment check of a witness and to return `class_reps`.
 """
 from __future__ import annotations
 
-import hashlib
-import os
 import time
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Iterator, Sequence
@@ -48,8 +44,8 @@ from .graphs import Graph, check_vertex_count
 
 EXHAUSTIVE_MAX_N = 10  # the level-10 walk's time and memory: the README's Search section
 DEFAULT_MAX_WITNESSES = 32
-# records canonicalized in one batch, and census lines read between two
-# checkpoints; read at call time, so a test can change it on this module alone
+# records canonicalized in one batch, and census lines read at a time; read
+# at call time, so a test can change it on this module alone
 CHUNK_SIZE = 4096
 
 
@@ -115,11 +111,8 @@ class _Pipeline:
 
     A chunk is canonicalized in one batch, the LC orbits of its unseen
     classes are walked together (`lc_orbits`), and its new classes are
-    picked out in stream order (`new_classes`). Nothing is evaluated until
-    `reports`, so the state after any chunk is the record count and the
-    representatives; the seen-set and fallback count follow from the
-    representatives, which with the record count is all `Checkpoint` saves.
-    `stages` holds the seconds this process spent per stage; it is not saved.
+    appended to the representatives in stream order. Nothing is evaluated
+    until `reports`. `stages` holds the seconds spent per stage.
     """
 
     n: int | None = None
@@ -135,39 +128,32 @@ class _Pipeline:
         The array is cut into chunks of at most CHUNK_SIZE records. Reports
         do not depend on where the cuts fall. The sources check the vertex
         count, since they know the position of a record on another one.
-        """
-        for at in range(0, len(rows), CHUNK_SIZE):
-            chunk = rows[at:at + CHUNK_SIZE]
-            self.records += len(chunk)
-            self.reps += self.new_classes(chunk)
 
-    def new_classes(self, chunk: np.ndarray) -> list[int]:
-        """The representatives of the chunk's unseen classes, in stream order.
-
-        The representative is the least canonical code of the class's LC
-        orbit. The chunk's unseen classes are taken in stream order, each
+        A class's representative is the least canonical code of its LC
+        orbit. Each chunk's unseen classes are taken in stream order, each
         once; one whose orbit met an earlier one's is seen by then. An orbit
         past the cap is counted and split: each of its classes that the
         records reach is then its own representative, with its own fallback.
         """
-        started = time.perf_counter()
-        n = self.n = chunk.shape[1]
-        first: dict[int, int] = {}
-        for i, code in enumerate(canonical_codes(n, chunk)):
-            if code not in self.seen:
-                first.setdefault(code, i)
-        orbits = lc_orbits(n, list(first), chunk[list(first.values())])
-        new = []
-        for code, orbit in zip(first, orbits):
-            if code in self.seen:
-                continue
-            if orbit is None:
-                self.orbit_cap_fallbacks += 1
-                orbit = frozenset((code,))
-            self.seen |= orbit
-            new.append(min(orbit))
-        self.stages["dedup"] += time.perf_counter() - started
-        return new
+        for at in range(0, len(rows), CHUNK_SIZE):
+            started = time.perf_counter()
+            chunk = rows[at:at + CHUNK_SIZE]
+            n = self.n = chunk.shape[1]
+            self.records += len(chunk)
+            first: dict[int, int] = {}
+            for i, code in enumerate(canonical_codes(n, chunk)):
+                if code not in self.seen:
+                    first.setdefault(code, i)
+            orbits = lc_orbits(n, list(first), chunk[list(first.values())])
+            for code, orbit in zip(first, orbits):
+                if code in self.seen:
+                    continue
+                if orbit is None:
+                    self.orbit_cap_fallbacks += 1
+                    orbit = frozenset((code,))
+                self.seen |= orbit
+                self.reps.append(min(orbit))
+            self.stages["dedup"] += time.perf_counter() - started
 
     def reports(
         self, ts: tuple[int, ...], started: float, max_witnesses: int, records_skipped: int = 0
@@ -327,90 +313,7 @@ def search_labeled_all(
 
 
 # ---------------------------------------------------------------------------
-# graph6 file searches with checkpointing
-
-def _file_sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-CHECKPOINT_HEADER = "bellgraph-checkpoint v6"
-
-
-@dataclass
-class Checkpoint:
-    """A census search's representatives in one plain-text file.
-
-    After the header come `key=value` lines for the census hash, orbit cap,
-    n and the number of good records consumed; then one
-    `rep=<hex code>` line per representative, in stream order. No bound is
-    stored: the reports evaluate every representative, so a resumed run may
-    ask for other t. A class's LC orbit, and whether it passes the cap, do
-    not depend on where the walk starts, so the seen-set and the fallback
-    count are not stored either: `restore` rebuilds them by replaying the
-    representatives through `_Pipeline.new_classes` in one call, which must
-    give back exactly the stored codes. That validates the file, at the
-    price of redoing the orbit walks of the classes found so far.
-    """
-
-    path: str
-    census_sha256: str
-
-    def _settings(self) -> dict[str, str]:
-        """What a resumed run must share with the run that wrote the file."""
-        return {
-            "census_sha256": self.census_sha256,
-            "orbit_cap": str(canon.ORBIT_CAP),
-        }
-
-    def write(self, state: _Pipeline) -> None:
-        lines = [CHECKPOINT_HEADER]
-        lines += [f"{key}={val}" for key, val in self._settings().items()]
-        lines += [f"n={state.n}", f"records={state.records}"]
-        lines += [f"rep={code:x}" for code in state.reps]
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, self.path)
-
-    def restore(self) -> _Pipeline:
-        """The saved state, rejected unless written with this run's settings;
-        the replay's time opens its dedup stage."""
-        with open(self.path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-        header = lines[0] if lines else ""
-        if header != CHECKPOINT_HEADER:
-            if header.startswith("bellgraph-checkpoint"):
-                raise ValueError(
-                    f"{self.path}: {header} checkpoints cannot resume exactly; "
-                    "delete the file and rerun"
-                )
-            raise ValueError(f"{self.path}: not a checkpoint file")
-        pairs = [line.partition("=")[::2] for line in lines[1:]]
-        kv = {key: val for key, val in pairs if key != "rep"}
-        for key, want in self._settings().items():
-            if kv.get(key) != want:
-                raise ValueError(
-                    f"{self.path}: checkpoint has {key}={kv.get(key)} but this run "
-                    f"has {key}={want}; delete the file to start over"
-                )
-        try:
-            state = _Pipeline(records=int(kv["records"]))
-            state.reps = [int(val, 16) for key, val in pairs if key == "rep"]
-            if state.records < len(state.reps):
-                raise ValueError(f"records={state.records} is below its "
-                                 f"{len(state.reps)} representatives")
-            n = int(kv["n"])
-            check_vertex_count(n)
-            if state.new_classes(rows_of_codes(n, state.reps)) != state.reps:
-                raise ValueError("its representatives are not the classes a replay finds")
-        except (KeyError, ValueError) as err:
-            raise ValueError(f"{self.path}: corrupt checkpoint: {err}") from None
-        return state
-
+# graph6 file searches
 
 def search_file(
     path: str,
@@ -418,53 +321,26 @@ def search_file(
     *,
     lenient: bool = False,
     max_witnesses: int = DEFAULT_MAX_WITNESSES,
-    checkpoint_path: str | None = None,
 ):
-    """Search a graph6 census file, optionally checkpointing as it goes.
+    """Search a graph6 census file.
 
     Malformed records abort with their line number unless lenient, in which
     case they are skipped and counted in `records_skipped`. The census is
-    read CHUNK_SIZE lines at a time and their good records are canonicalized
-    together. With a checkpoint path the record count and the
-    representatives found so far are saved after each such block that added
-    records. A resumed run replays them through dedup to rebuild its
-    seen-set, canonicalizes the records the file covers as it skips them,
-    and goes on after them; since the reports evaluate every
-    representative, it yields the report of an uninterrupted run at any t.
-    A rerun with a completed file writes nothing. A file written for
-    another census or `canon.ORBIT_CAP`, or in an older format, is
-    rejected, and so is one that covers more records than the census holds
-    or a record in none of its classes (a lost `rep=` line).
+    read CHUNK_SIZE lines at a time and their good records are fed to the
+    pipeline together. An interrupted search is rerun: its reports do not
+    depend on the order of the records or on the chunking.
     """
     ts = _as_ts(t)
     started = time.perf_counter()
     pipe = _Pipeline()
-    checkpoint = None
-    if checkpoint_path:
-        checkpoint = Checkpoint(checkpoint_path, _file_sha256(path))
-        if os.path.exists(checkpoint_path):
-            pipe = checkpoint.restore()
-    covered = pipe.records  # records the restored state already holds
     skipped = 0
     read_started = time.perf_counter()
     for rows, bad in read_graph6(path, CHUNK_SIZE, lenient=lenient):
         pipe.stages["read"] += time.perf_counter() - read_started
         skipped += bad
-        done, rows = rows[:covered], rows[covered:]
-        covered -= len(done)
-        if len(done) and (done.shape[1] != pipe.n
-                          or not pipe.seen.issuperset(canonical_codes(pipe.n, done))):
-            raise ValueError(f"{checkpoint_path}: corrupt checkpoint: a record it "
-                             "covers is in none of its classes")
-        if len(rows):
-            pipe.feed(rows)
-            if checkpoint:
-                checkpoint.write(pipe)
+        pipe.feed(rows)
         read_started = time.perf_counter()
     pipe.stages["read"] += time.perf_counter() - read_started
-    if covered:
-        raise ValueError(f"{checkpoint_path}: corrupt checkpoint: records={pipe.records} "
-                         f"but the census holds {pipe.records - covered}")
     reports = pipe.reports(ts, started, max_witnesses, records_skipped=skipped)
     return reports[ts[0]] if isinstance(t, int) else reports
 

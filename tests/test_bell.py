@@ -480,7 +480,8 @@ def test_int32_width_bound():
         for t in range(4):
             bc = bell_coefficients(g, t)
             l1 = int(np.abs(bc.k).sum())
-            assert l1 * l1 <= (1 << 2 * g.n) * bc.coverable_count <= 1 << 3 * g.n
+            coverable = int(bc.k[0])  # |C|: k[0] sums C's indicator
+            assert l1 * l1 <= (1 << 2 * g.n) * coverable <= 1 << 3 * g.n
 
 
 def test_lc_invariance_of_bounds():

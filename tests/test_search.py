@@ -13,11 +13,9 @@ from bellgraph.canon import ORBIT_CAP, canonicalize, lc_orbit, lc_orbits
 from bellgraph.cli import main
 from bellgraph.dyadic import Dyadic
 from bellgraph.families import complete, complete_join, parse_family, ring, star, star_copies
-from bellgraph.graph6 import Graph6Error, codes_of_rows, emit_graph6, parse_graph6, rows_of_codes
-from bellgraph.graphs import Graph
+from bellgraph.graph6 import Graph6Error, emit_graph6, parse_graph6
 from bellgraph.search import (
     TABLE1,
-    Checkpoint,
     class_reps,
     iso_class_reps,
     minimal_violating_n,
@@ -70,6 +68,10 @@ def test_orbit_cap_and_chunk_size_are_constants():
     assert "dedup" not in fields
     for fn in (class_reps, iso_class_reps, search_labeled_all, search_file):
         assert "dedup" not in inspect.signature(fn).parameters, fn.__name__
+    # an interrupted census search is rerun: no checkpoint
+    assert "checkpoint_path" not in inspect.signature(search_file).parameters
+    for name in ("Checkpoint", "CHECKPOINT_HEADER", "_file_sha256"):
+        assert not hasattr(search_module, name), name
 
 
 def test_enumerate_labeled_cap():
@@ -215,9 +217,7 @@ def test_empty_t_rejected(census5_path):
         assert str(err.value).startswith(message)
 
 
-def test_search_file_reference_census(monkeypatch, census5_path):
-    # the census is hashed only to match a checkpoint
-    monkeypatch.setattr(search_module, "_file_sha256", None)
+def test_search_file_reference_census(census5_path):
     report = search_file(census5_path, 0)
     assert report.best_bound == Dyadic(5, 3)
     assert report.graphs_examined == 34
@@ -278,218 +278,6 @@ def test_search_file_lenient(monkeypatch, capsys, tmp_path, census5_path):
     for lenient in (False, True):
         report = search_file(str(path), 0, lenient=lenient)
         assert (report.graphs_examined, report.records_skipped) == (34, 0)
-
-
-def test_search_file_checkpointing(monkeypatch, tmp_path, census5_path):
-    monkeypatch.setattr(search_module, "CHUNK_SIZE", 8)
-    ck = tmp_path / "resume.ck"
-    full = search_file(census5_path, (0, 1), checkpoint_path=str(ck))
-    text = ck.read_text().splitlines()
-    assert text[0] == "bellgraph-checkpoint v6"
-    assert "records=34" in text
-    assert sum(line.startswith("rep=") for line in text) == 11
-    # the seen-set, the fallback count, t and the bounds are rebuilt or
-    # recomputed on resume, not stored
-    assert not any(line.startswith(("seen=", "orbit_cap_fallbacks=", "ts=")) for line in text)
-    assert not any(" " in line for line in text[1:])
-    # rerunning with the completed checkpoint returns the same reports
-    again = search_file(census5_path, (0, 1), checkpoint_path=str(ck))
-    for t in (0, 1):
-        assert again[t].comparable() == full[t].comparable()
-
-
-class Interrupted(Exception):
-    pass
-
-
-def interrupted_run(monkeypatch, k, *args, **kwargs):
-    """Run search_file until its k-th checkpoint write has finished.
-
-    The run reads the census in chunks of whatever `CHUNK_SIZE` the caller set.
-    """
-    real = Checkpoint.write
-    calls = []
-
-    def write(self, state):
-        real(self, state)
-        calls.append(state.records)
-        if len(calls) == k:
-            raise Interrupted
-
-    with monkeypatch.context() as patch:
-        patch.setattr(Checkpoint, "write", write)
-        try:
-            search_file(*args, **kwargs)
-        except Interrupted:
-            return calls
-    return None  # fewer than k writes: the run completed
-
-
-# ids "<chunk size>-lc", stable for tracking the cases across runs
-@pytest.mark.parametrize("chunk_size", [10, 7], ids=lambda size: f"{size}-lc")
-def test_resume_matches_uninterrupted_run(monkeypatch, tmp_path, census5_path, chunk_size):
-    # also past the orbit cap, where a resumed run must rebuild the fallback
-    # count, and at cap 1, where every class is split into its members:
-    # (fallbacks, representatives) per cap on census5
-    ts = (0, 1, 2)
-    caps = {ORBIT_CAP: (0, 11), 2: (23, 30), 1: (31, 34)}
-    for orbit_cap, counts in caps.items():
-        monkeypatch.setattr(canon, "ORBIT_CAP", orbit_cap)
-        monkeypatch.setattr(search_module, "CHUNK_SIZE", 4096)
-        full = search_file(census5_path, ts)
-        assert (full[0].orbit_cap_fallbacks, full[0].lc_classes_examined) == counts
-        monkeypatch.setattr(search_module, "CHUNK_SIZE", chunk_size)
-        k = 1
-        while True:
-            ck = str(tmp_path / f"cap{orbit_cap}-k{k}.ck")
-            calls = interrupted_run(monkeypatch, k, census5_path, ts, checkpoint_path=ck)
-            if calls is None:
-                break
-            assert calls[-1] == min(k * chunk_size, 34)
-            for _ in range(2):  # resume, then rerun with the completed checkpoint
-                resumed = search_file(census5_path, ts, checkpoint_path=ck)
-                for t in ts:
-                    assert resumed[t].comparable() == full[t].comparable()
-            k += 1
-        assert k - 1 == -(-34 // chunk_size)  # every write was interrupted once
-
-
-def test_resume_writes_only_the_remaining_chunks(monkeypatch, tmp_path, census5_path):
-    monkeypatch.setattr(search_module, "CHUNK_SIZE", 10)
-    ck = str(tmp_path / "writes.ck")
-    assert interrupted_run(monkeypatch, 2, census5_path, 0, checkpoint_path=ck) == [10, 20]
-    real, writes = Checkpoint.write, []
-
-    def write(self, state):
-        real(self, state)
-        writes.append(state.records)
-
-    monkeypatch.setattr(Checkpoint, "write", write)
-    search_file(census5_path, 0, checkpoint_path=ck)
-    assert writes == [30, 34]
-    # a rerun with the completed checkpoint skips every record, and writes nothing
-    writes.clear()
-    assert search_file(census5_path, 0, checkpoint_path=ck).graphs_examined == 34
-    assert writes == []
-
-
-def test_resume_after_three_chunks(monkeypatch, tmp_path, census5_path):
-    monkeypatch.setattr(search_module, "CHUNK_SIZE", 10)
-    ck = str(tmp_path / "three.ck")
-    assert interrupted_run(monkeypatch, 3, census5_path, 0, checkpoint_path=ck) == [10, 20, 30]
-    report = search_file(census5_path, 0, checkpoint_path=ck)
-    assert report.graphs_examined == 34
-    assert report.lc_classes_examined == 11
-    assert report.witness_classes_total == len(report.witnesses) == 4
-
-
-def test_checkpoint_resumes_with_other_ts(monkeypatch, tmp_path, census5_path):
-    # the file holds no t and no bound: a run interrupted at t=0 resumes at
-    # (0, 1) and reports what an uninterrupted (0, 1) run reports
-    monkeypatch.setattr(search_module, "CHUNK_SIZE", 10)
-    full = search_file(census5_path, (0, 1))
-    ck = str(tmp_path / "other-ts.ck")
-    assert interrupted_run(monkeypatch, 2, census5_path, 0, checkpoint_path=ck) == [10, 20]
-    resumed = search_file(census5_path, (0, 1), checkpoint_path=ck)
-    for t in (0, 1):
-        assert resumed[t].comparable() == full[t].comparable()
-
-
-@pytest.mark.parametrize("written, resumed", [
-    ({"t": 0, "orbit_cap": 50}, {"t": 0}),
-    ({"t": 0}, {"t": 0, "orbit_cap": 50}),
-])
-def test_checkpoint_rejects_other_settings(monkeypatch, tmp_path, census5_path,
-                                          written, resumed):
-    # "orbit_cap" is not an argument: it sets canon.ORBIT_CAP for the run
-    monkeypatch.setattr(search_module, "CHUNK_SIZE", 10)
-    ck = str(tmp_path / "other.ck")
-
-    def run(settings):
-        settings = dict(settings)
-        with monkeypatch.context() as patch:
-            patch.setattr(canon, "ORBIT_CAP", settings.pop("orbit_cap", ORBIT_CAP))
-            search_file(census5_path, checkpoint_path=ck, **settings)
-
-    run(written)
-    with pytest.raises(ValueError) as err:
-        run(resumed)
-    assert "delete the file" in str(err.value)
-
-
-def test_checkpoint_rejects_changed_census(tmp_path, census5_path):
-    ck = str(tmp_path / "stale.ck")
-    search_file(census5_path, 0, checkpoint_path=ck)
-    shorter = tmp_path / "shorter.g6"
-    shorter.write_text("".join(open(census5_path).readlines()[:-1]))
-    with pytest.raises(ValueError) as err:
-        search_file(str(shorter), 0, checkpoint_path=ck)
-    assert "census_sha256" in str(err.value)
-
-
-@pytest.mark.parametrize("old", [
-    "bellgraph-checkpoint v1\ncensus_sha256=0\nchunk_size=8\nchunks_done=1\n",
-    "bellgraph-checkpoint v2\ncensus_sha256=0\nts=0\ndedup=lc\norbit_cap=100000\n"
-    "n=5\nrecords=0\n",
-    "bellgraph-checkpoint v3\ncensus_sha256=0\nts=0\ndedup=lc\norbit_cap=100000\n"
-    "n=5\nrecords=1\norbit_cap_fallbacks=0\nrep=D?? 1\nseen=0\n",
-    "bellgraph-checkpoint v4\ncensus_sha256=0\nts=0\ndedup=lc\norbit_cap=100000\n"
-    "n=5\nrecords=1\nrep=0 1\n",
-    "bellgraph-checkpoint v5\ncensus_sha256=0\ndedup=lc\norbit_cap=100000\n"
-    "n=5\nrecords=1\nrep=0\n",
-], ids=["v1", "v2", "v3", "v4", "v5"])
-def test_checkpoint_rejects_old_versions(tmp_path, census5_path, old):
-    ck = tmp_path / "old.ck"
-    ck.write_text(old)
-    with pytest.raises(ValueError) as err:
-        search_file(census5_path, 0, checkpoint_path=str(ck))
-    assert "delete the file" in str(err.value)
-
-
-@pytest.mark.parametrize("corrupt", [
-    "not canonical", "not least", "duplicated", "not hex", "dropped", "rep=-5", "rep=400",
-    "records=-3", "records=0", "records=1000000",
-])
-def test_checkpoint_rejects_corrupt_representatives(tmp_path, census5_path, corrupt):
-    # each edit keeps the settings and the line format; replaying the
-    # representatives through dedup finds the first three, parsing the
-    # fourth, decoding a negative code or one wider than the 10 bits of
-    # n = 5; a dropped representative leaves a record the file covers in
-    # none of its classes, caught as the record is skipped; a record count
-    # below the 11 representatives is caught on reading, one above the
-    # census's 34 records when the census ends
-    ck = tmp_path / "corrupt.ck"
-    search_file(census5_path, 0, checkpoint_path=str(ck))
-    lines = ck.read_text().splitlines()
-    first = next(i for i, line in enumerate(lines) if line.startswith("rep="))
-    codes = [int(line[4:], 16) for line in lines[first:]]
-    graphs = [Graph(5, tuple(row)) for row in rows_of_codes(5, codes).tolist()]
-    assert len(codes) == 11
-
-    def replace(i, code):
-        lines[first + i] = f"rep={code}"
-
-    if corrupt == "not canonical":  # a representative with its vertex order reversed
-        reversed_ = codes_of_rows(5, [g.relabel(range(4, -1, -1)).adj for g in graphs])
-        i = next(i for i, code in enumerate(codes) if reversed_[i] != code)
-        replace(i, f"{reversed_[i]:x}")
-    elif corrupt == "not least":  # another canonical code of the representative's orbit
-        i = next(i for i, g in enumerate(graphs) if len(lc_orbit(g)) > 1)
-        replace(i, f"{max(lc_orbit(graphs[i])).code:x}")
-    elif corrupt == "duplicated":
-        lines.insert(first + 3, lines[first + 3])
-    elif corrupt == "not hex":
-        replace(0, "xyz")
-    elif corrupt == "dropped":
-        del lines[-1]
-    elif corrupt.startswith("rep="):
-        replace(5, corrupt[4:])
-    else:
-        lines[lines.index("records=34")] = corrupt
-    ck.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError) as err:
-        search_file(census5_path, 0, checkpoint_path=str(ck))
-    assert "corrupt checkpoint" in str(err.value)
 
 
 def test_witness_cap():
@@ -599,22 +387,17 @@ def test_iso_class_reps_match_census(census):
         assert len({canonicalize(g) for g in reps}) == len(reps)
 
 
-def test_orbit_cap_fallbacks_are_counted(monkeypatch, tmp_path, census5_path):
-    uncapped = search_file(census5_path, 0)
-    monkeypatch.setattr(canon, "ORBIT_CAP", 1)
-    capped = search_file(census5_path, 0)
-    # every record whose orbit has a second isomorphism class hits the cap,
-    # and its class is split into its members
-    assert capped.orbit_cap_fallbacks > 0
-    assert capped.lc_classes_examined == 34
-    assert capped.to_json()["orbit_cap_fallbacks"] == capped.orbit_cap_fallbacks
-    assert uncapped.orbit_cap_fallbacks == 0
-    # the count survives an interrupt and resume
-    monkeypatch.setattr(search_module, "CHUNK_SIZE", 10)
-    ck = str(tmp_path / "capped.ck")
-    assert interrupted_run(monkeypatch, 2, census5_path, 0, checkpoint_path=ck) == [10, 20]
-    resumed = search_file(census5_path, 0, checkpoint_path=ck)
-    assert resumed.comparable() == capped.comparable()
+# (fallbacks, representatives) per orbit cap on census5
+@pytest.mark.parametrize("orbit_cap, counts",
+                         [(ORBIT_CAP, (0, 11)), (2, (23, 30)), (1, (31, 34))],
+                         ids=[f"cap-{cap}" for cap in (ORBIT_CAP, 2, 1)])
+def test_orbit_cap_fallbacks_are_counted(monkeypatch, census5_path, orbit_cap, counts):
+    monkeypatch.setattr(canon, "ORBIT_CAP", orbit_cap)
+    report = search_file(census5_path, 0)
+    # an LC orbit with more isomorphism classes than the cap is counted, and
+    # split into its members
+    assert (report.orbit_cap_fallbacks, report.lc_classes_examined) == counts
+    assert report.to_json()["orbit_cap_fallbacks"] == report.orbit_cap_fallbacks
 
 
 # cap 1 splits every class into its members; ids "lc-<orbit cap>", stable
